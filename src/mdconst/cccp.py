@@ -6,11 +6,15 @@ squared gap above an auxiliary level that is itself maximized) is solved
 by repeatedly replacing each quadratic constraint with its affine tangent
 at the current iterate and solving the resulting second-order cone
 subproblem. Each iterate stays feasible for the original quadratic
-constraints and the constellation energy is non-increasing.
+constraints, and the composite objective F(z) = ||z|| - lam * min_ew(z)
+is non-increasing, where min_ew(z) is the smallest per-dimension squared
+gap. The energy ||z||^2 alone is not monotone: an iterate may spend
+energy when the element-wise level gains more.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -162,7 +166,6 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     status = "max_iter"
     iters = 0
     max_kkt = 0.0
-    eta_prev = float(min(qforms.qf_value(idx, z) for idx in ew_idx))
 
     for q in range(1, config.max_iters + 1):
         try:
@@ -197,7 +200,6 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
         )
         max_kkt = max(max_kkt, sol.kkt_residual)
         z = z_new
-        eta_prev = sol.eta
         iters = q
         if step <= config.epsilon:
             status = "converged"
@@ -271,17 +273,7 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
 
 def lambda_sweep(config: CCCPConfig, lambdas: list[float]) -> list[tuple[float, OptimizeResult]]:
     """Re-run the full optimization for each trade-off value."""
-    out = []
-    for lam in lambdas:
-        cfg = CCCPConfig(
-            K=config.K, M=config.M, lam=lam,
-            d_e_threshold=config.d_e_threshold, epsilon=config.epsilon,
-            max_iters=config.max_iters, restarts=config.restarts,
-            seed=config.seed, solver_tol=config.solver_tol,
-            init_margin=config.init_margin,
-        )
-        out.append((lam, optimize(cfg)))
-    return out
+    return [(lam, optimize(dataclasses.replace(config, lam=lam))) for lam in lambdas]
 
 
 def amgm_gap_report(result: OptimizeResult) -> dict:

@@ -69,6 +69,7 @@ class Constellation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Constellation":
+        require_keys(d, "K", "M", "points")
         K, M = int(d["K"]), int(d["M"])
         raw = d["points"]
         if len(raw) != M or any(len(col) != K for col in raw):
@@ -106,6 +107,15 @@ def _with_full_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [_with_full_floats(v) for v in obj]
     return obj
+
+
+def require_keys(d, *keys) -> None:
+    """ValueError naming what a loaded JSON object lacks, not a KeyError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"JSON object is missing key(s): {', '.join(missing)}")
 
 
 def write_json_atomic(path: str, data: dict) -> None:

@@ -1,9 +1,9 @@
-"""Hot detection kernels with numba and pure-numpy implementations.
+"""Batch-vectorized numpy detection kernels plus scalar loop references.
 
-The numba path is the default when numba imports; set MDCONST_BACKEND=numpy
-(or numba) to force a backend. Both paths implement the same algorithms on
-the same array layouts; RNG always lives outside the kernels, so results
-are backend-independent up to floating-point rounding in logsumexp.
+``ml_detect_batch`` and ``mpa_detect_batch`` are the only runtime paths.
+``_ml_detect_loops`` and ``_mpa_detect_loops`` spell out the same
+algorithms one vector at a time; they are the oracles the tests compare
+the vectorized kernels against. RNG always lives outside the kernels.
 
 Layouts:
   ML detection: y (B, K), h (B, K), points (K, M) -> (B,) symbol indices.
@@ -15,31 +15,21 @@ Layouts:
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("MDCONST_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise RuntimeError(f"MDCONST_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-HAVE_NUMBA = False
-if _env != "numpy":
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+#: Name of the detection path, recorded in run manifests.
+BACKEND = "numpy"
 
 
 # -- maximum-likelihood detection -----------------------------------------
 
 
-def _ml_detect_numpy(y: np.ndarray, h: np.ndarray, points: np.ndarray) -> np.ndarray:
+def ml_detect_batch(y, h, points):
+    """Nearest-codeword detection, argmin of sum_k |y_k - h_k x_{m,k}|^2."""
+    y = np.ascontiguousarray(y, dtype=np.complex128)
+    h = np.ascontiguousarray(h, dtype=np.complex128)
+    points = np.ascontiguousarray(points, dtype=np.complex128)
     # residual tensor (B, K, M); memory is the caller's chunking problem
     r = y[:, :, None] - h[:, :, None] * points[None, :, :]
     d = np.sum(r.real**2 + r.imag**2, axis=1)
@@ -178,13 +168,18 @@ def _mpa_detect_loops(y, H, cb, res_users, res_deg, user_res, n0, iters):
     return post, hard
 
 
-def _mpa_detect_numpy(y, H, cb, res_users, res_deg, user_res, n0, iters):
-    """Batch-vectorized MPA; same message schedule as the loop kernel."""
+def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
+    """Log-domain MPA over the indicator factor graph; exact max-star sums.
+
+    Same message schedule as ``_mpa_detect_loops``, vectorized over B.
+    """
+    y = np.ascontiguousarray(y, dtype=np.complex128)
+    H = np.ascontiguousarray(H, dtype=np.complex128)
+    cb = np.ascontiguousarray(cb, dtype=np.complex128)
+    n0 = float(n0)
     B, N = y.shape
     J, _, M = cb.shape
-    K = user_res.shape[1]
     dmax = res_users.shape[1]
-    NEG = -1e30
 
     # per-resource combo tables
     combos = []
@@ -250,31 +245,3 @@ def _logsumexp_cols(w: np.ndarray) -> np.ndarray:
         return np.full(w.shape[:-1], -1e30)
     mx = np.max(w, axis=-1)
     return mx + np.log(np.sum(np.exp(w - mx[..., None]), axis=-1))
-
-
-if HAVE_NUMBA:
-    _maxstar = njit(cache=True)(_maxstar)
-    _ml_detect_numba = njit(cache=True)(_ml_detect_loops)
-    _mpa_detect_numba = njit(cache=True)(_mpa_detect_loops)
-
-
-def ml_detect_batch(y, h, points):
-    """Nearest-codeword detection, argmin of sum_k |y_k - h_k x_{m,k}|^2."""
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    h = np.ascontiguousarray(h, dtype=np.complex128)
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    if BACKEND == "numba":
-        return _ml_detect_numba(y, h, points)
-    return _ml_detect_numpy(y, h, points)
-
-
-def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
-    """Log-domain MPA over the indicator factor graph; exact max-star sums."""
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    H = np.ascontiguousarray(H, dtype=np.complex128)
-    cb = np.ascontiguousarray(cb, dtype=np.complex128)
-    if BACKEND == "numba":
-        return _mpa_detect_numba(
-            y, H, cb, res_users, res_deg, user_res, float(n0), int(iters)
-        )
-    return _mpa_detect_numpy(y, H, cb, res_users, res_deg, user_res, float(n0), iters)

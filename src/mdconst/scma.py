@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .constellation import Constellation, average_power, write_json_atomic
+from .constellation import (
+    Constellation,
+    average_power,
+    require_keys,
+    write_json_atomic,
+)
 
 #: The widely used 4 resources x 6 users indicator matrix (column weight 2,
 #: row weight 3).
@@ -66,6 +71,7 @@ class IndicatorMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IndicatorMatrix":
+        require_keys(d, "N", "J", "rows")
         F = cls(rows=np.asarray(d["rows"]))
         if F.N != int(d["N"]) or F.J != int(d["J"]):
             raise ValueError("indicator matrix N/J fields disagree with rows")
@@ -124,6 +130,7 @@ class OperatorSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OperatorSet":
+        require_keys(d, "phases")
         return cls(phases=np.asarray(d["phases"]))
 
     def save(self, path: str) -> None:
@@ -214,6 +221,7 @@ class SCMACodebookSet:
     def load(cls, path: str) -> "SCMACodebookSet":
         with open(path) as fh:
             d = json.load(fh)
+        require_keys(d, "indicator", "operators", "base")
         F = IndicatorMatrix.from_json_dict(d["indicator"])
         ops = OperatorSet.from_json_dict(d["operators"])
         base = Constellation.from_json_dict(d["base"])

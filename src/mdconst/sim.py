@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,9 @@ from .constellation import Constellation, average_power
 from .scma import SCMACodebookSet, mpa_detect_batch
 
 #: Vectors simulated per RNG draw; fixed so seeds determine draw order.
-CHUNK = 20_000
+P2P_CHUNK = 20_000
+#: Smaller because MPA holds B * M**d_f complex values per resource.
+SCMA_CHUNK = 2_000
 
 
 def bits_per_symbol(M: int) -> int:
@@ -107,6 +110,61 @@ def _point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, point_index]))
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _add_noise(rng: np.random.Generator, y: np.ndarray, n0: float) -> np.ndarray:
+    """Circular Gaussian noise of variance n0; n0 == 0 draws nothing."""
+    if n0 == 0.0:
+        return y
+    return y + math.sqrt(n0 / 2) * _complex_normal(rng, y.shape)
+
+
+def _simulate(
+    snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, trial, meta
+):
+    """Monte Carlo loop shared by the simulators.
+
+    ``trial(rng, B, n0)`` sends B vectors at noise variance n0 (0 when
+    noise-free) and returns sent and detected symbol indices, shape (B,)
+    or (B, users); the latter adds per-user error counts to each point.
+    """
+    nbits = bits_per_symbol(M)
+    pop = _popcount_table(nbits)
+    pts = []
+    for pi, ebn0 in enumerate(snr.ebn0_db_list):
+        n0 = 0.0 if noise_free else snr.noise_variance(M, ebn0)
+        rng = _point_rng(seed, pi)
+        errors = 0
+        bits = 0
+        vectors = 0
+        per_user = 0
+        while vectors < max_vectors and errors < min_bit_errors:
+            B = min(chunk, max_vectors - vectors)
+            tx, rx = trial(rng, B, n0)
+            counts = pop[np.bitwise_xor(tx, rx)].sum(axis=0)
+            errors += int(np.sum(counts))
+            per_user = per_user + counts
+            bits += tx.size * nbits
+            vectors += B
+        point = {
+            "ebn0_db": ebn0,
+            "errors": errors,
+            "bits": bits,
+            "ber": errors / bits,
+            "vectors": vectors,
+            "seed": seed,
+        }
+        if np.ndim(per_user):
+            point["per_user_errors"] = per_user.tolist()
+        pts.append(point)
+    meta.update(
+        min_bit_errors=min_bit_errors, max_vectors=max_vectors, noise_free=noise_free
+    )
+    return BERCurve(points=pts, meta=meta)
+
+
 def simulate_p2p(
     C: Constellation,
     channel: str,
@@ -120,60 +178,24 @@ def simulate_p2p(
     if channel not in ("awgn", "rayleigh_iid"):
         raise ValueError(f"unknown channel {channel!r}")
     K, M = C.K, C.M
-    nbits = bits_per_symbol(M)
     if abs(average_power(C) - 1.0) > 1e-9:
-        import warnings
-
         warnings.warn(
             f"constellation average power is {average_power(C):.6f}, not 1; "
             "Eb/N0 calibration assumes unit power"
         )
-    pop = _popcount_table(nbits)
-    pts = []
-    for pi, ebn0 in enumerate(snr.ebn0_db_list):
-        n0 = snr.noise_variance(M, ebn0)
-        rng = _point_rng(seed, pi)
-        errors = 0
-        bits = 0
-        vectors = 0
-        while vectors < max_vectors and errors < min_bit_errors:
-            B = min(CHUNK, max_vectors - vectors)
-            tx = rng.integers(0, M, size=B)
-            if channel == "rayleigh_iid":
-                h = (rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))) / math.sqrt(2)
-            else:
-                h = np.ones((B, K), dtype=np.complex128)
-            y = h * C.points[:, tx].T
-            if not noise_free:
-                y = y + math.sqrt(n0 / 2) * (
-                    rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
-                )
-            rx = kernels.ml_detect_batch(y, h, C.points)
-            errors += int(np.sum(pop[np.bitwise_xor(tx, rx)]))
-            bits += B * nbits
-            vectors += B
-        pts.append(
-            {
-                "ebn0_db": ebn0,
-                "errors": errors,
-                "bits": bits,
-                "ber": errors / bits,
-                "vectors": vectors,
-                "seed": seed,
-            }
-        )
-    return BERCurve(
-        points=pts,
-        meta={
-            "kind": "p2p",
-            "channel": channel,
-            "detector": "ml",
-            "K": K,
-            "M": M,
-            "min_bit_errors": min_bit_errors,
-            "max_vectors": max_vectors,
-            "noise_free": noise_free,
-        },
+
+    def trial(rng, B, n0):
+        tx = rng.integers(0, M, size=B)
+        if channel == "rayleigh_iid":
+            h = _complex_normal(rng, (B, K)) / math.sqrt(2)
+        else:
+            h = np.ones((B, K), dtype=np.complex128)
+        y = _add_noise(rng, h * C.points[:, tx].T, n0)
+        return tx, kernels.ml_detect_batch(y, h, C.points)
+
+    meta = {"kind": "p2p", "channel": channel, "detector": "ml", "K": K, "M": M}
+    return _simulate(
+        snr, M, seed, min_bit_errors, max_vectors, noise_free, P2P_CHUNK, trial, meta
     )
 
 
@@ -193,56 +215,22 @@ def simulate_scma_uplink(
     kept in each point record.
     """
     J, N, M = cbs.J, cbs.N, cbs.M
-    nbits = bits_per_symbol(M)
-    pop = _popcount_table(nbits)
-    pts = []
-    for pi, ebn0 in enumerate(snr.ebn0_db_list):
-        n0 = snr.noise_variance(M, ebn0)
-        n0_detect = max(n0 if not noise_free else 0.0, 1e-9)
-        rng = _point_rng(seed, pi)
-        errors = 0
-        bits = 0
-        vectors = 0
-        per_user = np.zeros(J, dtype=np.int64)
-        while vectors < max_vectors and errors < min_bit_errors:
-            B = min(2_000, max_vectors - vectors)
-            tx = rng.integers(0, M, size=(B, J))
-            H = (
-                rng.standard_normal((B, N, J)) + 1j * rng.standard_normal((B, N, J))
-            ) / math.sqrt(2)
-            y = np.einsum("bnj,bjn->bn", H, cbs.codebooks[np.arange(J), :, tx])
-            if not noise_free:
-                y = y + math.sqrt(n0 / 2) * (
-                    rng.standard_normal((B, N)) + 1j * rng.standard_normal((B, N))
-                )
-            _, hard = mpa_detect_batch(y, H, cbs, n0_detect, mpa_iters)
-            errbits = pop[np.bitwise_xor(tx, hard)]
-            errors += int(errbits.sum())
-            per_user += errbits.sum(axis=0)
-            bits += B * J * nbits
-            vectors += B
-        pts.append(
-            {
-                "ebn0_db": ebn0,
-                "errors": errors,
-                "bits": bits,
-                "ber": errors / bits,
-                "vectors": vectors,
-                "seed": seed,
-                "per_user_errors": per_user.tolist(),
-            }
-        )
-    return BERCurve(
-        points=pts,
-        meta={
-            "kind": "scma_uplink",
-            "channel": "rayleigh_iid",
-            "detector": f"mpa({mpa_iters})",
-            "J": J,
-            "N": N,
-            "M": M,
-            "min_bit_errors": min_bit_errors,
-            "max_vectors": max_vectors,
-            "noise_free": noise_free,
-        },
+
+    def trial(rng, B, n0):
+        tx = rng.integers(0, M, size=(B, J))
+        H = _complex_normal(rng, (B, N, J)) / math.sqrt(2)
+        y = np.einsum("bnj,bjn->bn", H, cbs.codebooks[np.arange(J), :, tx])
+        y = _add_noise(rng, y, n0)
+        return tx, mpa_detect_batch(y, H, cbs, max(n0, 1e-9), mpa_iters)[1]
+
+    meta = {
+        "kind": "scma_uplink",
+        "channel": "rayleigh_iid",
+        "detector": f"mpa({mpa_iters})",
+        "J": J,
+        "N": N,
+        "M": M,
+    }
+    return _simulate(
+        snr, M, seed, min_bit_errors, max_vectors, noise_free, SCMA_CHUNK, trial, meta
     )

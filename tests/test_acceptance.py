@@ -86,10 +86,11 @@ def test_criterion_3_cccp_structure(table1):
 
     The energy-monotonicity clause is checked faithfully and is expected to
     fail: the subproblem minimizes energy minus a positive multiple of the
-    auxiliary level, so small energy up-ticks (up to ~5e-3 relative) occur
-    at true subproblem optima whenever the level term improves more. The
-    iterates remain feasible and the verified objective (not raw energy) is
-    what decreases. See the repository notes for the analysis.
+    auxiliary level, so energy up-ticks (4.7e-2 relative on the seed-0
+    runs) occur at true subproblem optima whenever the level term improves
+    more. The iterates remain feasible and the composite objective (not raw
+    energy) is what decreases; test_cccp_composite_objective_non_increasing
+    checks that invariant.
     """
     worst_uptick = 0.0
     feas_viol = 0.0
@@ -121,6 +122,22 @@ def test_criterion_3_cccp_structure(table1):
         f"(worst violation {feas_viol:.3e}); "
         f"termination rule: {'yes' if term_ok else 'NO'}",
     )
+
+
+def test_cccp_composite_objective_non_increasing(table1):
+    """The invariant CCCP guarantees: F(z) = ||z|| - lam * min_ew(z) never
+    increases along a chain, where min_ew(z) is the smallest element-wise
+    squared gap (trace: min_ew_margin + eta)."""
+    worst = -math.inf
+    for data in table1.values():
+        lam = data["config"].lam
+        for ch in data["chains"]:
+            F = [
+                math.sqrt(rec["energy"]) - lam * (rec["min_ew_margin"] + rec["eta"])
+                for rec in ch.trace
+            ]
+            worst = max([worst] + [b - a for a, b in zip(F, F[1:])])
+    assert worst <= 1e-8, f"composite objective rose by {worst:.3e}"
 
 
 def test_criterion_4_quadratic_form_oracles():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -163,3 +164,18 @@ class TestOptimize:
         ch = cccp.run_chain(small_config(), 0)
         assert ch.status == "failed"
         assert "numerical_failure" in ch.failure
+
+    def test_lambda_sweep_keeps_every_other_field(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cccp, "optimize", lambda cfg: seen.append(cfg) or cfg)
+        base = cccp.CCCPConfig(
+            K=3, M=8, d_e_threshold=2.0, epsilon=1e-3, max_iters=7, restarts=3,
+            seed=11, solver_tol=1e-6, init_margin=1.2, solver_max_newton=123,
+        )
+        out = cccp.lambda_sweep(base, [0.25, 0.75])
+        assert [lam for lam, _ in out] == [0.25, 0.75]
+        assert [cfg.lam for cfg in seen] == [0.25, 0.75]
+        for cfg in seen:
+            for f in dataclasses.fields(cccp.CCCPConfig):
+                if f.name != "lam":
+                    assert getattr(cfg, f.name) == getattr(base, f.name), f.name

@@ -69,6 +69,14 @@ class TestMetrics:
         bad.write_text("{not json")
         assert run(["metrics", str(bad)]) == 2
 
+    def test_missing_key_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "nopoints.json"
+        bad.write_text('{"K": 2, "M": 4}')
+        assert run(["metrics", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "points" in err
+        assert "Traceback" not in err
+
 
 class TestSCMABuild:
     def test_default_build(self, tmp_path):

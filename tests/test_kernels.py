@@ -1,17 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from mdconst import kernels, scma
 from mdconst import constellation as cn
-
-
-needs_numba = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="numba backend unavailable"
-)
 
 
 def _rand_p2p(rng, B=500, K=3, M=8):
@@ -21,7 +12,7 @@ def _rand_p2p(rng, B=500, K=3, M=8):
     return y, h, pts
 
 
-def _rand_scma(rng, B=40):
+def _rand_scma(rng, B=8):
     F = scma.default_indicator()
     base = cn.Constellation(
         points=(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
@@ -32,32 +23,24 @@ def _rand_scma(rng, B=40):
     return cbs, y, H
 
 
-@needs_numba
-class TestBackendAgreement:
-    def test_ml_identical(self):
+class TestLoopOracles:
+    """The scalar loop kernels are the spec of the vectorized ones."""
+
+    def test_ml_matches_loops(self):
         rng = np.random.default_rng(0)
-        y, h, pts = _rand_p2p(rng)
-        a = kernels._ml_detect_numpy(y, h, pts)
-        b = kernels._ml_detect_numba(y, h, pts)
-        assert np.array_equal(a, b)
+        y, h, pts = _rand_p2p(rng, B=200)
+        assert np.array_equal(
+            kernels.ml_detect_batch(y, h, pts), kernels._ml_detect_loops(y, h, pts)
+        )
 
     def test_mpa_posteriors_close_hard_equal(self):
         rng = np.random.default_rng(1)
         cbs, y, H = _rand_scma(rng)
         args = scma._graph_arrays(cbs.indicator)
-        pa, ha = kernels._mpa_detect_numpy(y, H, cbs.codebooks, *args, 0.5, 8)
-        pb, hb = kernels._mpa_detect_numba(y, H, cbs.codebooks, *args, 0.5, 8)
+        pa, ha = kernels.mpa_detect_batch(y, H, cbs.codebooks, *args, 0.5, 8)
+        pb, hb = kernels._mpa_detect_loops(y, H, cbs.codebooks, *args, 0.5, 8)
         assert pa == pytest.approx(pb, abs=1e-10)
         assert np.array_equal(ha, hb)
-
-    def test_loop_reference_matches_numpy(self):
-        # the pure-python loop reference is the spec of both fast paths
-        rng = np.random.default_rng(2)
-        y, h, pts = _rand_p2p(rng, B=50)
-        assert np.array_equal(
-            kernels._ml_detect_loops(y, h, pts),
-            kernels._ml_detect_numpy(y, h, pts),
-        )
 
 
 class TestDispatch:
@@ -66,57 +49,3 @@ class TestDispatch:
         y, h, pts = _rand_p2p(rng, B=20)
         out = kernels.ml_detect_batch(y, h, pts)
         assert out.shape == (20,) and out.dtype == np.int64
-
-    def test_backend_is_valid(self):
-        assert kernels.BACKEND in ("numba", "numpy")
-
-
-class TestEnvFlag:
-    def _run(self, env_value):
-        env = dict(os.environ)
-        env["MDCONST_BACKEND"] = env_value
-        return subprocess.run(
-            [sys.executable, "-c",
-             "from mdconst import kernels; print(kernels.BACKEND)"],
-            capture_output=True, text=True, env=env,
-        )
-
-    def test_numpy_forced(self):
-        r = self._run("numpy")
-        assert r.returncode == 0
-        assert r.stdout.strip() == "numpy"
-
-    def test_bogus_value_rejected(self):
-        r = self._run("fortran")
-        assert r.returncode != 0
-        assert "MDCONST_BACKEND" in r.stderr
-
-    @needs_numba
-    def test_numba_forced(self):
-        r = self._run("numba")
-        assert r.returncode == 0
-        assert r.stdout.strip() == "numba"
-
-    def test_numpy_backend_results_match_inprocess(self, tmp_path):
-        # end-to-end: a small simulation run under the numpy backend gives
-        # byte-identical CSV to the in-process (default) backend
-        script = tmp_path / "run.py"
-        script.write_text(
-            "from mdconst import sim\n"
-            "from mdconst import constellation as cn\n"
-            "c = sim.simulate_p2p(cn.cartesian_qpsk(2), 'rayleigh_iid',\n"
-            "                     sim.SNRSpec((4.0,)), seed=9,\n"
-            "                     min_bit_errors=50, max_vectors=20000)\n"
-            "print(c.to_csv(), end='')\n"
-        )
-        env = dict(os.environ)
-        env["MDCONST_BACKEND"] = "numpy"
-        r = subprocess.run([sys.executable, str(script)],
-                           capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        from mdconst import sim
-
-        c = sim.simulate_p2p(cn.cartesian_qpsk(2), "rayleigh_iid",
-                             sim.SNRSpec((4.0,)), seed=9,
-                             min_bit_errors=50, max_vectors=20000)
-        assert r.stdout == c.to_csv()
