@@ -17,6 +17,7 @@ monotone: an iterate may spend energy when the element-wise level gains more.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ class CCCPConfig:
     seed: int = 0
     solver_tol: float = 1e-8
     init_margin: float = 1.05
-    solver_max_newton: int = 800
+    solver_max_newton: int = 800  # cap on interior-point iterations per subproblem
 
     def __post_init__(self):
         if self.K < 1 or self.M < 2:
@@ -63,6 +64,7 @@ class ChainResult:
     mpd: float
     max_kkt: float
     failure: str = ""
+    non_optimal_solves: int = 0  # accepted subproblem solves that hit max_iter
 
 
 @dataclass
@@ -75,6 +77,8 @@ class OptimizeResult:
 
 
 def _pair_forms(K: int, M: int):
+    """The constraint forms as ``QuadFormIndex`` lists, in the row order of
+    ``linearize`` (pairs lexicographic, then dimension): the test oracle."""
     med_idx = [qforms.euclidean_pair(i, j, K, M) for i, j in cn.pair_indices(M)]
     ew_idx = [
         qforms.elementwise(i, j, k, K, M)
@@ -82,6 +86,42 @@ def _pair_forms(K: int, M: int):
         for k in range(K)
     ]
     return med_idx, ew_idx
+
+
+@functools.lru_cache(maxsize=None)
+def _form_index(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the distance forms over z = [Re(c); Im(c)].
+
+    Returns (pi, pj), the (P, K) positions of x_i and x_j in Re(c) for the
+    P = M(M-1)/2 pairs i < j, and ``flat``: where the gradient entries
+    [2 dr, -2 dr, 2 di, -2 di] of the P pair rows and then of the P*K
+    element-wise rows land in the raveled (P(K+1), 2KM) gradient matrix.
+    The arrays are read-only.
+    """
+    n = 2 * K * M
+    pairs = np.array(cn.pair_indices(M)).reshape(-1, 2)
+    P = pairs.shape[0]
+    ks = np.arange(K)
+    pi = pairs[:, :1] * K + ks
+    pj = pairs[:, 1:] * K + ks
+    cols = np.stack([pi, pj, pi + K * M, pj + K * M])  # (4, P, K)
+    med_rows = np.arange(P)[:, None]
+    ew_rows = P + np.arange(P * K).reshape(P, K)
+    flat = np.concatenate([(med_rows * n + cols).ravel(), (ew_rows * n + cols).ravel()])
+    for arr in (pi, pj, flat):
+        arr.setflags(write=False)
+    return pi, pj, flat
+
+
+def _form_values(z: np.ndarray, K: int, M: int):
+    """Pair values (P,), element-wise values (P, K) and the real and
+    imaginary differences x_i - x_j (P, K) at the realified z."""
+    pi, pj, _ = _form_index(K, M)
+    h = K * M
+    dr = z[pi] - z[pj]
+    di = z[h + pi] - z[h + pj]
+    ew = dr * dr + di * di
+    return ew.sum(axis=1), ew, dr, di
 
 
 def init_feasible(
@@ -115,36 +155,33 @@ def c_to_constellation(c: np.ndarray, K: int, M: int) -> cn.Constellation:
     return cn.Constellation(points=np.asarray(c).reshape(M, K).T)
 
 
-def linearize(
-    z_q: np.ndarray, config: CCCPConfig, med_idx=None, ew_idx=None
-) -> socp.SubproblemSpec:
-    """Tangent subproblem at z_q; z_q itself is strictly interior for it."""
-    K, M = config.K, config.M
-    if med_idx is None or ew_idx is None:
-        med_idx, ew_idx = _pair_forms(K, M)
-    de2 = config.d_e_threshold**2
+def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
+    """Tangent subproblem at z_q; z_q itself is strictly interior for it.
 
-    med_vals = np.array([qforms.qf_value(idx, z_q) for idx in med_idx])
-    ew_vals = np.array([qforms.qf_value(idx, z_q) for idx in ew_idx])
+    The row of a form q(z) = z^T Q z has g = 2 Q z_q and h = q(z_q), plus
+    D_E^2 for a pair row, so that it reads q(z_q) + g^T (z - z_q) >= D_E^2
+    for a pair and >= eta for an element-wise form.
+    """
+    K, M = config.K, config.M
+    de2 = config.d_e_threshold**2
+    med_vals, ew_vals, dr, di = _form_values(z_q, K, M)
     if np.min(med_vals) <= de2 or np.min(ew_vals) <= 0.0:
         raise ValueError(
             "CCCP invariant violated: iterate lost strict feasibility "
             f"(min pair qf {np.min(med_vals):.6e}, min elem qf {np.min(ew_vals):.6e})"
         )
 
-    med_rows = [
-        (qforms.qf_gradient(idx, z_q), de2 + v) for idx, v in zip(med_idx, med_vals)
-    ]
-    ew_rows = [
-        (qforms.qf_gradient(idx, z_q), float(v)) for idx, v in zip(ew_idx, ew_vals)
-    ]
+    n, P = 2 * K * M, med_vals.size
+    grad = np.concatenate([2.0 * dr, -2.0 * dr, 2.0 * di, -2.0 * di], axis=None)
+    G = np.zeros((P * (K + 1), n))
+    G.ravel()[_form_index(K, M)[2]] = np.tile(grad, 2)
     t0 = float(np.linalg.norm(z_q)) * (1.0 + 1e-6)
     eta0 = float(np.min(ew_vals)) * (1.0 - 1e-6)
     return socp.SubproblemSpec(
-        n=2 * K * M,
+        n=n,
         lam=config.lam,
-        med_rows=med_rows,
-        ew_rows=ew_rows,
+        med_rows=list(zip(G[:P], (de2 + med_vals).tolist())),
+        ew_rows=list(zip(G[P:], ew_vals.ravel().tolist())),
         strict_start=(z_q.copy(), t0, eta0),
     )
 
@@ -154,7 +191,6 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     step norm drops below epsilon or the iteration cap is hit."""
     K, M = config.K, config.M
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, chain_index]))
-    med_idx, ew_idx = _pair_forms(K, M)
     de2 = config.d_e_threshold**2
 
     try:
@@ -168,10 +204,11 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     status = "max_iter"
     iters = 0
     max_kkt = 0.0
+    non_optimal = 0
 
     for q in range(1, config.max_iters + 1):
         try:
-            spec = linearize(z, config, med_idx, ew_idx)
+            spec = linearize(z, config)
             sol = socp.solve(
                 spec, tol=config.solver_tol, max_newton=config.solver_max_newton
             )
@@ -183,10 +220,10 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
             return ChainResult(chain_index, "failed", q - 1, None, trace,
                                math.nan, math.nan, math.nan, max_kkt,
                                failure="subproblem numerical_failure")
+        non_optimal += sol.status != "optimal"
         z_new = sol.z
         step = float(np.linalg.norm(z_new - z))
-        med_slack = min(qforms.qf_value(idx, z_new) for idx in med_idx) - de2
-        ew_min = min(qforms.qf_value(idx, z_new) for idx in ew_idx)
+        med_vals, ew_vals, _, _ = _form_values(z_new, K, M)
         trace.append(
             {
                 "q": q,
@@ -194,8 +231,8 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
                 "objective": sol.objective,
                 "eta": sol.eta,
                 "step_norm": step,
-                "min_med_slack": float(med_slack),
-                "min_ew_margin": float(ew_min - sol.eta),
+                "min_med_slack": float(np.min(med_vals) - de2),
+                "min_ew_margin": float(np.min(ew_vals) - sol.eta),
                 "kkt_residual": sol.kkt_residual,
                 "newton_iters": sol.newton_iters,
             }
@@ -220,6 +257,7 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
         med=cn.med(norm),
         mpd=cn.mpd(norm),
         max_kkt=max_kkt,
+        non_optimal_solves=non_optimal,
     )
 
 
@@ -260,6 +298,7 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
             "med": ch.med,
             "mpd": ch.mpd,
             "max_kkt": ch.max_kkt,
+            "non_optimal_solves": ch.non_optimal_solves,
             "failure": ch.failure,
         }
         for ch in chains

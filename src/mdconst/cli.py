@@ -119,7 +119,9 @@ def cmd_optimize(args) -> int:
         os.replace(args.trace + ".tmp", args.trace)
         outputs.append(args.trace)
     _write_manifest(
-        out, "optimize", vars(args) | {"config": cfg.__dict__}, args.seed,
+        out, "optimize",
+        vars(args) | {"config": cfg.__dict__, "restarts": result.all_restarts},
+        args.seed,
         [], outputs, t0,
     )
     print(

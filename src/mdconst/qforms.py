@@ -6,9 +6,10 @@ matrices are sparse, symmetric, and carry only +/-1 entries. The solver
 works over the realified vector z = [Re(c); Im(c)], for which
 c^H A c = z^T blockdiag(A, A) z.
 
-Forms are evaluated implicitly from their index structure (O(K) per pair
-form, O(1) per element-wise form); the explicit builders exist as the test
-oracle and for inspecting the matrix patterns.
+Forms are evaluated one at a time from their index structure (O(K) per
+pair form, O(1) per element-wise form), or built as explicit matrices for
+inspecting the patterns. The CCCP hot path evaluates all forms at once from
+index arrays (``cccp.linearize``); the functions here are its test oracle.
 """
 
 from __future__ import annotations

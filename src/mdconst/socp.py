@@ -1,15 +1,29 @@
-"""Log-barrier interior-point solver for the linearized subproblem.
+"""Primal-dual interior-point solver for the linearized subproblem.
 
-Each subproblem minimizes t - lambda*eta over (z, t, eta) subject to the
+Each subproblem minimizes t - lam*eta over x = (z, t, eta) subject to the
 second-order cone ||z||_2 <= t and two families of affine rows:
 
     g^T z           >= h     (linearized pair-distance constraints)
     g^T z - eta     >= h     (linearized element-wise constraints)
 
-The cone is handled with the barrier -log(t^2 - ||z||^2), the rows with
--log(slack). Centering is plain Newton with backtracking; the barrier
-parameter grows by a factor of 10 per stage until the duality measure
-m / tau drops below the requested tolerance.
+With the rows stacked as A x - b = s >= 0 and the cone slack P x = (t, z),
+the dual problem is
+
+    maximize b^T y   subject to   A^T y + P^T y_c = c,   y >= 0,   y_c in Q,
+
+where c = (0, 1, -lam) is the objective and Q = {(u_0, u_1): ||u_1|| <= u_0}.
+The duality gap of a primal-dual pair is s^T y + (t, z)^T y_c.
+
+The method is Mehrotra's predictor-corrector with Nesterov-Todd scaling
+(as in CVXOPT and ECOS). Every iteration factors the (n+2) x (n+2) normal
+matrix A^T diag(y/s) A + P^T W^-2 P, with W the scaling of the cone, and
+solves with it twice: once for the affine-scaling direction and once for
+the centred direction with the second-order correction. The primal
+iterate starts from the given strict start, moved off the cone boundary,
+and stays feasible; the dual starts from the least-squares solution of
+the stationarity equation, shifted into the cone, and becomes feasible as
+the iterations proceed. The solver stops when the gap and the largest
+stationarity residual are both at most ``tol``.
 """
 
 from __future__ import annotations
@@ -19,15 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Armijo and backtracking parameters for the line search.
-LS_ALPHA = 0.1
-LS_BETA = 0.7
-
-#: Barrier growth factor per centering stage.
-TAU_GROWTH = 10.0
-
-#: Newton decrement threshold (lambda^2 / 2) for declaring a point centered.
-CENTER_TOL = 1e-16
+#: Share of the largest step to the cone boundary taken per iteration.
+#: 0.99 lost dual-cone centrality on 1 of ~3,000 Table-1 solves; 0.95 on none.
+STEP = 0.95
 
 
 @dataclass(frozen=True)
@@ -62,86 +70,103 @@ class SubproblemSolution:
     t: float
     eta: float
     status: str  # "optimal" | "max_iter" | "numerical_failure"
-    newton_iters: int
+    newton_iters: int  # interior-point iterations
     kkt_residual: float
     objective: float
-    trace: list = field(default_factory=list)
+    trace: list = field(default_factory=list)  # (degree / mu, iteration, mu)
+    y: np.ndarray = field(default_factory=lambda: np.empty(0))  # row multipliers
+    y_cone: np.ndarray = field(default_factory=lambda: np.empty(0))  # (y_t, y_z)
 
 
 class NotStrictlyFeasible(ValueError):
     """Raised when the provided start violates strict interior feasibility."""
 
 
-def _cone_gap(x: np.ndarray, n: int) -> float:
-    z, t = x[:n], x[n]
-    if t <= 0.0:
-        return -1.0
-    return t * t - float(z @ z)
+# -- the second-order cone as a Jordan algebra: u = (u_0, u_1) ---------------
 
 
-def _barrier_value(x, n, A, b, tau, cobj):
-    s = A @ x - b
-    gap = _cone_gap(x, n)
-    if gap <= 0.0 or np.any(s <= 0.0):
-        return math.inf
-    return tau * float(cobj @ x) - math.log(gap) - float(np.sum(np.log(s)))
+def _soc_det(u: np.ndarray) -> float:
+    """u_0^2 - ||u_1||^2, as a product so that digits survive near the boundary."""
+    r = math.sqrt(float(u[1:] @ u[1:]))
+    return (u[0] - r) * (u[0] + r)
 
 
-def _barrier_grad_hess(x, n, A, b, tau, cobj):
-    s = A @ x - b
-    gap = _cone_gap(x, n)
-    z, t = x[:n], x[n]
-
-    # Cone term: grad/Hess of -log(t^2 - z^T z).
-    ds = np.zeros(n + 2)
-    ds[:n] = -2.0 * z
-    ds[n] = 2.0 * t
-    g = tau * cobj - ds / gap
-    H = np.outer(ds, ds) / gap**2
-    H[np.arange(n), np.arange(n)] += 2.0 / gap
-    H[n, n] -= 2.0 / gap
-
-    # Affine rows.
-    inv_s = 1.0 / s
-    g -= A.T @ inv_s
-    H += (A.T * inv_s**2) @ A
-    return g, H
+def _soc_prod(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Jordan product u o v = (u^T v, u_0 v_1 + v_0 u_1)."""
+    out = u[0] * v + v[0] * u
+    out[0] = u @ v
+    return out
 
 
-def _kkt_certificate_residual(x, n, A, b, tau, cobj) -> float:
-    """KKT residual at ``x`` via a fitted dual certificate.
+def _soc_div(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The w with lam o w = d, for lam in the interior of Q."""
+    w = np.empty_like(d)
+    w[0] = (lam[0] * d[0] - lam[1:] @ d[1:]) / _soc_det(lam)
+    w[1:] = (d[1:] - w[0] * lam[1:]) / lam[0]
+    return w
 
-    The barrier-implied multipliers 1/(tau*s_i) inherit the rounding noise
-    of the slacks: at the final stage s_i ~ 1/tau for active rows while the
-    dot product a_i @ x - b_i carries absolute noise ~eps, so the plain
-    gradient residual grad(tau*f + psi)/tau has a floor of roughly tau*eps
-    at *any* representable point.  Instead we fit multipliers directly:
-    working in complementarity units w_i = s_i*lam_i (w_cone = gap*nu), we
-    pick the w closest to the central-path value 1/tau that makes the
-    stationarity equation hold in the least-squares sense, and report
 
-        max( stationarity residual,
-             primal infeasibility,
-             max_i |s_i*lam_i - 1/tau|  (complementary slackness at the
-                                         barrier level) ).
+def _soc_max_step(u: np.ndarray, du: np.ndarray) -> float:
+    """Largest alpha with u + alpha du in Q, for u in the interior of Q.
+
+    The hyperbolic rotation that maps u / sqrt(det u) to e = (1, 0) keeps Q,
+    and e + alpha rho lies in Q while alpha (||rho_1|| - rho_0) <= 1.
     """
-    s = A @ x - b
-    gap = _cone_gap(x, n)
-    dgap = np.zeros(n + 2)
-    dgap[:n] = -2.0 * x[:n]
-    dgap[n] = 2.0 * x[n]
-    # Stationarity: sum_i (w_i/s_i) a_i + (w_cone/gap) dgap = cobj.
-    G = np.column_stack([(A / s[:, None]).T, dgap / gap])
-    w = np.full(G.shape[1], 1.0 / tau)
-    corr, *_ = np.linalg.lstsq(G, cobj - G @ w, rcond=None)
-    w += corr
-    r_stat = float(np.max(np.abs(cobj - G @ w)))
-    r_feas = max(0.0, -float(np.min(s)), -gap)
-    r_comp = float(np.max(np.abs(w - 1.0 / tau)))
-    # A (slightly) negative fitted multiplier means the certificate is not
-    # valid at that accuracy; fold the violation into the residual.
-    r_sign = max(0.0, -float(np.min(w / np.concatenate([s, [gap]]))))
-    return max(r_stat, r_feas, r_comp, r_sign)
+    d = math.sqrt(_soc_det(u))
+    ub = u / d
+    dd = du / d
+    rho0 = ub[0] * dd[0] - ub[1:] @ dd[1:]
+    rho1 = dd[1:] - (rho0 + dd[0]) / (ub[0] + 1.0) * ub[1:]
+    gap = math.sqrt(float(rho1 @ rho1)) - rho0
+    return 1.0 / gap if gap > 0.0 else math.inf
+
+
+def _nt_scaling(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nesterov-Todd scaling W of the cone and its inverse: W y = W^-1 s.
+
+    W = beta [[w_0, w_1^T], [w_1, I + w_1 w_1^T / (1 + w_0)]] with
+    w = (s/sqrt(det s) + J y/sqrt(det y)) / (2 gamma), J = diag(1, -I),
+    beta = (det s / det y)^(1/4); W^-1 flips the sign of w_1.
+    """
+    ds, dy = math.sqrt(_soc_det(s)), math.sqrt(_soc_det(y))
+    sb, yb = s / ds, y / dy
+    gamma = math.sqrt((1.0 + float(sb @ yb)) / 2.0)
+    w = sb.copy()
+    w[0] += yb[0]
+    w[1:] -= yb[1:]
+    w /= 2.0 * gamma
+    k = s.size
+    W = np.empty((k, k))
+    W[0, 0] = w[0]
+    W[0, 1:] = W[1:, 0] = w[1:]
+    W[1:, 1:] = np.outer(w[1:], w[1:]) / (1.0 + w[0])
+    W[1:, 1:] += np.eye(k - 1)
+    W_inv = W.copy()
+    W_inv[0, 1:] *= -1.0
+    W_inv[1:, 0] *= -1.0
+    beta = math.sqrt(ds / dy)
+    return beta * W, W_inv / beta
+
+
+def _max_step(s, y, s_c, y_c, ds, dy, ds_c, dy_c) -> float:
+    """Largest step keeping (s, y) >= 0 and (s_c, y_c) in Q."""
+    alpha = min(_soc_max_step(s_c, ds_c), _soc_max_step(y_c, dy_c))
+    shrink = max(float(np.max(-ds / s)), float(np.max(-dy / y)))
+    return min(alpha, 1.0 / shrink) if shrink > 0.0 else alpha
+
+
+def _kkt_residual(A, b, c, v, y, y_c) -> float:
+    """max(stationarity, primal infeasibility, dual-cone infeasibility, gap)
+    of the primal-dual pair, over v = (t, z, eta)."""
+    k = y_c.size
+    r_stat = c - A.T @ y
+    r_stat[:k] -= y_c
+    s = A @ v - b
+    s_c = v[:k]
+    primal = max(0.0, -float(np.min(s)), float(np.linalg.norm(s_c[1:])) - s_c[0])
+    dual = max(0.0, -float(np.min(y)), float(np.linalg.norm(y_c[1:])) - y_c[0])
+    gap = abs(float(s @ y) + float(s_c @ y_c))
+    return max(float(np.max(np.abs(r_stat))), primal, dual, gap)
 
 
 def solve(
@@ -152,116 +177,141 @@ def solve(
 ) -> SubproblemSolution:
     """Minimize t - lam*eta subject to the cone and the affine rows.
 
-    Returns a point whose duality measure m/tau is below tol, with m the
-    row count plus the cone's barrier parameter (2).
+    Returns the primal point with its row multipliers ``y`` and cone
+    multiplier ``y_cone``. ``max_newton`` caps the interior-point
+    iterations. Status "optimal" means gap and stationarity residual are at
+    most ``tol``; "max_iter" means the cap came first (the point is still
+    primal feasible); "numerical_failure" means the normal matrix could
+    not be solved, a step was not finite, or rounding put an iterate on
+    the boundary of its cone.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     n = spec.n
-    A, b = spec.row_matrix()
     z0, t0, eta0 = spec.strict_start
-    x = np.concatenate([np.asarray(z0, dtype=np.float64).ravel(), [t0, eta0]])
-    if x.size != n + 2:
+    z0 = np.asarray(z0, dtype=np.float64).ravel()
+    if z0.size != n:
         raise ValueError("strict_start dimension mismatch")
+    if not spec.ew_rows:
+        raise ValueError("need an element-wise row: without one eta is unbounded")
+    A_x, b = spec.row_matrix()
+    m, k = A_x.shape[0], n + 1
 
-    slacks = A @ x - b
-    if _cone_gap(x, n) <= 0.0 or np.any(slacks <= 0.0):
+    # Internal order v = (t, z, eta): the cone slack is the view v[:k].
+    A = np.concatenate([A_x[:, n : n + 1], A_x[:, :n], A_x[:, n + 1 :]], axis=1)
+    v = np.concatenate([[float(t0)], z0, [float(eta0)]])
+    s = A @ v - b
+    if _soc_det(v[:k]) <= 0.0 or v[0] <= 0.0 or np.any(s <= 0.0):
         raise NotStrictlyFeasible(
             "start point is not strictly interior "
-            f"(min row slack {np.min(slacks):.3e}, cone gap {_cone_gap(x, n):.3e})"
+            f"(min row slack {np.min(s):.3e}, cone gap {_soc_det(v[:k]):.3e})"
         )
+    c = np.zeros(k + 1)
+    c[0] = 1.0
+    c[k] = -spec.lam
 
-    cobj = np.zeros(n + 2)
-    cobj[n] = 1.0
-    cobj[n + 1] = -spec.lam
-    m = A.shape[0] + 2.0
-    tau = 1.0
-    total_newton = 0
-    status = "optimal"
+    # Primal start off the boundary: raising t and lowering eta keeps every
+    # row feasible and gives the cone and the element-wise rows room.
+    v[0] = 1.1 * v[0] + 0.1
+    v[k] -= 0.1 * (1.0 + abs(v[k]))
+    s = A @ v - b
+
+    # Dual start: least-norm solution of A^T y + P^T y_c = c, shifted into
+    # the interior of both cones.
+    G = np.concatenate([A, np.eye(k, k + 1)])
+    y_all = G @ np.linalg.solve(G.T @ G, c)
+    y, y_c = y_all[:m], y_all[m:]
+    shift = max(-float(np.min(y)), float(np.linalg.norm(y_c[1:])) - y_c[0])
+    shift = max(0.0, 1.0 + shift)
+    y = y + shift
+    y_c = y_c.copy()
+    y_c[0] += shift
+
+    degree = m + 1
+    status = "max_iter"
     rows = []
-
+    iters = 0
     while True:
-        # Newton centering at the current tau. Damped phase uses an
-        # Armijo line search on the barrier merit; once the decrement is
-        # in the quadratic zone, the merit no longer resolves decreases
-        # at large tau, so we take full (domain-checked) Newton steps and
-        # track the best scaled gradient norm seen.
-        gnorm_target = 0.01 * tol * tau
-        best_gnorm = math.inf
-        best_x = x
-        stall = 0
-        while True:
-            g, H = _barrier_grad_hess(x, n, A, b, tau, cobj)
-            try:
-                d = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                d = np.linalg.solve(H + 1e-10 * np.eye(n + 2), -g)
-            decrement = float(-g @ d) / 2.0
-            if not math.isfinite(decrement) or decrement < 0:
-                status = "numerical_failure"
-                break
-            quad_zone = decrement <= 1e-9
-            if quad_zone:
-                gnorm = float(np.max(np.abs(g)))
-                if gnorm < best_gnorm:
-                    best_gnorm = gnorm
-                    best_x = x
-                    stall = 0
-                else:
-                    stall += 1
-                if gnorm <= gnorm_target or stall >= 4 or decrement <= CENTER_TOL:
-                    x = best_x
-                    break
-            if total_newton >= max_newton:
-                status = "max_iter"
-                break
-
-            step = 1.0
-            accepted = False
-            if quad_zone:
-                for _ in range(60):
-                    xn = x + step * d
-                    if math.isfinite(_barrier_value(xn, n, A, b, tau, cobj)):
-                        x = xn
-                        accepted = True
-                        break
-                    step *= LS_BETA
-            else:
-                f0 = _barrier_value(x, n, A, b, tau, cobj)
-                gd = float(g @ d)
-                for _ in range(120):
-                    xn = x + step * d
-                    fn = _barrier_value(xn, n, A, b, tau, cobj)
-                    if fn <= f0 + LS_ALPHA * step * gd:
-                        x = xn
-                        accepted = True
-                        break
-                    step *= LS_BETA
-            total_newton += 1
-            if trace:
-                rows.append((tau, total_newton, decrement))
-            if not accepted:
-                # Step underflow: either we are at numerical optimum for
-                # this stage (tiny decrement) or genuinely stuck.
-                if decrement > 1e-6:
-                    status = "numerical_failure"
-                elif best_gnorm < math.inf:
-                    x = best_x
-                break
-        if status != "optimal":
+        r_dual = c - A.T @ y
+        r_dual[:k] -= y_c
+        gap = float(s @ y) + float(v[:k] @ y_c)
+        if gap <= tol and float(np.max(np.abs(r_dual))) <= tol:
+            status = "optimal"
             break
-        if m / tau <= tol:
+        if iters >= max_newton:
             break
-        tau *= TAU_GROWTH
 
-    kkt = _kkt_certificate_residual(x, n, A, b, tau, cobj)
+        # Scaling: W = diag(sqrt(s/y)) on the rows, NT scaling on the cone.
+        s_c = v[:k]
+        d_row = y / s
+        sq_row = np.sqrt(d_row)
+        lam_row = np.sqrt(s * y)
+        W_c, W_c_inv = _nt_scaling(s_c, y_c)
+        lam_c = W_c @ y_c
+        D_c = W_c_inv @ W_c_inv
+        H = (A.T * d_row) @ A
+        H[:k, :k] += D_c
+
+        def direction(u_row, u_c):
+            # Newton direction with W^-1 ds + W dy = u (u = lam \ the target
+            # complementarity), A^T dy + P^T dy_c = r_dual, and the rows and
+            # the cone kept primal feasible: ds = A dv, ds_c = dv[:k].
+            wu_row = sq_row * u_row
+            wu_c = W_c_inv @ u_c
+            rhs = A.T @ wu_row - r_dual
+            rhs[:k] += wu_c
+            dv = np.linalg.solve(H, rhs)
+            ds = A @ dv
+            ds_c = dv[:k]
+            return dv, ds, ds_c, wu_row - d_row * ds, wu_c - D_c @ ds_c
+
+        try:
+            # Predictor: affine-scaling direction, u = -lam.
+            dv, ds, ds_c, dy, dy_c = direction(-lam_row, -lam_c)
+            alpha = min(1.0, _max_step(s, y, s_c, y_c, ds, dy, ds_c, dy_c))
+            gap_aff = float((s + alpha * ds) @ (y + alpha * dy)) + float(
+                (s_c + alpha * ds_c) @ (y_c + alpha * dy_c)
+            )
+            sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
+            mu = gap / degree
+
+            # Corrector: centring plus the second-order term of the predictor.
+            corr_row = sigma * mu - ds * dy
+            corr_c = -_soc_prod(W_c_inv @ ds_c, W_c @ dy_c)
+            corr_c[0] += sigma * mu
+            dv, ds, ds_c, dy, dy_c = direction(
+                corr_row / lam_row - lam_row, _soc_div(lam_c, corr_c) - lam_c
+            )
+            alpha = min(1.0, STEP * _max_step(s, y, s_c, y_c, ds, dy, ds_c, dy_c))
+        except np.linalg.LinAlgError:
+            status = "numerical_failure"
+            break
+        if not (math.isfinite(alpha) and np.all(np.isfinite(dv))):
+            status = "numerical_failure"
+            break
+        v = v + alpha * dv
+        s = s + alpha * ds
+        y = y + alpha * dy
+        y_c = y_c + alpha * dy_c
+        iters += 1
+        # Rounding can put a cone iterate on the boundary, where the scaling
+        # is undefined.
+        if min(_soc_det(v[:k]), _soc_det(y_c), float(np.min(s)), float(np.min(y))) <= 0.0:
+            status = "numerical_failure"
+            break
+        if trace:
+            mu = (float(s @ y) + float(v[:k] @ y_c)) / degree
+            rows.append((degree / mu, iters, mu))
+
     return SubproblemSolution(
-        z=x[:n].copy(),
-        t=float(x[n]),
-        eta=float(x[n + 1]),
+        z=v[1:k].copy(),
+        t=float(v[0]),
+        eta=float(v[k]),
         status=status,
-        newton_iters=total_newton,
-        kkt_residual=kkt,
-        objective=float(cobj @ x),
+        newton_iters=iters,
+        kkt_residual=_kkt_residual(A, b, c, v, y, y_c),
+        objective=float(c @ v),
         trace=rows,
+        y=y,
+        y_cone=y_c,
     )

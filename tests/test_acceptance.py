@@ -162,6 +162,19 @@ def test_cccp_composite_objective_non_increasing(table1):
     assert worst <= 1e-8, f"composite objective rose by {worst:.3e}"
 
 
+def test_solver_iteration_counts(table1):
+    """Solver cost guard without timing: iteration counts repeat exactly, so
+    a slower interior-point method shows on any machine."""
+    iters = [
+        rec["newton_iters"]
+        for data in table1.values()
+        for ch in data["chains"]
+        for rec in ch.trace
+    ]
+    assert max(iters) <= 25, f"a subproblem took {max(iters)} iterations"
+    assert np.mean(iters) <= 15, f"mean {np.mean(iters):.2f} iterations per subproblem"
+
+
 def test_criterion_4_quadratic_form_oracles():
     shapes = [(2, 4), (3, 8), (4, 16)]
     counts = [334, 333, 333]

@@ -78,6 +78,26 @@ class TestLinearize:
                 qforms.qf_value(idx, z) - 1.0, rel=1e-9
             )
 
+    @pytest.mark.parametrize("K, M", [(2, 4), (2, 8), (3, 4)])
+    def test_rows_match_quadratic_form_oracle(self, K, M):
+        # the index-array rows equal those built form by form with qforms
+        cfg = cccp.CCCPConfig(K=K, M=M)
+        rng = np.random.default_rng(K * 10 + M)
+        for _ in range(5):
+            z = qforms.realify(cccp.init_feasible(K, M, 1.0, rng))
+            A, b = cccp.linearize(z, cfg).row_matrix()
+            med_idx, ew_idx = cccp._pair_forms(K, M)
+            n = 2 * K * M
+            A_ref = np.zeros((len(med_idx) + len(ew_idx), n + 2))
+            b_ref = np.empty(len(A_ref))
+            for r, idx in enumerate(med_idx + ew_idx):
+                A_ref[r, :n] = qforms.qf_gradient(idx, z)
+                b_ref[r] = qforms.qf_value(idx, z)
+            A_ref[len(med_idx):, n + 1] = -1.0
+            b_ref[: len(med_idx)] += cfg.d_e_threshold**2
+            assert np.max(np.abs(A - A_ref)) <= 1e-12
+            assert np.max(np.abs(b - b_ref)) <= 1e-12
+
     def test_infeasible_iterate_rejected(self):
         cfg = cccp.CCCPConfig(K=2, M=3)
         z = np.zeros(12)
@@ -164,6 +184,24 @@ class TestOptimize:
         ch = cccp.run_chain(small_config(), 0)
         assert ch.status == "failed"
         assert "numerical_failure" in ch.failure
+
+    def test_max_iter_solves_are_counted(self, monkeypatch):
+        real_solve = socp.solve
+
+        def capped(spec, **kw):
+            sol = real_solve(spec, **kw)
+            sol.status = "max_iter"
+            return sol
+
+        monkeypatch.setattr(socp, "solve", capped)
+        cfg = small_config(restarts=2, max_iters=4)
+        ch = cccp.run_chain(cfg, 0)
+        assert ch.status != "failed"
+        assert ch.non_optimal_solves == ch.iterations >= 1
+        res = cccp.optimize(cfg)
+        assert [s["non_optimal_solves"] for s in res.all_restarts] == [
+            cccp.run_chain(cfg, i).iterations for i in range(2)
+        ]
 
     def test_lambda_sweep_keeps_every_other_field(self, monkeypatch):
         seen = []

@@ -36,6 +36,16 @@ class TestOptimize:
         header = trace.read_text().splitlines()[0]
         assert header.startswith("q,energy,objective,eta,step_norm")
 
+    def test_manifest_counts_non_optimal_solves(self, tmp_path):
+        out = tmp_path / "c.json"
+        rc = run(["optimize", "--K", "2", "--M", "3", "--restarts", "2",
+                  "--max-iters", "5", "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        man = json.loads((tmp_path / "c.json.manifest.json").read_text())
+        restarts = man["config"]["restarts"]
+        assert [r["chain_index"] for r in restarts] == [0, 1]
+        assert all(r["non_optimal_solves"] == 0 for r in restarts)
+
     def test_determinism_bytes(self, tmp_path):
         argv = lambda o: ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
                           "--max-iters", "10", "--seed", "1", "--out", o]

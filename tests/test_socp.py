@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import oracle_objective, random_tiny_spec
-from mdconst import socp
+from mdconst import cccp, qforms, socp
 
 
 def simple_spec(lam=0.25):
@@ -44,6 +46,16 @@ class TestValidation:
             socp.solve(bad)
 
 
+    def test_no_elementwise_row(self):
+        spec = simple_spec()
+        bad = socp.SubproblemSpec(
+            n=2, lam=spec.lam, med_rows=spec.med_rows, ew_rows=[],
+            strict_start=spec.strict_start,
+        )
+        with pytest.raises(ValueError, match="element-wise row"):
+            socp.solve(bad)
+
+
 class TestSolve:
     def test_simple_instance_against_oracle(self):
         spec = simple_spec()
@@ -75,15 +87,90 @@ class TestSolve:
             assert sol.objective == pytest.approx(oracle, abs=1e-6)
             assert sol.kkt_residual <= 1e-7
 
-    def test_monotone_barrier_merit_within_stage(self):
-        # the recorded Newton decrement (a descent certificate) stays >= 0
-        sol = socp.solve(simple_spec(), trace=True)
-        assert len(sol.trace) > 0
-        for _tau, _it, decrement in sol.trace:
-            assert decrement >= 0.0
+    def test_trace_duality_measure(self):
+        # one (degree / mu, iteration, mu) row per iteration; the duality
+        # measure stays positive and ends at or below the tolerance
+        tol = 1e-8
+        sol = socp.solve(simple_spec(), tol=tol, trace=True)
+        assert len(sol.trace) == sol.newton_iters > 0
+        for tau, it, mu in sol.trace:
+            assert mu > 0.0
+            assert tau == pytest.approx(4 / mu)  # degree: 3 rows + 1 cone
+        assert [it for _, it, _ in sol.trace] == list(range(1, sol.newton_iters + 1))
+        assert sol.trace[-1][2] <= tol
 
     def test_deterministic(self):
         s1 = socp.solve(simple_spec())
         s2 = socp.solve(simple_spec())
         assert np.array_equal(s1.z, s2.z)
         assert s1.t == s2.t and s1.eta == s2.eta
+
+
+def kkt_violations(spec, sol):
+    """Stationarity, primal and dual feasibility and complementarity of the
+    returned pair, from the rows and the returned x and multipliers alone."""
+    A, b = spec.row_matrix()
+    n = spec.n
+    x = np.concatenate([sol.z, [sol.t, sol.eta]])
+    y, (y_t, *y_z) = sol.y, sol.y_cone
+    y_z = np.array(y_z)
+    c = np.zeros(n + 2)
+    c[n], c[n + 1] = 1.0, -spec.lam
+    cone_part = np.concatenate([y_z, [y_t, 0.0]])  # P^T y_c with P x = (t, z)
+    slack = A @ x - b
+    return {
+        "stationarity": float(np.max(np.abs(c - A.T @ y - cone_part))),
+        "primal_rows": max(0.0, -float(np.min(slack))),
+        "primal_cone": max(0.0, float(np.linalg.norm(sol.z)) - sol.t),
+        "dual_rows": max(0.0, -float(np.min(y))),
+        "dual_cone": max(0.0, float(np.linalg.norm(y_z)) - y_t),
+        "complementarity": abs(float(slack @ y) + sol.t * y_t + float(sol.z @ y_z)),
+    }
+
+
+def captured_28_spec():
+    """The linearization a (2,8) chain solves at its fourth CCCP step."""
+    cfg = cccp.CCCPConfig(K=2, M=8)
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+    z = qforms.realify(cccp.init_feasible(2, 8, 1.0, rng))
+    for _ in range(3):
+        z = socp.solve(cccp.linearize(z, cfg)).z
+    return cccp.linearize(z, cfg)
+
+
+class TestKKT:
+    def _check(self, spec, tol=1e-8):
+        sol = socp.solve(spec, tol=tol)
+        assert sol.status == "optimal"
+        assert sol.y.shape == (len(spec.med_rows) + len(spec.ew_rows),)
+        assert sol.y_cone.shape == (spec.n + 1,)
+        viol = kkt_violations(spec, sol)
+        assert max(viol.values()) <= 10 * tol, viol
+        assert sol.kkt_residual == pytest.approx(max(viol.values()), abs=1e-12)
+
+    def test_simple_spec(self):
+        self._check(simple_spec())
+
+    def test_random_tiny_instances(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            self._check(random_tiny_spec(rng))
+
+    def test_captured_28_linearization(self):
+        self._check(captured_28_spec())
+
+    def test_iteration_cap_returns_max_iter(self):
+        for spec in (simple_spec(), captured_28_spec()):
+            sol = socp.solve(spec, max_newton=1)
+            assert sol.status == "max_iter"
+            assert sol.newton_iters == 1
+            assert np.all(np.isfinite(sol.z))
+            assert math.isfinite(sol.t) and math.isfinite(sol.eta)
+
+    def test_step_out_of_the_cone_is_numerical_failure(self, monkeypatch):
+        # a step past the boundary must end in a status, not an exception
+        monkeypatch.setattr(socp, "STEP", 2.0)
+        for spec in (simple_spec(), captured_28_spec()):
+            sol = socp.solve(spec)
+            assert sol.status == "numerical_failure"
+            assert np.all(np.isfinite(sol.z))
