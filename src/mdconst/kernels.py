@@ -10,6 +10,26 @@ Layouts:
   MPA detection: y (B, N), H (B, N, J), codebooks (J, N, M),
     res_users (N, dmax) padded with -1, res_deg (N,), user_res (J, K)
     -> posteriors (B, J, M), hard decisions (B, J).
+
+MPA function-node update. For resource n with users p = 0..d-1, every
+combination of their symbols is one cell of a tensor with one axis per
+user and the batch last, (M, ..., M, B):
+
+  base = -|y_n - sum_p h_p x_p|^2 / n0 + sum_p vf_p.
+
+The distance term is built once per call and the incoming messages are
+added by broadcasting each iteration. The message to user p at symbol m
+is the log-sum-exp of base over the slice with user p at m, minus
+vf_p[m], which is constant on that slice. One row maximum ``mx`` and one
+``e = exp(base - mx)`` serve all d edges: slice p, m sums to
+``mx + log(sum of e over the other d-1 axes)``.
+
+Underflow rule: the slice maxima are taken first (max reductions, no
+``exp``). A row whose smallest slice maximum sits more than 700 below
+``mx`` would lose whole slices to 0 under the shared shift, as at the
+noise-free n0 = 1e-9 the simulator passes. Such a row skips the shared
+``exp`` and shifts each edge's tensor by that edge's own slice maxima
+instead, so every message stays finite and exact.
 """
 
 from __future__ import annotations
@@ -173,75 +193,121 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
 
     Same message schedule as ``_mpa_detect_loops``, vectorized over B.
     """
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    H = np.ascontiguousarray(H, dtype=np.complex128)
-    cb = np.ascontiguousarray(cb, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    H = np.asarray(H, dtype=np.complex128)
+    cb = np.asarray(cb, dtype=np.complex128)
     n0 = float(n0)
     B, N = y.shape
     J, _, M = cb.shape
     dmax = res_users.shape[1]
+    # pos[j]: the (resource, edge slot) pairs of user j
+    pos = [
+        [(int(n), int(np.flatnonzero(res_users[n] == j)[0])) for n in user_res[j]]
+        for j in range(J)
+    ]
+    # messages and tensors keep the batch last, so every reduction below
+    # runs over outer axes
+    fv = np.zeros((N, dmax, M, B))
+    vf = np.zeros((N, dmax, M, B))
 
-    # per-resource combo tables
-    combos = []
-    for n in range(N):
+    # a resource no user occupies sends no message
+    used = [n for n in range(N) if res_deg[n] > 0]
+    # -|y_n - sum_p h_p x_p|^2 / n0 on (M, ..., M, B), axis p for edge p;
+    # it does not change across iterations
+    dist = {}
+    for n in used:
         deg = int(res_deg[n])
-        g = np.indices((M,) * deg).reshape(deg, -1)[::-1]  # axis p varies fastest
-        combos.append(np.ascontiguousarray(g))
-
-    fv = np.full((B, N, dmax, M), 0.0)
-    vf = np.zeros((B, N, dmax, M))
+        users = res_users[n, :deg]
+        vals = cb[users, n, :, None] * H[:, n, users].T[:, None, :]  # (deg, M, B)
+        re = y[:, n].real - vals[0].real
+        im = y[:, n].imag - vals[0].imag
+        for p in range(1, deg):
+            re = re[..., None, :] - vals[p].real
+            im = im[..., None, :] - vals[p].imag
+        re *= re
+        im *= im
+        re += im
+        re /= -n0
+        dist[n] = re
 
     for _ in range(iters):
-        for n in range(N):
+        for n in used:
             deg = int(res_deg[n])
-            users = res_users[n, :deg]
-            g = combos[n]  # (deg, ncombo)
-            vals = H[:, n, users][:, :, None] * cb[users, n, :][None]  # (B, deg, M)
-            s = np.zeros((B, g.shape[1]), dtype=np.complex128)
-            vsum = np.zeros((B, g.shape[1]))
-            for p in range(deg):
-                s += vals[:, p, g[p]]
-                vsum += vf[:, n, p, g[p]]
-            r = y[:, n, None] - s
-            base = -(r.real**2 + r.imag**2) / n0 + vsum  # (B, ncombo)
-            for p in range(deg):
-                w = base - vf[:, n, p, g[p]]
-                for m in range(M):
-                    sel = g[p] == m
-                    fv[:, n, p, m] = _logsumexp_cols(w[:, sel])
+            w = vf[n, 0]
+            for p in range(1, deg):
+                w = w[..., None, :] + vf[n, p]
+            base = dist[n] + w
+            fv[n, :deg] = _function_node(base) - vf[n, :deg]
         for j in range(J):
-            pos = [
-                (int(n), int(np.where(res_users[n, : res_deg[n]] == j)[0][0]))
-                for n in user_res[j]
-            ]
-            tot = np.zeros((B, M))
-            for n, p in pos:
-                tot += fv[:, n, p, :]
-            for n, p in pos:
-                msg = tot - fv[:, n, p, :]
-                mx = np.max(msg, axis=1, keepdims=True)
-                lse = mx + np.log(np.sum(np.exp(msg - mx), axis=1, keepdims=True))
-                vf[:, n, p, :] = msg - lse
+            tot = sum(fv[n, p] for n, p in pos[j])
+            for n, p in pos[j]:
+                msg = tot - fv[n, p]
+                mx = np.max(msg, axis=0)
+                vf[n, p] = msg - (mx + np.log(np.sum(np.exp(msg - mx), axis=0)))
 
-    post = np.zeros((B, J, M))
+    post = np.empty((B, J, M))
     for j in range(J):
-        pos = [
-            (int(n), int(np.where(res_users[n, : res_deg[n]] == j)[0][0]))
-            for n in user_res[j]
-        ]
-        tot = np.zeros((B, M))
-        for n, p in pos:
-            tot += fv[:, n, p, :]
-        mx = np.max(tot, axis=1, keepdims=True)
-        lse = mx + np.log(np.sum(np.exp(tot - mx), axis=1, keepdims=True))
-        post[:, j, :] = np.exp(tot - lse)
+        tot = sum(fv[n, p] for n, p in pos[j])
+        mx = np.max(tot, axis=0)
+        post[:, j, :] = np.exp(tot - (mx + np.log(np.sum(np.exp(tot - mx), axis=0)))).T
     hard = np.argmax(post, axis=2).astype(np.int64)
     return post, hard
 
 
-def _logsumexp_cols(w: np.ndarray) -> np.ndarray:
-    """logsumexp along the last axis, guarding empty selections."""
-    if w.shape[-1] == 0:
-        return np.full(w.shape[:-1], -1e30)
-    mx = np.max(w, axis=-1)
-    return mx + np.log(np.sum(np.exp(w - mx[..., None]), axis=-1))
+#: Widest gap below the row maximum that the shared ``exp`` may shift a
+#: slice maximum by: exp(-700) is still a normal double (exp(-708.4) is not).
+_EXP_GAP = 700.0
+
+
+def _marginals(t, ufunc):
+    """``ufunc``-reduce (M, ..., M, B) over every user axis but one, per axis.
+
+    Returns d arrays of shape (M, B), the p-th keeping axis p.
+    """
+    if t.ndim == 2:
+        return [t]
+    M, B = t.shape[0], t.shape[-1]
+    first = ufunc.reduce(t.reshape(M, -1, B), axis=1)
+    return [first] + _marginals(ufunc.reduce(t, axis=0), ufunc)
+
+
+def _function_node(base):
+    """Log-sum-exp of ``base`` (M, ..., M, B) over the other users, per edge.
+
+    Returns (d, M, B): entry [p, m, b] is log sum exp of base[..., b] over
+    all combinations with user p at symbol m. Rows whose slice maxima all
+    sit within ``_EXP_GAP`` of the row maximum share one ``exp``; the
+    others are shifted by each slice's own maximum, edge by edge, so no
+    row computes ``exp`` twice. ``base`` may be overwritten.
+    """
+    smax = np.stack(_marginals(base, np.maximum))  # (d, M, B)
+    mx = smax[0].max(axis=0)
+    wide = mx - smax.min(axis=(0, 1)) > _EXP_GAP
+    if not wide.any():
+        return _shared_lse(base, mx)
+    if wide.all():
+        return _per_edge_lse(base, smax)
+    out = np.empty(smax.shape)
+    out[..., wide] = _per_edge_lse(base[..., wide], smax[..., wide])
+    out[..., ~wide] = _shared_lse(base[..., ~wide], mx[~wide])
+    return out
+
+
+def _shared_lse(base, mx):
+    base -= mx
+    e = np.exp(base, out=base)
+    out = np.log(np.stack(_marginals(e, np.add)))
+    out += mx
+    return out
+
+
+def _per_edge_lse(base, smax):
+    deg, M, B = smax.shape
+    out = np.empty(smax.shape)
+    e = np.empty(base.shape)
+    for p in range(deg):
+        np.subtract(base, smax[p].reshape(*(1,) * p, M, *(1,) * (deg - 1 - p), B), out=e)
+        np.exp(e, out=e)
+        others = tuple(a for a in range(deg) if a != p)
+        out[p] = smax[p] + np.log(np.add.reduce(e, axis=others))
+    return out

@@ -277,10 +277,6 @@ def mpa_detect(
     iters: int = 10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior (J, M) and hard decisions (J,) for one received vector."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if n0 <= 0:
-        raise ValueError("n0 must be > 0")
     post, hard = mpa_detect_batch(y[None, :], H[None, :, :], cbs, n0, iters)
     return post[0], hard[0]
 
@@ -292,7 +288,15 @@ def mpa_detect_batch(
     n0: float,
     iters: int = 10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch MPA: y (B, N), H (B, N, J) -> posteriors (B, J, M), hard (B, J)."""
+    """Batch MPA: y (B, N), H (B, N, J) -> posteriors (B, J, M), hard (B, J).
+
+    Raises ``ValueError`` unless iters >= 1 (with no iteration the
+    posteriors stay uniform) and 0 < n0 < inf.
+    """
+    if iters < 1:
+        raise ValueError(f"MPA iters must be >= 1, got {iters}")
+    if not (math.isfinite(n0) and n0 > 0):
+        raise ValueError(f"MPA noise variance n0 must be finite and > 0, got {n0}")
     y = np.asarray(y, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
     if y.shape[1] != cbs.N or H.shape[1:] != (cbs.N, cbs.J):

@@ -153,16 +153,30 @@ class TestSimulate:
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_scma_simulation(self, tmp_path):
+    @pytest.fixture()
+    def codebook_file(self, tmp_path):
         base = tmp_path / "base.json"
         pts = cn.cartesian_qpsk(1).points
         cn.Constellation(points=np.vstack([pts, pts * 1j]) / np.sqrt(2)).save(str(base))
         cb = tmp_path / "cb.json"
         assert run(["scma-build", "--base", str(base), "--out", str(cb)]) == 0
+        return str(cb)
+
+    def test_scma_simulation(self, codebook_file, tmp_path):
         out = tmp_path / "scma.csv"
-        rc = run(["simulate", "--codebook", str(cb),
+        rc = run(["simulate", "--codebook", codebook_file,
                   "--channel", "rayleigh_iid", "--ebn0", "0",
                   "--seed", "2", "--max-vectors", "100",
                   "--mpa-iters", "3", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("ebn0_db,")
+
+    def test_zero_mpa_iters_exit_2(self, codebook_file, tmp_path, capsys):
+        out = tmp_path / "scma.csv"
+        rc = run(["simulate", "--codebook", codebook_file,
+                  "--channel", "rayleigh_iid", "--ebn0", "10",
+                  "--seed", "2", "--max-vectors", "100",
+                  "--mpa-iters", "0", "--out", str(out)])
+        assert rc == 2
+        assert "iters" in capsys.readouterr().err
+        assert not out.exists()

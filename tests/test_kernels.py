@@ -12,15 +12,52 @@ def _rand_p2p(rng, B=500, K=3, M=8):
     return y, h, pts
 
 
+def _rand_base24(rng):
+    pts = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    return cn.normalize(cn.Constellation(points=pts))
+
+
 def _rand_scma(rng, B=8):
-    F = scma.default_indicator()
-    base = cn.Constellation(
-        points=(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-    )
-    cbs = scma.build_codebooks(F, cn.normalize(base))
+    cbs = scma.build_codebooks(scma.default_indicator(), _rand_base24(rng))
     y = rng.standard_normal((B, 4)) + 1j * rng.standard_normal((B, 4))
     H = (rng.standard_normal((B, 4, 6)) + 1j * rng.standard_normal((B, 4, 6))) / np.sqrt(2)
     return cbs, y, H
+
+
+def _sent_scma(rng, base, B, n0):
+    """B vectors of the 4x6 SCMA uplink over Rayleigh fading; noise-free if n0 is None."""
+    cbs = scma.build_codebooks(scma.default_indicator(), base)
+    tx = rng.integers(0, cbs.M, size=(B, cbs.J))
+    H = (rng.standard_normal((B, 4, 6)) + 1j * rng.standard_normal((B, 4, 6))) / np.sqrt(2)
+    y = np.einsum("bnj,bjn->bn", H, cbs.codebooks[np.arange(cbs.J), :, tx])
+    if n0 is not None:
+        y = y + np.sqrt(n0 / 2) * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+    return cbs, y, H, tx
+
+
+@pytest.fixture()
+def lse_paths(monkeypatch):
+    """Batch sizes handed to the shared and the per-edge function-node paths."""
+    seen = {"shared": [], "per_edge": []}
+    for name, key in (("_shared_lse", "shared"), ("_per_edge_lse", "per_edge")):
+        fn = getattr(kernels, name)
+
+        def spy(base, *rest, fn=fn, key=key):
+            seen[key].append(base.shape[-1])
+            return fn(base, *rest)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return seen
+
+
+def _assert_matches_loops(cbs, y, H, n0, iters):
+    args = scma._graph_arrays(cbs.indicator)
+    pa, ha = kernels.mpa_detect_batch(y, H, cbs.codebooks, *args, n0, iters)
+    pb, hb = kernels._mpa_detect_loops(y, H, cbs.codebooks, *args, n0, iters)
+    assert np.all(np.isfinite(pa))
+    assert pa == pytest.approx(pb, abs=1e-10)
+    assert np.array_equal(ha, hb)
+    return ha
 
 
 class TestLoopOracles:
@@ -36,11 +73,59 @@ class TestLoopOracles:
     def test_mpa_posteriors_close_hard_equal(self):
         rng = np.random.default_rng(1)
         cbs, y, H = _rand_scma(rng)
-        args = scma._graph_arrays(cbs.indicator)
-        pa, ha = kernels.mpa_detect_batch(y, H, cbs.codebooks, *args, 0.5, 8)
-        pb, hb = kernels._mpa_detect_loops(y, H, cbs.codebooks, *args, 0.5, 8)
-        assert pa == pytest.approx(pb, abs=1e-10)
-        assert np.array_equal(ha, hb)
+        _assert_matches_loops(cbs, y, H, 0.5, 8)
+
+    def test_mpa_m16(self, lse_paths):
+        rng = np.random.default_rng(5)
+        cbs, y, H, _ = _sent_scma(rng, cn.cartesian_qpsk(2), B=2, n0=0.025)
+        _assert_matches_loops(cbs, y, H, 0.025, 3)
+        assert lse_paths["shared"]
+
+    @pytest.mark.parametrize("M", [4, 16])
+    def test_mpa_noise_free(self, M, lse_paths):
+        # the n0 the simulator passes when noise-free: whole slices underflow
+        rng = np.random.default_rng(6)
+        base = cn.cartesian_qpsk(2) if M == 16 else _rand_base24(rng)
+        B, iters = (2, 2) if M == 16 else (8, 6)
+        cbs, y, H, tx = _sent_scma(rng, base, B=B, n0=None)
+        hard = _assert_matches_loops(cbs, y, H, 1e-9, iters)
+        assert np.array_equal(hard, tx)
+        assert lse_paths["per_edge"] and not lse_paths["shared"]
+
+    def test_mpa_mixed_underflow_rows(self, lse_paths):
+        rng = np.random.default_rng(7)
+        cbs, y, H, _ = _sent_scma(rng, _rand_base24(rng), B=6, n0=0.05)
+        y[2] *= 100.0
+        _assert_matches_loops(cbs, y, H, 0.05, 6)
+        mixed = [b for b in lse_paths["per_edge"] if 0 < b < 6]
+        assert mixed and lse_paths["shared"]
+
+    def test_mpa_resource_without_users(self):
+        # column weights equal, so the indicator is valid; resource 1 is idle
+        rng = np.random.default_rng(9)
+        F = scma.IndicatorMatrix(rows=np.array([[1, 1, 1], [0, 0, 0], [1, 1, 1]]))
+        cbs = scma.build_codebooks(F, _rand_base24(rng))
+        y = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        H = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        _assert_matches_loops(cbs, y, H, 0.5, 4)
+
+
+class TestFunctionNode:
+    @pytest.mark.parametrize("gap", [650.0, 750.0])
+    def test_slice_far_below_row_max(self, gap):
+        # row 0 has one symbol whose whole slice sits `gap` below the row max:
+        # exp under the shared max is 0 beyond ~745, so that row must take
+        # the per-edge path; row 1 stays on the shared path
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((4, 4, 4, 2))
+        base[1, :, :, 0] -= gap
+        want = np.stack([
+            np.logaddexp.reduce(np.moveaxis(base, p, 0).reshape(4, -1, 2), axis=1)
+            for p in range(3)
+        ])
+        got = kernels._function_node(base.copy())
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-12)
 
 
 class TestDispatch:

@@ -174,6 +174,11 @@ class TestDetection:
             scma.mpa_detect(y, H, cbs24, n0=1.0, iters=0)
         with pytest.raises(ValueError, match="n0"):
             scma.mpa_detect(y, H, cbs24, n0=0.0)
+        for bad in (np.inf, np.nan, -1.0):
+            with pytest.raises(ValueError, match="n0"):
+                scma.mpa_detect_batch(y[None], H[None], cbs24, n0=bad)
+        with pytest.raises(ValueError, match="iters"):
+            scma.mpa_detect_batch(y[None], H[None], cbs24, n0=1.0, iters=0)
         with pytest.raises(ValueError, match="dimensions"):
             scma.mpa_detect_batch(np.zeros((1, 3), dtype=complex),
                                   np.zeros((1, 3, 6), dtype=complex),

@@ -143,6 +143,13 @@ class TestSCMASim:
         )
         assert curve.points[0]["ber"] == 0.0
 
+    def test_zero_mpa_iters_rejected(self, cbs):
+        # no iteration leaves the posteriors uniform: a blind detector
+        with pytest.raises(ValueError, match="iters"):
+            sim.simulate_scma_uplink(
+                cbs, sim.SNRSpec((10.0,)), seed=3, max_vectors=200, mpa_iters=0
+            )
+
     def test_determinism_and_counters(self, cbs):
         kw = dict(min_bit_errors=40, max_vectors=2_000, mpa_iters=4)
         a = sim.simulate_scma_uplink(cbs, sim.SNRSpec((6.0,)), seed=4, **kw)
