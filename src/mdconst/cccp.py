@@ -76,18 +76,6 @@ class OptimizeResult:
     all_restarts: list = field(default_factory=list)
 
 
-def _pair_forms(K: int, M: int):
-    """The constraint forms as ``QuadFormIndex`` lists, in the row order of
-    ``linearize`` (pairs lexicographic, then dimension): the test oracle."""
-    med_idx = [qforms.euclidean_pair(i, j, K, M) for i, j in cn.pair_indices(M)]
-    ew_idx = [
-        qforms.elementwise(i, j, k, K, M)
-        for i, j in cn.pair_indices(M)
-        for k in range(K)
-    ]
-    return med_idx, ew_idx
-
-
 @functools.lru_cache(maxsize=None)
 def _form_index(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays of the distance forms over z = [Re(c); Im(c)].
@@ -95,19 +83,19 @@ def _form_index(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (pi, pj), the (P, K) positions of x_i and x_j in Re(c) for the
     P = M(M-1)/2 pairs i < j, and ``flat``: where the gradient entries
     [2 dr, -2 dr, 2 di, -2 di] of the P pair rows and then of the P*K
-    element-wise rows land in the raveled (P(K+1), 2KM) gradient matrix.
-    The arrays are read-only.
+    element-wise rows land in the raveled (P(K+1), 2KM+2) row matrix over
+    v = (t, z, eta), whose column 0 is t. The arrays are read-only.
     """
-    n = 2 * K * M
+    width = 2 * K * M + 2
     pairs = np.array(cn.pair_indices(M)).reshape(-1, 2)
     P = pairs.shape[0]
     ks = np.arange(K)
     pi = pairs[:, :1] * K + ks
     pj = pairs[:, 1:] * K + ks
-    cols = np.stack([pi, pj, pi + K * M, pj + K * M])  # (4, P, K)
-    med_rows = np.arange(P)[:, None]
-    ew_rows = P + np.arange(P * K).reshape(P, K)
-    flat = np.concatenate([(med_rows * n + cols).ravel(), (ew_rows * n + cols).ravel()])
+    cols = 1 + np.stack([pi, pj, pi + K * M, pj + K * M])  # (4, P, K)
+    r_pair = np.arange(P)[:, None]
+    r_ew = P + np.arange(P * K).reshape(P, K)
+    flat = np.concatenate([(r_pair * width + cols).ravel(), (r_ew * width + cols).ravel()])
     for arr in (pi, pj, flat):
         arr.setflags(write=False)
     return pi, pj, flat
@@ -173,16 +161,16 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
 
     n, P = 2 * K * M, med_vals.size
     grad = np.concatenate([2.0 * dr, -2.0 * dr, 2.0 * di, -2.0 * di], axis=None)
-    G = np.zeros((P * (K + 1), n))
-    G.ravel()[_form_index(K, M)[2]] = np.tile(grad, 2)
+    A = np.zeros((P * (K + 1), n + 2))
+    A.ravel()[_form_index(K, M)[2]] = np.tile(grad, 2)
+    A[P:, -1] = -1.0
     t0 = float(np.linalg.norm(z_q)) * (1.0 + 1e-6)
     eta0 = float(np.min(ew_vals)) * (1.0 - 1e-6)
     return socp.SubproblemSpec(
-        n=n,
         lam=config.lam,
-        med_rows=list(zip(G[:P], (de2 + med_vals).tolist())),
-        ew_rows=list(zip(G[P:], ew_vals.ravel().tolist())),
-        strict_start=(z_q.copy(), t0, eta0),
+        A=A,
+        b=np.concatenate([de2 + med_vals, ew_vals], axis=None),
+        start=np.concatenate([[t0], z_q, [eta0]]),
     )
 
 
@@ -315,20 +303,3 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
 def lambda_sweep(config: CCCPConfig, lambdas: list[float]) -> list[tuple[float, OptimizeResult]]:
     """Re-run the full optimization for each trade-off value."""
     return [(lam, optimize(dataclasses.replace(config, lam=lam))) for lam in lambdas]
-
-
-def amgm_gap_report(result: OptimizeResult) -> dict:
-    """How close the element-wise relaxation is to tightness for the result."""
-    C = result.best
-    checks = cn.amgm_check(C)
-    delta = cn.min_elementwise(C)
-    d_p = cn.mpd(C)
-    return {
-        "pairs": checks,
-        "min_slack": min(ch["slack"] for ch in checks),
-        "equality_pairs": [ch["pair"] for ch in checks if ch["equality"]],
-        "min_elementwise": delta,
-        "mpd": d_p,
-        "delta_pow_K_bound": delta**C.K,
-        "bound_holds": d_p >= delta**C.K * (1.0 - 1e-9),
-    }

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, cccp, scma, sim
 from . import constellation as cn
-from .constellation import write_json_atomic
+from .constellation import write_json_atomic, write_text_atomic
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,6 +69,8 @@ def _parse_ebn0(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValidationError(f"bad sweep {text!r}, expected start:step:stop")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ValidationError(f"sweep {text!r} needs finite numbers")
         if step <= 0:
             raise ValidationError("sweep step must be > 0")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -107,16 +109,12 @@ def cmd_optimize(args) -> int:
     write_json_atomic(out, d)
     outputs = [out]
     if args.trace:
-        with open(args.trace + ".tmp", "w") as fh:
-            fh.write("q,energy,objective,eta,step_norm\n")
-            for rec in result.trace:
-                fh.write(
-                    f"{rec['q']},{rec['energy']:.17g},{rec['objective']:.17g},"
-                    f"{rec['eta']:.17g},{rec['step_norm']:.17g}\n"
-                )
-        import os
-
-        os.replace(args.trace + ".tmp", args.trace)
+        rows = ["q,energy,objective,eta,step_norm\n"] + [
+            f"{rec['q']},{rec['energy']:.17g},{rec['objective']:.17g},"
+            f"{rec['eta']:.17g},{rec['step_norm']:.17g}\n"
+            for rec in result.trace
+        ]
+        write_text_atomic(args.trace, "".join(rows))
         outputs.append(args.trace)
     _write_manifest(
         out, "optimize",

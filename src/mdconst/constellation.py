@@ -89,23 +89,14 @@ class Constellation:
             return cls.from_json_dict(json.load(fh))
 
 
-class _FloatRepr(float):
-    """Float wrapper serialized with 17 significant digits."""
-
-    def __repr__(self):
-        return format(float(self), ".17g")
-
-
-def _with_full_floats(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
+def _nonfinite_to_null(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         # JSON has no NaN/Inf; null keeps the files strictly parseable.
-        return _FloatRepr(obj) if math.isfinite(obj) else None
+        return None
     if isinstance(obj, dict):
-        return {k: _with_full_floats(v) for k, v in obj.items()}
+        return {k: _nonfinite_to_null(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_with_full_floats(v) for v in obj]
+        return [_nonfinite_to_null(v) for v in obj]
     return obj
 
 
@@ -118,19 +109,25 @@ def require_keys(d, *keys) -> None:
         raise ValueError(f"JSON object is missing key(s): {', '.join(missing)}")
 
 
-def write_json_atomic(path: str, data: dict) -> None:
-    """Write JSON via a temp file + rename; floats keep 17 digits."""
+def write_text_atomic(path: str, text: str) -> None:
+    """Write text via a temp file in the same directory + rename, so a
+    reader never sees a partial file; the temp file goes on any error."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(_with_full_floats(data), fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, data: dict) -> None:
+    """Write JSON atomically; floats keep Python's shortest round-trip repr,
+    NaN and inf become null."""
+    write_text_atomic(path, json.dumps(_nonfinite_to_null(data), indent=1) + "\n")
 
 
 def pair_indices(M: int) -> list[tuple[int, int]]:

@@ -13,15 +13,13 @@ index), so points are independent and the sweep is reproducible.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .constellation import Constellation, average_power
+from .constellation import Constellation, average_power, write_text_atomic
 from .scma import SCMACodebookSet, mpa_detect_batch
 
 #: Vectors simulated per RNG draw; fixed so seeds determine draw order.
@@ -62,9 +60,10 @@ class SNRSpec:
     ebn0_db_list: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "ebn0_db_list", tuple(float(v) for v in self.ebn0_db_list)
-        )
+        vals = tuple(float(v) for v in self.ebn0_db_list)
+        if not vals or not all(math.isfinite(v) for v in vals):
+            raise ValueError(f"need one or more finite Eb/N0 values, got {vals}")
+        object.__setattr__(self, "ebn0_db_list", vals)
 
     def noise_variance(self, M: int, ebn0_db: float) -> float:
         """n0 per complex dimension for unit vector energy."""
@@ -86,16 +85,7 @@ class BERCurve:
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path: str) -> None:
-        d = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(self.to_csv())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_text_atomic(path, self.to_csv())
 
     def bers(self) -> np.ndarray:
         return np.array([p["ber"] for p in self.points])
@@ -130,6 +120,8 @@ def _simulate(
     noise-free) and returns sent and detected symbol indices, shape (B,)
     or (B, users); the latter adds per-user error counts to each point.
     """
+    if max_vectors < 1 or min_bit_errors < 1:
+        raise ValueError("max_vectors and min_bit_errors must be >= 1")
     nbits = bits_per_symbol(M)
     pop = _popcount_table(nbits)
     pts = []

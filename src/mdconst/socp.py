@@ -1,17 +1,19 @@
 """Primal-dual interior-point solver for the linearized subproblem.
 
-Each subproblem minimizes t - lam*eta over x = (z, t, eta) subject to the
-second-order cone ||z||_2 <= t and two families of affine rows:
+Everything is over v = (t, z, eta). Each subproblem minimizes
+c^T v = t - lam*eta subject to the second-order cone ||z||_2 <= t and the
+affine rows A v >= b. The t column of A is zero; the rows come in two
+families:
 
     g^T z           >= h     (linearized pair-distance constraints)
     g^T z - eta     >= h     (linearized element-wise constraints)
 
-With the rows stacked as A x - b = s >= 0 and the cone slack P x = (t, z),
-the dual problem is
+With the row slack s = A v - b >= 0 and the cone slack P v = (t, z), the
+first n+1 entries of v, the dual problem is
 
     maximize b^T y   subject to   A^T y + P^T y_c = c,   y >= 0,   y_c in Q,
 
-where c = (0, 1, -lam) is the objective and Q = {(u_0, u_1): ||u_1|| <= u_0}.
+where c = (1, 0, -lam) and Q = {(u_0, u_1): ||u_1|| <= u_0}.
 The duality gap of a primal-dual pair is s^T y + (t, z)^T y_c.
 
 The method is Mehrotra's predictor-corrector with Nesterov-Todd scaling
@@ -40,28 +42,13 @@ STEP = 0.95
 
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """One linearized convex subproblem over x = (z, t, eta)."""
+    """One linearized convex subproblem: minimize t - lam*eta subject to
+    ||z|| <= t and A v >= b over v = (t, z, eta)."""
 
-    n: int
     lam: float
-    med_rows: list  # (g: ndarray(n), h: float), meaning g^T z >= h
-    ew_rows: list  # (g: ndarray(n), h: float), meaning g^T z - eta >= h
-    strict_start: tuple  # (z0, t0, eta0), strictly interior
-
-    def row_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stack rows as A x >= b over x = (z, t, eta)."""
-        nr = len(self.med_rows) + len(self.ew_rows)
-        A = np.zeros((nr, self.n + 2))
-        b = np.empty(nr)
-        for r, (g, h) in enumerate(self.med_rows):
-            A[r, : self.n] = g
-            b[r] = h
-        off = len(self.med_rows)
-        for r, (g, h) in enumerate(self.ew_rows):
-            A[off + r, : self.n] = g
-            A[off + r, self.n + 1] = -1.0
-            b[off + r] = h
-        return A, b
+    A: np.ndarray  # (m, n+2); an element-wise row has a negative eta coefficient
+    b: np.ndarray  # (m,)
+    start: np.ndarray  # (n+2,), strictly interior
 
 
 @dataclass
@@ -187,19 +174,15 @@ def solve(
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    n = spec.n
-    z0, t0, eta0 = spec.strict_start
-    z0 = np.asarray(z0, dtype=np.float64).ravel()
-    if z0.size != n:
-        raise ValueError("strict_start dimension mismatch")
-    if not spec.ew_rows:
+    A, b = spec.A, spec.b
+    v = np.array(spec.start, dtype=np.float64)
+    m, k = A.shape[0], A.shape[1] - 1
+    if b.shape != (m,) or v.shape != (k + 1,):
+        raise ValueError("spec dimension mismatch: need A (m, n+2), b (m,), start (n+2,)")
+    if not np.any(A[:, k] < 0.0):
         raise ValueError("need an element-wise row: without one eta is unbounded")
-    A_x, b = spec.row_matrix()
-    m, k = A_x.shape[0], n + 1
 
-    # Internal order v = (t, z, eta): the cone slack is the view v[:k].
-    A = np.concatenate([A_x[:, n : n + 1], A_x[:, :n], A_x[:, n + 1 :]], axis=1)
-    v = np.concatenate([[float(t0)], z0, [float(eta0)]])
+    # The cone slack is the view v[:k].
     s = A @ v - b
     if _soc_det(v[:k]) <= 0.0 or v[0] <= 0.0 or np.any(s <= 0.0):
         raise NotStrictlyFeasible(

@@ -7,12 +7,24 @@ import math
 import numpy as np
 
 from mdconst import constellation as cn
-from mdconst import socp
+from mdconst import qforms, socp
 
 
 def random_constellation(rng: np.random.Generator, K: int, M: int) -> cn.Constellation:
     pts = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
     return cn.Constellation(points=pts)
+
+
+def pair_forms(K: int, M: int):
+    """The constraint forms as ``QuadFormIndex`` lists, in the row order of
+    ``cccp.linearize`` (pairs lexicographic, then dimension)."""
+    med_idx = [qforms.euclidean_pair(i, j, K, M) for i, j in cn.pair_indices(M)]
+    ew_idx = [
+        qforms.elementwise(i, j, k, K, M)
+        for i, j in cn.pair_indices(M)
+        for k in range(K)
+    ]
+    return med_idx, ew_idx
 
 
 def random_tiny_spec(rng: np.random.Generator) -> socp.SubproblemSpec:
@@ -34,23 +46,21 @@ def random_tiny_spec(rng: np.random.Generator) -> socp.SubproblemSpec:
         g *= rng.uniform(0.3, 1.5) / norm
         return g
 
-    med_rows = []
-    for _ in range(n_med):
+    # rows over v = (t, z, eta): pair rows first, then element-wise rows
+    A = np.zeros((n_med + n_ew, n + 2))
+    b = np.empty(n_med + n_ew)
+    A[n_med:, -1] = -1.0
+    eta0_cap = np.inf
+    for r in range(n_med + n_ew):
         g = rand_row()
         h = float(g @ x0 - rng.uniform(0.1, 2.0))  # strict slack at x0
-        med_rows.append((g, h))
-    ew_rows = []
-    eta0_cap = np.inf
-    for _ in range(n_ew):
-        g = rand_row()
-        h = float(g @ x0 - rng.uniform(0.1, 2.0))
-        ew_rows.append((g, h))
-        eta0_cap = min(eta0_cap, float(g @ x0 - h))
+        A[r, 1:-1], b[r] = g, h
+        if r >= n_med:
+            eta0_cap = min(eta0_cap, float(g @ x0 - h))
     t0 = float(np.linalg.norm(x0) * 1.1 + 0.1)
     eta0 = eta0_cap - 0.05
     return socp.SubproblemSpec(
-        n=n, lam=lam, med_rows=med_rows, ew_rows=ew_rows,
-        strict_start=(x0, t0, eta0),
+        lam=lam, A=A, b=b, start=np.concatenate([[t0], x0, [eta0]])
     )
 
 
@@ -65,12 +75,11 @@ def oracle_objective(spec: socp.SubproblemSpec, iters: int = 4000) -> float:
     random_tiny_spec are coercive (lam * ||g|| <= 0.75 < 1), which bounds
     the minimizer inside the initial ball.
     """
-    n = spec.n
+    n = spec.A.shape[1] - 2
     lam = spec.lam
-    Gm = np.array([g for g, _ in spec.med_rows]).reshape(-1, n)
-    hm = np.array([h for _, h in spec.med_rows])
-    Ge = np.array([g for g, _ in spec.ew_rows]).reshape(-1, n)
-    he = np.array([h for _, h in spec.ew_rows])
+    ew = spec.A[:, -1] < 0.0  # element-wise rows carry -eta
+    Gm, hm = spec.A[~ew, 1:-1], spec.b[~ew]
+    Ge, he = spec.A[ew, 1:-1], spec.b[ew]
 
     def fval(x):
         if Gm.size and (Gm @ x - hm).min() < -1e-15:
@@ -86,7 +95,7 @@ def oracle_objective(spec: socp.SubproblemSpec, iters: int = 4000) -> float:
         nz = np.linalg.norm(x)
         return (x / nz if nz > 1e-14 else np.zeros(n)) - lam * Ge[imin], False
 
-    x0 = np.asarray(spec.strict_start[0], dtype=np.float64)
+    x0 = np.asarray(spec.start[1:-1], dtype=np.float64)
     f0 = fval(x0)
     radius = (
         4.0 * (abs(f0) + lam * float(np.abs(he).max()))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pair_forms
 from mdconst import cccp, qforms, socp
 from mdconst import constellation as cn
 
@@ -50,18 +51,20 @@ class TestInit:
 
 
 class TestLinearize:
-    def test_row_counts_and_strict_start(self):
+    def test_row_counts_and_start(self):
         K, M = 2, 4
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(1)
         z = qforms.realify(cccp.init_feasible(K, M, 1.0, rng))
         spec = cccp.linearize(z, cfg)
-        assert len(spec.med_rows) == M * (M - 1) // 2
-        assert len(spec.ew_rows) == K * M * (M - 1) // 2
-        A, b = spec.row_matrix()
-        x0 = np.concatenate([spec.strict_start[0], spec.strict_start[1:]])
-        assert np.min(A @ x0 - b) > 0.0
-        assert np.linalg.norm(spec.strict_start[0]) < spec.strict_start[1]
+        P = M * (M - 1) // 2
+        assert spec.A.shape == (P + K * P, 2 * K * M + 2)
+        assert spec.b.shape == (P + K * P,)
+        assert np.count_nonzero(spec.A[:, -1]) == K * P
+        v0 = spec.start
+        assert np.array_equal(v0[1:-1], z)
+        assert np.min(spec.A @ v0 - spec.b) > 0.0
+        assert np.linalg.norm(v0[1:-1]) < v0[0]
 
     def test_tangent_touches_quadratic(self):
         # at the expansion point the affine row value equals the quadratic
@@ -70,8 +73,8 @@ class TestLinearize:
         rng = np.random.default_rng(2)
         z = qforms.realify(cccp.init_feasible(K, M, 1.0, rng))
         spec = cccp.linearize(z, cfg)
-        med_idx, _ = cccp._pair_forms(K, M)
-        for (g, h), idx in zip(spec.med_rows, med_idx):
+        med_idx, _ = pair_forms(K, M)
+        for g, h, idx in zip(spec.A[:, 1:-1], spec.b, med_idx):
             # g = 2 A z_q and h = D_E^2 + z_q^T A z_q, so g.z_q - h =
             # z_q^T A z_q - D_E^2 (the current slack of the quadratic)
             assert float(g @ z) - h == pytest.approx(
@@ -80,23 +83,29 @@ class TestLinearize:
 
     @pytest.mark.parametrize("K, M", [(2, 4), (2, 8), (3, 4)])
     def test_rows_match_quadratic_form_oracle(self, K, M):
-        # the index-array rows equal those built form by form with qforms
+        # the index-array rows equal those built form by form with qforms,
+        # over v = (t, z, eta)
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(K * 10 + M)
+        med_idx, ew_idx = pair_forms(K, M)
+        P, n = len(med_idx), 2 * K * M
+        assert len(ew_idx) == P * K
         for _ in range(5):
             z = qforms.realify(cccp.init_feasible(K, M, 1.0, rng))
-            A, b = cccp.linearize(z, cfg).row_matrix()
-            med_idx, ew_idx = cccp._pair_forms(K, M)
-            n = 2 * K * M
-            A_ref = np.zeros((len(med_idx) + len(ew_idx), n + 2))
+            spec = cccp.linearize(z, cfg)
+            A_ref = np.zeros((P + len(ew_idx), n + 2))
             b_ref = np.empty(len(A_ref))
             for r, idx in enumerate(med_idx + ew_idx):
-                A_ref[r, :n] = qforms.qf_gradient(idx, z)
+                A_ref[r, 1 : n + 1] = qforms.qf_gradient(idx, z)
                 b_ref[r] = qforms.qf_value(idx, z)
-            A_ref[len(med_idx):, n + 1] = -1.0
-            b_ref[: len(med_idx)] += cfg.d_e_threshold**2
-            assert np.max(np.abs(A - A_ref)) <= 1e-12
-            assert np.max(np.abs(b - b_ref)) <= 1e-12
+            A_ref[P:, n + 1] = -1.0
+            b_ref[:P] += cfg.d_e_threshold**2
+            assert spec.A.shape == A_ref.shape and spec.b.shape == b_ref.shape
+            assert np.max(np.abs(spec.A - A_ref)) <= 1e-12
+            assert np.max(np.abs(spec.b - b_ref)) <= 1e-12
+            assert not np.any(spec.A[:, 0])  # t column
+            assert np.array_equal(spec.A[:P, -1], np.zeros(P))
+            assert np.array_equal(spec.A[P:, -1], -np.ones(P * K))
 
     def test_infeasible_iterate_rejected(self):
         cfg = cccp.CCCPConfig(K=2, M=3)
@@ -176,7 +185,7 @@ class TestOptimize:
     def test_solver_statuses_surface_as_failed_chain(self, monkeypatch):
         def boom(spec, **kw):
             return socp.SubproblemSolution(
-                z=np.zeros(spec.n), t=0.0, eta=0.0, status="numerical_failure",
+                z=np.zeros(spec.A.shape[1] - 2), t=0.0, eta=0.0, status="numerical_failure",
                 newton_iters=0, kkt_residual=math.inf, objective=math.nan,
             )
 

@@ -153,6 +153,22 @@ class TestSimulate:
                   "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--ebn0", "0", "--max-vectors", "0"],
+        ["--ebn0", "0", "--min-errors", "0"],
+        ["--ebn0", "10:1:0"],
+        ["--ebn0", "nan"],
+        ["--ebn0", "0:1:inf"],
+    ])
+    def test_degenerate_inputs_exit_2(self, base_file, tmp_path, capsys, extra):
+        # each ran to a traceback or wrote an empty or meaningless CSV
+        out = tmp_path / "x.csv"
+        rc = run(["simulate", "--constellation", base_file, "--seed", "0",
+                  "--out", str(out)] + extra)
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.fixture()
     def codebook_file(self, tmp_path):
         base = tmp_path / "base.json"

@@ -182,6 +182,13 @@ class TestSerialization:
         assert d["x"] == 1.0 / 3.0
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_atomic_text_write_removes_temp_on_error(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()  # the rename onto a directory fails
+        with pytest.raises(OSError):
+            cn.write_text_atomic(str(target), "q\n")
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_nonfinite_floats_become_null(self, tmp_path):
         target = tmp_path / "out.json"
         cn.write_json_atomic(str(target), {"x": math.nan, "y": math.inf})

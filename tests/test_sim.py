@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,12 @@ class TestSNR:
         s = sim.SNRSpec(ebn0_db_list=(0.0,))
         assert s.noise_variance(4, 0.0) == pytest.approx(0.5)
         assert s.noise_variance(16, 10.0) == pytest.approx(1.0 / 40.0)
+
+    @pytest.mark.parametrize("values", [(), (math.nan,), (0.0, math.inf), (-math.inf,)])
+    def test_empty_or_nonfinite_rejected(self, values):
+        # an empty sweep would write a header-only CSV; NaN simulated BER 0.5
+        with pytest.raises(ValueError, match="finite Eb/N0"):
+            sim.SNRSpec(values)
 
 
 class TestMLDetect:
@@ -104,6 +112,12 @@ class TestP2P:
         sigma = sqrt(theory * (1 - theory) / p["bits"])
         assert abs(p["ber"] - theory) < 4 * sigma
 
+    @pytest.mark.parametrize("kw", [dict(max_vectors=0), dict(min_bit_errors=0)])
+    def test_stop_rule_below_one_rejected(self, qpsk2, kw):
+        # zero vectors gave 0 bits and a ZeroDivisionError for the BER
+        with pytest.raises(ValueError, match=">= 1"):
+            sim.simulate_p2p(qpsk2, "awgn", sim.SNRSpec((0.0,)), seed=0, **kw)
+
     def test_unknown_channel_rejected(self, qpsk2):
         with pytest.raises(ValueError, match="unknown channel"):
             sim.simulate_p2p(qpsk2, "rician", sim.SNRSpec((0.0,)), seed=0)
@@ -149,6 +163,11 @@ class TestSCMASim:
             sim.simulate_scma_uplink(
                 cbs, sim.SNRSpec((10.0,)), seed=3, max_vectors=200, mpa_iters=0
             )
+
+    @pytest.mark.parametrize("kw", [dict(max_vectors=0), dict(min_bit_errors=0)])
+    def test_stop_rule_below_one_rejected(self, cbs, kw):
+        with pytest.raises(ValueError, match=">= 1"):
+            sim.simulate_scma_uplink(cbs, sim.SNRSpec((10.0,)), seed=3, **kw)
 
     def test_determinism_and_counters(self, cbs):
         kw = dict(min_bit_errors=40, max_vectors=2_000, mpa_iters=4)

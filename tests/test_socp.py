@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,18 +9,15 @@ from mdconst import cccp, qforms, socp
 
 
 def simple_spec(lam=0.25):
-    # minimize t - lam*eta in 2-D with one med row and two ew rows
-    g1 = np.array([1.0, 0.0])
-    g2 = np.array([0.0, 1.0])
-    g3 = np.array([0.6, 0.6])
-    x0 = np.array([2.0, 2.0])
-    return socp.SubproblemSpec(
-        n=2,
-        lam=lam,
-        med_rows=[(g1, 1.0)],
-        ew_rows=[(g2, 0.5), (g3, 0.2)],
-        strict_start=(x0, 3.5, 0.1),
-    )
+    # minimize t - lam*eta in 2-D with one med row and two ew rows; the
+    # columns are v = (t, z_1, z_2, eta)
+    A = np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -1.0],
+        [0.0, 0.6, 0.6, -1.0],
+    ])
+    b = np.array([1.0, 0.5, 0.2])
+    return socp.SubproblemSpec(lam=lam, A=A, b=b, start=np.array([3.5, 2.0, 2.0, 0.1]))
 
 
 class TestValidation:
@@ -29,31 +27,27 @@ class TestValidation:
 
     def test_dimension_mismatch(self):
         spec = simple_spec()
-        bad = socp.SubproblemSpec(
-            n=3, lam=spec.lam, med_rows=spec.med_rows, ew_rows=spec.ew_rows,
-            strict_start=spec.strict_start,
-        )
-        with pytest.raises(ValueError):
+        for start in (spec.start[:-1], np.append(spec.start, 0.0)):
+            bad = dataclasses.replace(spec, start=start)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                socp.solve(bad)
+        bad = dataclasses.replace(spec, b=spec.b[:-1])
+        with pytest.raises(ValueError, match="dimension mismatch"):
             socp.solve(bad)
 
     def test_not_strictly_feasible(self):
-        spec = simple_spec()
-        bad = socp.SubproblemSpec(
-            n=2, lam=spec.lam, med_rows=spec.med_rows, ew_rows=spec.ew_rows,
-            strict_start=(np.array([0.0, 0.0]), 1.0, 0.0),
-        )
+        bad = dataclasses.replace(simple_spec(), start=np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(socp.NotStrictlyFeasible):
             socp.solve(bad)
 
-
     def test_no_elementwise_row(self):
+        # eta is bounded only by a row with a negative eta coefficient
         spec = simple_spec()
-        bad = socp.SubproblemSpec(
-            n=2, lam=spec.lam, med_rows=spec.med_rows, ew_rows=[],
-            strict_start=spec.strict_start,
-        )
-        with pytest.raises(ValueError, match="element-wise row"):
-            socp.solve(bad)
+        for eta_coef in (0.0, 1.0):
+            A = spec.A.copy()
+            A[:, -1] = eta_coef
+            with pytest.raises(ValueError, match="element-wise row"):
+                socp.solve(dataclasses.replace(spec, A=A))
 
 
 class TestSolve:
@@ -66,9 +60,8 @@ class TestSolve:
     def test_solution_feasible_and_kkt(self):
         spec = simple_spec()
         sol = socp.solve(spec, tol=1e-8)
-        A, b = spec.row_matrix()
-        x = np.concatenate([sol.z, [sol.t, sol.eta]])
-        assert np.min(A @ x - b) >= -1e-9
+        v = np.concatenate([[sol.t], sol.z, [sol.eta]])
+        assert np.min(spec.A @ v - spec.b) >= -1e-9
         assert np.linalg.norm(sol.z) <= sol.t + 1e-9
         assert sol.kkt_residual <= 1e-7  # 10 * tol
 
@@ -108,16 +101,15 @@ class TestSolve:
 
 def kkt_violations(spec, sol):
     """Stationarity, primal and dual feasibility and complementarity of the
-    returned pair, from the rows and the returned x and multipliers alone."""
-    A, b = spec.row_matrix()
-    n = spec.n
-    x = np.concatenate([sol.z, [sol.t, sol.eta]])
+    returned pair, from the rows and the returned v and multipliers alone."""
+    A, b = spec.A, spec.b
+    v = np.concatenate([[sol.t], sol.z, [sol.eta]])
     y, (y_t, *y_z) = sol.y, sol.y_cone
     y_z = np.array(y_z)
-    c = np.zeros(n + 2)
-    c[n], c[n + 1] = 1.0, -spec.lam
-    cone_part = np.concatenate([y_z, [y_t, 0.0]])  # P^T y_c with P x = (t, z)
-    slack = A @ x - b
+    c = np.zeros(v.size)
+    c[0], c[-1] = 1.0, -spec.lam
+    cone_part = np.concatenate([sol.y_cone, [0.0]])  # P^T y_c with P v = (t, z)
+    slack = A @ v - b
     return {
         "stationarity": float(np.max(np.abs(c - A.T @ y - cone_part))),
         "primal_rows": max(0.0, -float(np.min(slack))),
@@ -142,8 +134,8 @@ class TestKKT:
     def _check(self, spec, tol=1e-8):
         sol = socp.solve(spec, tol=tol)
         assert sol.status == "optimal"
-        assert sol.y.shape == (len(spec.med_rows) + len(spec.ew_rows),)
-        assert sol.y_cone.shape == (spec.n + 1,)
+        assert sol.y.shape == (spec.A.shape[0],)
+        assert sol.y_cone.shape == (spec.A.shape[1] - 1,)
         viol = kkt_violations(spec, sol)
         assert max(viol.values()) <= 10 * tol, viol
         assert sol.kkt_residual == pytest.approx(max(viol.values()), abs=1e-12)
