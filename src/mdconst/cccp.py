@@ -71,7 +71,6 @@ class ChainResult:
 class OptimizeResult:
     best: cn.Constellation
     best_raw: cn.Constellation
-    profile: cn.DistanceProfile
     trace: list
     all_restarts: list = field(default_factory=list)
 
@@ -294,7 +293,6 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
     return OptimizeResult(
         best=best,
         best_raw=raw,
-        profile=cn.distance_profile(best),
         trace=best_chain.trace,
         all_restarts=summaries,
     )

@@ -1,7 +1,8 @@
 """Command-line driver: optimize constellations, inspect metrics, build
 SCMA codebooks, and run BER simulations.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error (bad input, or an input or
+output path that cannot be read or written), 3 numerical failure.
 Every output file gets a sibling <name>.manifest.json recording the
 command, resolved configuration, seed, input/output digests and wall
 clock, so runs can be reproduced exactly.
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import time
@@ -284,15 +284,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValidationError, ValueError, OSError) as exc:
+        # JSONDecodeError is a ValueError; FileNotFoundError and an
+        # unwritable output path are OSErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

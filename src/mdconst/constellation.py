@@ -5,6 +5,11 @@ The two figures of merit are the minimum Euclidean distance (MED), which
 governs Gaussian-channel performance, and the minimum product distance
 (MPD), which governs Rayleigh-fading performance through signal space
 diversity.
+
+Every metric is a reduction over k of one (K, P) array, ``pair_gaps``, of
+the per-dimension gaps |x_{i,k} - x_{j,k}| of the P = M(M-1)/2 pairs: MED
+from sqrt(sum_k g^2), MPD from prod_k g, delta from min g, and the AM-GM
+bound d_P^2 <= (d_E^2/K)^K from both. The tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ ZERO_TOL = 1e-12
 
 #: Relative tolerance for counting pairs at the minimum distance.
 KISSING_REL_TOL = 1e-6
+
+#: Relative gap spread up to which a pair meets the AM-GM bound with equality.
+AMGM_EQ_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,9 +63,6 @@ class Constellation:
     def M(self) -> int:
         return self.points.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.points[:, i]
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -70,15 +75,18 @@ class Constellation:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Constellation":
         require_keys(d, "K", "M", "points")
-        K, M = int(d["K"]), int(d["M"])
-        raw = d["points"]
-        if len(raw) != M or any(len(col) != K for col in raw):
+        try:
+            raw = np.asarray(d["points"], dtype=np.float64)  # null -> NaN
+        except TypeError as exc:
+            raise ValueError(f"points must hold numbers: {exc}") from exc
+        if raw.shape != (d["M"], d["K"], 2):
             raise ValueError("points shape does not match K/M")
-        pts = np.empty((K, M), dtype=np.complex128)
-        for m, col in enumerate(raw):
-            for k, (re, im) in enumerate(col):
-                pts[k, m] = complex(re, im)
-        return cls(points=pts, meta=dict(d.get("meta", {})))
+        meta = d.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError("meta must be a JSON object")
+        # each [re, im] pair is one complex128 in memory: exact, keeps -0.0
+        pts = raw.view(np.complex128)[:, :, 0].T
+        return cls(points=pts, meta=dict(meta))
 
     def save(self, path: str) -> None:
         write_json_atomic(path, self.to_json_dict())
@@ -111,12 +119,16 @@ def require_keys(d, *keys) -> None:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write text via a temp file in the same directory + rename, so a
-    reader never sees a partial file; the temp file goes on any error."""
+    reader never sees a partial file; the temp file goes on any error.
+    The file gets mode 0666 less the umask, as open() would give it."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -138,53 +150,58 @@ def pair_indices(M: int) -> list[tuple[int, int]]:
 # -- metrics -------------------------------------------------------------
 
 
+def pair_gaps(C: Constellation) -> np.ndarray:
+    """(K, P) per-dimension gaps |x_{i,k} - x_{j,k}|, pairs in pair_indices order."""
+    i, j = np.triu_indices(C.M, k=1)
+    return np.abs(C.points[:, i] - C.points[:, j])
+
+
+def _euclidean(g: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(g**2, axis=0))
+
+
+def _product(g: np.ndarray) -> np.ndarray:
+    """Product over the dimensions where a pair differs; +inf where none does."""
+    differs = g > ZERO_TOL
+    prod = np.prod(np.where(differs, g, 1.0), axis=0)
+    return np.where(differs.any(axis=0), prod, math.inf)
+
+
+def _finite(pp: np.ndarray) -> np.ndarray:
+    finite = pp[np.isfinite(pp)]
+    if finite.size == 0:
+        raise ValueError("degenerate constellation: all vector pairs identical")
+    return finite
+
+
+def _kissing(d: np.ndarray) -> int:
+    """Number of distances within KISSING_REL_TOL (relative) of the minimum."""
+    return int(np.sum(d <= d.min() * (1.0 + KISSING_REL_TOL)))
+
+
 def pairwise_euclidean(C: Constellation) -> np.ndarray:
     """Euclidean distances ||x_i - x_j|| for all i < j, pair order."""
-    diffs = C.points[:, :, None] - C.points[:, None, :]
-    d = np.sqrt(np.sum(np.abs(diffs) ** 2, axis=0))
-    iu = np.triu_indices(C.M, k=1)
-    return d[iu]
+    return _euclidean(pair_gaps(C))
+
+
+def pairwise_product(C: Constellation) -> np.ndarray:
+    """Product distances for all pairs, +inf for identical pairs."""
+    return _product(pair_gaps(C))
 
 
 def med(C: Constellation) -> float:
     """Minimum Euclidean distance over all vector pairs."""
-    return float(np.min(pairwise_euclidean(C)))
+    return float(pairwise_euclidean(C).min())
 
 
-def product_distance(
-    C: Constellation, i: int, j: int, zero_tol: float = ZERO_TOL
-) -> float:
-    """Product of |x_{i,k} - x_{j,k}| over dimensions where the vectors differ.
-
-    Indices are 0-based. Dimensions with gap <= zero_tol are excluded; if
-    every dimension is excluded (identical vectors) the pair has no product
-    distance and +inf is returned as a sentinel.
-    """
-    if not (0 <= i < j < C.M):
-        raise IndexError(f"need 0 <= i < j < M, got i={i}, j={j}, M={C.M}")
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be >= 0")
-    gaps = np.abs(C.points[:, i] - C.points[:, j])
-    admissible = gaps > zero_tol
-    if not np.any(admissible):
-        return math.inf
-    return float(np.prod(gaps[admissible]))
-
-
-def pairwise_product(C: Constellation, zero_tol: float = ZERO_TOL) -> np.ndarray:
-    """Product distances for all pairs, +inf for identical pairs."""
-    return np.array(
-        [product_distance(C, i, j, zero_tol) for i, j in pair_indices(C.M)]
-    )
-
-
-def mpd(C: Constellation, zero_tol: float = ZERO_TOL) -> float:
+def mpd(C: Constellation) -> float:
     """Minimum product distance over pairs with at least one differing dim."""
-    pp = pairwise_product(C, zero_tol)
-    finite = pp[np.isfinite(pp)]
-    if finite.size == 0:
-        raise ValueError("degenerate constellation: all vector pairs identical")
-    return float(np.min(finite))
+    return float(_finite(pairwise_product(C)).min())
+
+
+def min_elementwise(C: Constellation) -> float:
+    """Smallest per-dimension gap |x_{i,k} - x_{j,k}| over all pairs (delta)."""
+    return float(pair_gaps(C).min())
 
 
 def average_power(C: Constellation) -> float:
@@ -200,58 +217,26 @@ def normalize(C: Constellation) -> Constellation:
     return Constellation(points=C.points / math.sqrt(p), meta=dict(C.meta))
 
 
-def min_elementwise(C: Constellation) -> float:
-    """Smallest per-dimension gap |x_{i,k} - x_{j,k}| over all pairs (delta)."""
-    diffs = np.abs(C.points[:, :, None] - C.points[:, None, :])
-    iu = np.triu_indices(C.M, k=1)
-    return float(np.min(diffs[:, iu[0], iu[1]]))
-
-
-def kissing_number(
-    C: Constellation, metric: str = "euclidean", rel_tol: float = KISSING_REL_TOL
-) -> int:
-    """Number of pairs within rel_tol (relative) of the minimum distance."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
-    if metric == "euclidean":
-        d = pairwise_euclidean(C)
-    elif metric == "product":
-        d = pairwise_product(C)
-        d = d[np.isfinite(d)]
-        if d.size == 0:
-            raise ValueError("degenerate constellation: all vector pairs identical")
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    dmin = float(np.min(d))
-    return int(np.sum(d <= dmin * (1.0 + rel_tol)))
-
-
-def amgm_check(C: Constellation, eq_tol: float = 1e-6) -> list[dict]:
+def amgm_check(C: Constellation) -> list[dict]:
     """AM-GM diagnostic: d_P^2 <= ||x_i - x_j||^(2K) / K^K for every pair.
 
     The bound holds with equality exactly when all per-dimension gaps of
-    the pair are equal; pairs within eq_tol relative spread are flagged.
-    Negative slack beyond -1e-9 signals a metric bug, not a bad input.
+    the pair are equal; pairs within AMGM_EQ_TOL relative spread are
+    flagged. Negative slack beyond -1e-9 signals a metric bug, not a bad
+    input.
     """
-    out = []
-    K = C.K
-    for i, j in pair_indices(C.M):
-        gaps = np.abs(C.points[:, i] - C.points[:, j])
-        lhs = float(np.prod(gaps**2))
-        e2 = float(np.sum(gaps**2))
-        rhs = (e2 / K) ** K
-        gmax = float(np.max(gaps))
-        spread = 0.0 if gmax == 0.0 else float((gmax - np.min(gaps)) / gmax)
-        out.append(
-            {
-                "pair": (i, j),
-                "lhs": lhs,
-                "rhs": rhs,
-                "slack": rhs - lhs,
-                "equality": spread <= eq_tol,
-            }
-        )
-    return out
+    g = pair_gaps(C)
+    lhs = np.prod(g**2, axis=0)
+    rhs = (np.sum(g**2, axis=0) / C.K) ** C.K
+    gmax = g.max(axis=0)
+    spread = np.divide(
+        gmax - g.min(axis=0), gmax, out=np.zeros_like(gmax), where=gmax > 0
+    )
+    equality = (spread <= AMGM_EQ_TOL).tolist()
+    return [
+        {"pair": pair, "lhs": l, "rhs": r, "slack": r - l, "equality": eq}
+        for pair, l, r, eq in zip(pair_indices(C.M), lhs.tolist(), rhs.tolist(), equality)
+    ]
 
 
 @dataclass(frozen=True)
@@ -265,40 +250,21 @@ class DistanceProfile:
     kissing_med: int
     kissing_mpd: int
     min_elementwise: float
-    identical_pairs: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "med": self.med,
-            "mpd": self.mpd,
-            "kissing_med": self.kissing_med,
-            "kissing_mpd": self.kissing_mpd,
-            "min_elementwise": self.min_elementwise,
-            "pairwise_euclidean": [float(x) for x in self.pairwise_euclidean],
-            "pairwise_product": [
-                None if math.isinf(x) else float(x) for x in self.pairwise_product
-            ],
-            "identical_pairs": [list(p) for p in self.identical_pairs],
-        }
 
 
-def distance_profile(
-    C: Constellation, zero_tol: float = ZERO_TOL, rel_tol: float = KISSING_REL_TOL
-) -> DistanceProfile:
-    pe = pairwise_euclidean(C)
-    pp = pairwise_product(C, zero_tol)
-    identical = tuple(
-        pair for pair, d in zip(pair_indices(C.M), pp) if math.isinf(d)
-    )
+def distance_profile(C: Constellation) -> DistanceProfile:
+    """Every metric above, reduced from one pair_gaps array."""
+    g = pair_gaps(C)
+    pe, pp = _euclidean(g), _product(g)
+    finite = _finite(pp)
     return DistanceProfile(
         pairwise_euclidean=pe,
         pairwise_product=pp,
-        med=med(C),
-        mpd=mpd(C, zero_tol),
-        kissing_med=kissing_number(C, "euclidean", rel_tol),
-        kissing_mpd=kissing_number(C, "product", rel_tol),
-        min_elementwise=min_elementwise(C),
-        identical_pairs=identical,
+        med=float(pe.min()),
+        mpd=float(finite.min()),
+        kissing_med=_kissing(pe),
+        kissing_mpd=_kissing(finite),
+        min_elementwise=float(g.min()),
     )
 
 

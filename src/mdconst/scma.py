@@ -73,7 +73,7 @@ class IndicatorMatrix:
     def from_json_dict(cls, d: dict) -> "IndicatorMatrix":
         require_keys(d, "N", "J", "rows")
         F = cls(rows=np.asarray(d["rows"]))
-        if F.N != int(d["N"]) or F.J != int(d["J"]):
+        if (F.N, F.J) != (d["N"], d["J"]):
             raise ValueError("indicator matrix N/J fields disagree with rows")
         return F
 
@@ -119,6 +119,8 @@ class OperatorSet:
         ph = np.ascontiguousarray(np.asarray(self.phases, dtype=np.float64))
         if ph.ndim != 2:
             raise ValueError("phases must be (J, K)")
+        if not np.all(np.isfinite(ph)):
+            raise ValueError("phases must be finite (a JSON null is NaN)")
         ph.flags.writeable = False
         object.__setattr__(self, "phases", ph)
 

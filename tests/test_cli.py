@@ -87,6 +87,56 @@ class TestMetrics:
         assert "points" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"K": 1, "M": 2, "points": [[[None, 0]], [[1, 0]]]},
+            {"K": None, "M": 2, "points": [[[0, 0]], [[1, 0]]]},
+            {"K": 1, "M": 2, "points": [[[{}, 0]], [[1, 0]]]},
+            {"K": 1, "M": 2, "points": [[[0, 0]], [[1, 0]]], "meta": [1]},
+        ],
+        ids=["null-point", "null-K", "object-point", "list-meta"],
+    )
+    def test_malformed_values_exit_2(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["metrics", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_linalg_error_exit_3(self, base_file, monkeypatch, capsys):
+        def fail(C):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(cn, "distance_profile", fail)
+        assert run(["metrics", base_file]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+class TestUnwritableOutput:
+    """An output path that is a directory is a usage error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["metrics", "{base}", "--json", "{dir}"],
+            ["simulate", "--constellation", "{base}", "--ebn0", "0", "--seed", "0",
+             "--max-vectors", "100", "--noise-free", "--out", "{dir}"],
+            ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
+             "--max-iters", "5", "--seed", "0", "--out", "{dir}"],
+            ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
+             "--max-iters", "5", "--seed", "0", "--out", "{tmp}/c.json",
+             "--trace", "{dir}"],
+        ],
+        ids=["metrics-json", "simulate-out", "optimize-out", "optimize-trace"],
+    )
+    def test_directory_target_exit_2(self, base_file, tmp_path, capsys, argv):
+        target = tmp_path / "taken"
+        target.mkdir()
+        fill = {"base": base_file, "dir": str(target), "tmp": str(tmp_path)}
+        assert run([a.format(**fill) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestSCMABuild:
     def test_default_build(self, tmp_path):

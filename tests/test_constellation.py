@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestMetrics:
         C = cn.cartesian_qpsk(1)
         assert cn.med(C) == pytest.approx(math.sqrt(2.0), abs=1e-12)
         assert cn.mpd(C) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert cn.kissing_number(C, "euclidean") == 4
+        assert cn.distance_profile(C).kissing_med == 4
         assert cn.average_power(C) == pytest.approx(1.0, abs=1e-12)
 
     def test_cartesian_qpsk_k2_known_values(self):
@@ -61,7 +62,7 @@ class TestMetrics:
     def test_product_distance_identical_pair_is_inf(self):
         pts = np.array([[1 + 1j, 1 + 1j, 2.0], [1j, 1j, 3.0]])
         C = cn.Constellation(points=pts)
-        assert math.isinf(cn.product_distance(C, 0, 1))
+        assert math.isinf(cn.pairwise_product(C)[0])
         # the identical pair is excluded from the minimum
         assert math.isfinite(cn.mpd(C))
 
@@ -75,14 +76,7 @@ class TestMetrics:
         # vectors equal in dim 0, gap 2 in dim 1: product over admissible dims
         pts = np.array([[1.0, 1.0], [1.0, 3.0]], dtype=complex)
         C = cn.Constellation(points=pts)
-        assert cn.product_distance(C, 0, 1) == pytest.approx(2.0)
-
-    def test_product_distance_index_validation(self):
-        C = random_constellation(np.random.default_rng(1), 2, 4)
-        with pytest.raises(IndexError):
-            cn.product_distance(C, 2, 1)
-        with pytest.raises(IndexError):
-            cn.product_distance(C, 0, 4)
+        assert cn.pairwise_product(C)[0] == pytest.approx(2.0)
 
     def test_pair_indices_order(self):
         assert cn.pair_indices(4) == [
@@ -90,28 +84,66 @@ class TestMetrics:
         ]
 
 
+def _kissing_bruteforce(d):
+    dmin = min(d)
+    return sum(1 for x in d if x <= dmin * (1.0 + cn.KISSING_REL_TOL))
+
+
+def assert_profile_matches_bruteforce(C):
+    prof = cn.distance_profile(C)
+    amgm = cn.amgm_check(C)
+    K, M = C.K, C.M
+    pe, pp, gap_min, n = [], [], math.inf, 0
+    for i in range(M):
+        for j in range(i + 1, M):
+            gaps = [abs(C.points[k, i] - C.points[k, j]) for k in range(K)]
+            gap_min = min(gap_min, *gaps)
+            pe.append(math.sqrt(sum(g**2 for g in gaps)))
+            prod, any_dim = 1.0, False
+            for gap in gaps:
+                if gap > cn.ZERO_TOL:
+                    prod *= gap
+                    any_dim = True
+            pp.append(prod if any_dim else math.inf)
+            lhs = math.prod(g**2 for g in gaps)
+            rhs = (sum(g**2 for g in gaps) / K) ** K
+            gmax = max(gaps)
+            spread = 0.0 if gmax == 0.0 else (gmax - min(gaps)) / gmax
+            chk = amgm[n]
+            assert chk["pair"] == (i, j)
+            assert chk["lhs"] == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert chk["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0)
+            assert chk["equality"] == (spread <= cn.AMGM_EQ_TOL)
+            n += 1
+    assert len(amgm) == n
+    assert np.allclose(prof.pairwise_euclidean, pe, rtol=1e-12, atol=0)
+    assert np.array_equal(np.isinf(prof.pairwise_product), np.isinf(pp))
+    assert prof.med == pytest.approx(min(pe), rel=1e-12)
+    assert prof.kissing_med == _kissing_bruteforce(pe)
+    assert prof.min_elementwise == pytest.approx(gap_min, rel=1e-12, abs=0)
+    finite = [p for p in pp if math.isfinite(p)]
+    assert np.allclose(prof.pairwise_product[np.isfinite(pp)], finite, rtol=1e-12, atol=0)
+    assert prof.mpd == pytest.approx(min(finite), rel=1e-12)
+    assert prof.kissing_mpd == _kissing_bruteforce(finite)
+
+
 class TestProfileBruteForce:
     @settings(max_examples=20, deadline=None)
     @given(constellations())
     def test_profile_matches_bruteforce(self, C):
-        prof = cn.distance_profile(C)
-        K, M = C.K, C.M
-        pe, pp = [], []
-        for i in range(M):
-            for j in range(i + 1, M):
-                d2 = sum(abs(C.points[k, i] - C.points[k, j]) ** 2 for k in range(K))
-                pe.append(math.sqrt(d2))
-                prod, any_dim = 1.0, False
-                for k in range(K):
-                    gap = abs(C.points[k, i] - C.points[k, j])
-                    if gap > cn.ZERO_TOL:
-                        prod *= gap
-                        any_dim = True
-                pp.append(prod if any_dim else math.inf)
-        assert np.allclose(prof.pairwise_euclidean, pe, rtol=1e-12, atol=0)
-        assert prof.med == pytest.approx(min(pe), rel=1e-12)
-        finite = [p for p in pp if math.isfinite(p)]
-        assert prof.mpd == pytest.approx(min(finite), rel=1e-12)
+        assert_profile_matches_bruteforce(C)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            cn.cartesian_qpsk(1).points,  # ties: kissing numbers above 1
+            cn.cartesian_qpsk(2).points,  # pairs equal in one dimension
+            np.array([[1 + 1j, 1 + 1j, 2.0, 0.0], [1j, 1j, 3.0, 1.0]]),  # identical pair
+            np.array([[0.0, 1.0, -1.0], [0.0, 1.0, 1.0]], dtype=complex),  # AM-GM equality
+        ],
+    )
+    def test_structured_profiles_match_bruteforce(self, pts):
+        assert_profile_matches_bruteforce(cn.Constellation(points=pts))
 
 
 class TestInvariances:
@@ -174,6 +206,12 @@ class TestSerialization:
         C2 = cn.Constellation.load(p)
         assert np.array_equal(C.points, C2.points)
 
+    def test_roundtrip_keeps_signed_zero(self):
+        pts = np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)]])
+        C = cn.Constellation.from_json_dict(cn.Constellation(points=pts).to_json_dict())
+        assert np.signbit(C.points.real).tolist() == [[True, False]]
+        assert np.signbit(C.points.imag).tolist() == [[False, True]]
+
     def test_atomic_write_no_partial_file(self, tmp_path):
         target = tmp_path / "out.json"
         cn.write_json_atomic(str(target), {"x": 1.0 / 3.0})
@@ -195,6 +233,15 @@ class TestSerialization:
         with open(target) as fh:
             d = json.load(fh)
         assert d["x"] is None and d["y"] is None
+
+    def test_output_mode_honours_umask(self, tmp_path):
+        target = tmp_path / "out.json"
+        old = os.umask(0o022)
+        try:
+            cn.write_json_atomic(str(target), {"x": 1})
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == 0o644
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,10 @@ class TestIndicator:
             scma.IndicatorMatrix(rows=np.array([[1, 0], [1, 0]]))
         with pytest.raises(ValueError, match="2-D"):
             scma.IndicatorMatrix(rows=np.array([1, 0]))
+        rows = [[1, 0], [0, 1]]
+        for n, j in [(None, 2), (2, None), (3, 2)]:
+            with pytest.raises(ValueError, match="N/J"):
+                scma.IndicatorMatrix.from_json_dict({"N": n, "J": j, "rows": rows})
 
     def test_json_roundtrip(self, tmp_path):
         F = scma.default_indicator()
@@ -84,6 +88,10 @@ class TestOperators:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(J, K\)"):
             scma.OperatorSet(phases=np.zeros(5))
+
+    def test_null_phase_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            scma.OperatorSet.from_json_dict({"phases": [[0.0, None]]})
 
 
 class TestCodebooks:
