@@ -12,11 +12,14 @@ gap. Per step, since z_q with eta = min_ew(z_q) is feasible for the q-th
 subproblem, ||z_{q+1}|| - ||z_q|| <= lam * (eta_{q+1} - min_ew(z_q)), with
 eta_{q+1} the subproblem's optimal level. The energy ||z||^2 alone is not
 monotone: an iterate may spend energy when the element-wise level gains more.
+
+The start is a complex Gaussian draw rescaled to MED = INIT_MARGIN * D_E,
+redrawn at most INIT_RESAMPLES times; every subproblem is solved with the
+default tolerance and iteration cap of ``socp.solve``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -24,7 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constellation as cn
-from . import qforms, socp
+from . import socp
+
+INIT_MARGIN = 1.05  # start MED as a multiple of d_e_threshold
+INIT_RESAMPLES = 100  # draws before init_feasible gives up
+RESTART_KEYS = (
+    "chain_index", "status", "iterations", "final_energy", "med", "mpd",
+    "max_kkt", "non_optimal_solves", "failure",
+)
 
 
 @dataclass(frozen=True)
@@ -37,9 +47,6 @@ class CCCPConfig:
     max_iters: int = 100
     restarts: int = 20
     seed: int = 0
-    solver_tol: float = 1e-8
-    init_margin: float = 1.05
-    solver_max_newton: int = 800  # cap on interior-point iterations per subproblem
 
     def __post_init__(self):
         if self.K < 1 or self.M < 2:
@@ -111,31 +118,39 @@ def _form_values(z: np.ndarray, K: int, M: int):
     return ew.sum(axis=1), ew, dr, di
 
 
-def init_feasible(
-    K: int,
-    M: int,
-    d_e: float,
-    rng: np.random.Generator,
-    init_margin: float = 1.05,
-    resample_cap: int = 100,
-) -> np.ndarray:
-    """Random complex Gaussian start rescaled to MED = init_margin * d_e.
+def realify(c: np.ndarray) -> np.ndarray:
+    """z = [Re(c); Im(c)], length 2KM."""
+    c = np.asarray(c, dtype=np.complex128).ravel()
+    return np.concatenate([c.real, c.imag])
 
-    Resamples (bounded) if any element-wise gap collapses below 1e-9
-    after scaling, so the auxiliary level can start strictly positive.
+
+def unrealify(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64).ravel()
+    if z.size % 2:
+        raise ValueError("realified vector must have even length")
+    h = z.size // 2
+    return z[:h] + 1j * z[h:]
+
+
+def init_feasible(K: int, M: int, d_e: float, rng: np.random.Generator) -> np.ndarray:
+    """Random complex Gaussian start rescaled to MED = INIT_MARGIN * d_e.
+
+    Redraws (at most INIT_RESAMPLES times) if any element-wise gap
+    collapses below 1e-9 after scaling, so the auxiliary level can start
+    strictly positive.
     """
-    for _ in range(resample_cap):
+    for _ in range(INIT_RESAMPLES):
         c = (rng.standard_normal(K * M) + 1j * rng.standard_normal(K * M)) / math.sqrt(2)
         X = c.reshape(M, K).T  # column m is vector x_m
         C = cn.Constellation(points=X)
         dmin = cn.med(C)
         if dmin <= 0.0:
             continue
-        scale = init_margin * d_e / dmin
+        scale = INIT_MARGIN * d_e / dmin
         c_scaled = c * scale
         if cn.min_elementwise(cn.Constellation(points=X * scale)) > 1e-9:
             return c_scaled
-    raise RuntimeError(f"init_feasible: resample cap ({resample_cap}) exceeded")
+    raise RuntimeError(f"init_feasible: resample cap ({INIT_RESAMPLES}) exceeded")
 
 
 def c_to_constellation(c: np.ndarray, K: int, M: int) -> cn.Constellation:
@@ -175,69 +190,59 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
 
 def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     """One restart: feasible init, iterate linearize/solve until the
-    step norm drops below epsilon or the iteration cap is hit."""
+    step norm drops below epsilon or the iteration cap is hit.
+
+    A start that cannot be drawn, an iterate that loses strict
+    feasibility, or a subproblem the solver cannot handle ends the chain
+    as "failed", keeping the iterations it completed.
+    """
     K, M = config.K, config.M
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, chain_index]))
     de2 = config.d_e_threshold**2
-
-    try:
-        c0 = init_feasible(K, M, config.d_e_threshold, rng, config.init_margin)
-    except RuntimeError as exc:
-        return ChainResult(chain_index, "failed", 0, None, [], math.nan,
-                           math.nan, math.nan, math.nan, failure=str(exc))
-
-    z = qforms.realify(c0)
     trace = []
-    status = "max_iter"
-    iters = 0
-    max_kkt = 0.0
+    status, failure = "max_iter", ""
     non_optimal = 0
 
-    for q in range(1, config.max_iters + 1):
-        try:
-            spec = linearize(z, config)
-            sol = socp.solve(
-                spec, tol=config.solver_tol, max_newton=config.solver_max_newton
+    try:
+        z = realify(init_feasible(K, M, config.d_e_threshold, rng))
+        for q in range(1, config.max_iters + 1):
+            sol = socp.solve(linearize(z, config))
+            if sol.status == "numerical_failure":
+                raise ValueError("subproblem numerical_failure")
+            non_optimal += sol.status != "optimal"
+            step = float(np.linalg.norm(sol.z - z))
+            med_vals, ew_vals, _, _ = _form_values(sol.z, K, M)
+            trace.append(
+                {
+                    "q": q,
+                    "energy": float(sol.z @ sol.z),
+                    "objective": sol.objective,
+                    "eta": sol.eta,
+                    "step_norm": step,
+                    "min_med_slack": float(np.min(med_vals) - de2),
+                    "min_ew_margin": float(np.min(ew_vals) - sol.eta),
+                    "kkt_residual": sol.kkt_residual,
+                    "newton_iters": sol.newton_iters,
+                }
             )
-        except (ValueError, socp.NotStrictlyFeasible) as exc:
-            return ChainResult(chain_index, "failed", q - 1, None, trace,
-                               math.nan, math.nan, math.nan, max_kkt,
-                               failure=str(exc))
-        if sol.status == "numerical_failure":
-            return ChainResult(chain_index, "failed", q - 1, None, trace,
-                               math.nan, math.nan, math.nan, max_kkt,
-                               failure="subproblem numerical_failure")
-        non_optimal += sol.status != "optimal"
-        z_new = sol.z
-        step = float(np.linalg.norm(z_new - z))
-        med_vals, ew_vals, _, _ = _form_values(z_new, K, M)
-        trace.append(
-            {
-                "q": q,
-                "energy": float(z_new @ z_new),
-                "objective": sol.objective,
-                "eta": sol.eta,
-                "step_norm": step,
-                "min_med_slack": float(np.min(med_vals) - de2),
-                "min_ew_margin": float(np.min(ew_vals) - sol.eta),
-                "kkt_residual": sol.kkt_residual,
-                "newton_iters": sol.newton_iters,
-            }
-        )
-        max_kkt = max(max_kkt, sol.kkt_residual)
-        z = z_new
-        iters = q
-        if step <= config.epsilon:
-            status = "converged"
-            break
+            z = sol.z
+            if step <= config.epsilon:
+                status = "converged"
+                break
+    except (RuntimeError, ValueError) as exc:
+        status, failure = "failed", str(exc)
 
-    c_final = qforms.unrealify(z)
+    max_kkt = max((rec["kkt_residual"] for rec in trace), default=math.nan)
+    if status == "failed":
+        return ChainResult(chain_index, status, len(trace), None, trace, math.nan,
+                           math.nan, math.nan, max_kkt, failure=failure)
+    c_final = unrealify(z)
     raw = c_to_constellation(c_final, K, M)
     norm = cn.normalize(raw)
     return ChainResult(
         chain_index=chain_index,
         status=status,
-        iterations=iters,
+        iterations=len(trace),
         c_final=c_final,
         trace=trace,
         final_energy=float(z @ z),
@@ -276,28 +281,10 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
         "mpd": best_chain.mpd,
     }
     best = cn.Constellation(points=cn.normalize(raw).points, meta=meta)
-    summaries = [
-        {
-            "chain_index": ch.chain_index,
-            "status": ch.status,
-            "iterations": ch.iterations,
-            "final_energy": ch.final_energy,
-            "med": ch.med,
-            "mpd": ch.mpd,
-            "max_kkt": ch.max_kkt,
-            "non_optimal_solves": ch.non_optimal_solves,
-            "failure": ch.failure,
-        }
-        for ch in chains
-    ]
     return OptimizeResult(
         best=best,
         best_raw=raw,
         trace=best_chain.trace,
-        all_restarts=summaries,
+        all_restarts=[{k: getattr(ch, k) for k in RESTART_KEYS} for ch in chains],
     )
 
-
-def lambda_sweep(config: CCCPConfig, lambdas: list[float]) -> list[tuple[float, OptimizeResult]]:
-    """Re-run the full optimization for each trade-off value."""
-    return [(lam, optimize(dataclasses.replace(config, lam=lam))) for lam in lambdas]

@@ -27,10 +27,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -67,12 +63,12 @@ def _parse_ebn0(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValidationError(f"bad sweep {text!r}, expected start:step:stop")
+            raise ValueError(f"bad sweep {text!r}, expected start:step:stop")
         start, step, stop = (float(p) for p in parts)
         if not all(math.isfinite(v) for v in (start, step, stop)):
-            raise ValidationError(f"sweep {text!r} needs finite numbers")
+            raise ValueError(f"sweep {text!r} needs finite numbers")
         if step <= 0:
-            raise ValidationError("sweep step must be > 0")
+            raise ValueError("sweep step must be > 0")
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(n)]
     return [float(p) for p in text.split(",") if p.strip()]
@@ -83,8 +79,6 @@ def _parse_ebn0(text: str) -> list[float]:
 
 def cmd_optimize(args) -> int:
     t0 = time.time()
-    if args.M < 2:
-        raise ValidationError("M must be >= 2")
     cfg = cccp.CCCPConfig(
         K=args.K,
         M=args.M,
@@ -175,10 +169,7 @@ def cmd_scma_build(args) -> int:
     )
     base = cn.Constellation.load(args.base)
     ops = scma.OperatorSet.load(args.operators) if args.operators else None
-    try:
-        cbs = scma.build_codebooks(F, base, ops)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    cbs = scma.build_codebooks(F, base, ops)
     cbs.save(args.out)
     inputs = [args.base] + ([args.indicator] if args.indicator else []) + (
         [args.operators] if args.operators else []
@@ -196,14 +187,9 @@ def cmd_simulate(args) -> int:
     ebn0 = _parse_ebn0(args.ebn0)
     spec = sim.SNRSpec(ebn0_db_list=tuple(ebn0))
     if (args.constellation is None) == (args.codebook is None):
-        raise ValidationError("pass exactly one of --constellation / --codebook")
+        raise ValueError("pass exactly one of --constellation / --codebook")
     if args.constellation:
         C = cn.Constellation.load(args.constellation)
-        if 2 ** int(round(math.log2(C.M))) != C.M:
-            raise ValidationError(
-                "M must be >= 2 and a power of 2 for simulation; "
-                "optimization allows any M >= 2"
-            )
         curve = sim.simulate_p2p(
             C,
             channel=args.channel,
@@ -217,7 +203,7 @@ def cmd_simulate(args) -> int:
     else:
         cbs = scma.SCMACodebookSet.load(args.codebook)
         if args.channel != "rayleigh_iid":
-            raise ValidationError("SCMA uplink simulation supports rayleigh_iid only")
+            raise ValueError("SCMA uplink simulation supports rayleigh_iid only")
         curve = sim.simulate_scma_uplink(
             cbs,
             snr=spec,
@@ -287,7 +273,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # JSONDecodeError is a ValueError; FileNotFoundError and an
         # unwritable output path are OSErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -75,10 +75,7 @@ class Constellation:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Constellation":
         require_keys(d, "K", "M", "points")
-        try:
-            raw = np.asarray(d["points"], dtype=np.float64)  # null -> NaN
-        except TypeError as exc:
-            raise ValueError(f"points must hold numbers: {exc}") from exc
+        raw = json_floats(d["points"], "points")
         if raw.shape != (d["M"], d["K"], 2):
             raise ValueError("points shape does not match K/M")
         meta = d.get("meta", {})
@@ -106,6 +103,15 @@ def _nonfinite_to_null(obj):
     if isinstance(obj, (list, tuple)):
         return [_nonfinite_to_null(v) for v in obj]
     return obj
+
+
+def json_floats(value, name: str) -> np.ndarray:
+    """A loaded JSON array as float64 (null -> NaN); a ValueError, not a
+    TypeError, if it holds an object or another non-number."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{name} must hold numbers: {exc}") from exc
 
 
 def require_keys(d, *keys) -> None:

@@ -3,13 +3,14 @@
 With c = vec(C) in C^(KM), the squared Euclidean distance of a vector pair
 is c^H E_ij c and the squared per-dimension gap is c^H B_ijk c, where both
 matrices are sparse, symmetric, and carry only +/-1 entries. The solver
-works over the realified vector z = [Re(c); Im(c)], for which
-c^H A c = z^T blockdiag(A, A) z.
+works over the realified vector z = [Re(c); Im(c)] (``cccp.realify``), for
+which c^H A c = z^T blockdiag(A, A) z.
 
 Forms are evaluated one at a time from their index structure (O(K) per
 pair form, O(1) per element-wise form), or built as explicit matrices for
 inspecting the patterns. The CCCP hot path evaluates all forms at once from
-index arrays (``cccp.linearize``); the functions here are its test oracle.
+index arrays (``cccp.linearize``); this module is only its test oracle, and
+nothing else in the package imports it.
 """
 
 from __future__ import annotations
@@ -82,20 +83,6 @@ def build_B(i: int, j: int, k: int, K: int, M: int) -> SparseSymMatrix:
     return SparseSymMatrix(
         order=K * M, entries=((p, p, 1), (q, q, 1), (p, q, -1), (q, p, -1))
     )
-
-
-def realify(c: np.ndarray) -> np.ndarray:
-    """z = [Re(c); Im(c)], length 2KM."""
-    c = np.asarray(c, dtype=np.complex128).ravel()
-    return np.concatenate([c.real, c.imag])
-
-
-def unrealify(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.size % 2:
-        raise ValueError("realified vector must have even length")
-    h = z.size // 2
-    return z[:h] + 1j * z[h:]
 
 
 def _positions(idx: QuadFormIndex) -> tuple[np.ndarray, np.ndarray]:

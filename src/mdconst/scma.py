@@ -18,6 +18,7 @@ from . import kernels
 from .constellation import (
     Constellation,
     average_power,
+    json_floats,
     require_keys,
     write_json_atomic,
 )
@@ -37,11 +38,12 @@ class IndicatorMatrix:
     rows: np.ndarray  # (N, J) binary
 
     def __post_init__(self):
-        F = np.asarray(self.rows, dtype=np.int64)
+        F = np.asarray(self.rows)
         if F.ndim != 2:
             raise ValueError("indicator matrix must be 2-D")
-        if not np.all((F == 0) | (F == 1)):
+        if not np.all((F == 0) | (F == 1)):  # before the cast, which truncates
             raise ValueError("indicator entries must be 0/1")
+        F = F.astype(np.int64)
         w = F.sum(axis=0)
         if np.any(w < 1):
             raise ValueError("every user must occupy at least one resource")
@@ -72,7 +74,7 @@ class IndicatorMatrix:
     @classmethod
     def from_json_dict(cls, d: dict) -> "IndicatorMatrix":
         require_keys(d, "N", "J", "rows")
-        F = cls(rows=np.asarray(d["rows"]))
+        F = cls(rows=json_floats(d["rows"], "indicator rows"))
         if (F.N, F.J) != (d["N"], d["J"]):
             raise ValueError("indicator matrix N/J fields disagree with rows")
         return F
@@ -133,7 +135,7 @@ class OperatorSet:
     @classmethod
     def from_json_dict(cls, d: dict) -> "OperatorSet":
         require_keys(d, "phases")
-        return cls(phases=np.asarray(d["phases"]))
+        return cls(phases=json_floats(d["phases"], "phases"))
 
     def save(self, path: str) -> None:
         write_json_atomic(path, self.to_json_dict())

@@ -159,14 +159,15 @@ def _kkt_residual(A, b, c, v, y, y_c) -> float:
 def solve(
     spec: SubproblemSpec,
     tol: float = 1e-8,
-    max_newton: int = 200,
+    max_newton: int = 800,
     trace: bool = False,
 ) -> SubproblemSolution:
     """Minimize t - lam*eta subject to the cone and the affine rows.
 
     Returns the primal point with its row multipliers ``y`` and cone
     multiplier ``y_cone``. ``max_newton`` caps the interior-point
-    iterations. Status "optimal" means gap and stationarity residual are at
+    iterations; the default 800 is far above the ~10-20 a CCCP subproblem
+    takes, so ``cccp`` relies on it and passes no solver arguments. Status "optimal" means gap and stationarity residual are at
     most ``tol``; "max_iter" means the cap came first (the point is still
     primal feasible); "numerical_failure" means the normal matrix could
     not be solved, a step was not finite, or rounding put an iterate on

@@ -113,7 +113,7 @@ def test_criterion_3_cccp_structure(table1):
             # z_0 and min_ew(z_0) exactly as run_chain draws them
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, ch.chain_index]))
-            c0 = cccp.init_feasible(K, M, cfg.d_e_threshold, rng, cfg.init_margin)
+            c0 = cccp.init_feasible(K, M, cfg.d_e_threshold, rng)
             norm = float(np.linalg.norm(c0))
             min_ew = cn.min_elementwise(cccp.c_to_constellation(c0, K, M)) ** 2
             for rec in ch.trace:
@@ -189,7 +189,7 @@ def test_criterion_4_quadratic_form_oracles():
         for t in range(count):
             C = random_constellation(rng, K, M)
             c = C.points.T.ravel()
-            z = qforms.realify(c)
+            z = cccp.realify(c)
             for ix, A in zip(idxs, dense):
                 implicit = qforms.qf_value(ix, z)
                 explicit = float(np.real(np.conj(c) @ (A @ c)))

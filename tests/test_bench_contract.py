@@ -1,0 +1,42 @@
+"""The benchmark's traced run still sees the package's layers.
+
+``mdbench/layers.py`` replaces module attributes (``cccp.run_chain``,
+``socp.solve``, ``kernels.mpa_detect_batch``, ...) and reads some call
+arguments by position. A change that renames one of those names, calls it
+past the module attribute, or reorders the arguments a hook reads would
+leave those per-layer counts at zero without failing the benchmark; this
+test fails instead.
+"""
+
+import os
+import sys
+from types import SimpleNamespace
+
+from mdconst import cccp, constellation, kernels, qforms, scma, sim, socp
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "mdbench")
+)
+import layers  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+WRAPPED = (cccp, constellation, kernels, qforms, scma, sim, socp)
+
+
+def test_wrapped_layers_count_calls():
+    pkg = SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in WRAPPED})
+    tr = Tracer()
+    layers.install(tr, pkg)
+    try:
+        C = cccp.optimize(cccp.CCCPConfig(K=2, M=4, restarts=1, max_iters=3)).best
+        snr = sim.SNRSpec((10.0,))
+        sim.simulate_p2p(C, "rayleigh_iid", snr, 0, min_bit_errors=10**6, max_vectors=100)
+        cbs = scma.build_codebooks(scma.default_indicator(), C)
+        sim.simulate_scma_uplink(cbs, snr, 0, min_bit_errors=10**6, max_vectors=20)
+    finally:
+        tr.restore()
+    assert not hasattr(cccp.run_chain, "mdbench_wraps")
+    got = layers.metrics(tr)
+    for name in ("cccp.chains", "socp.solves", "kernels.ml_calls", "kernels.mpa_calls",
+                 "kernels.mpa_combos_per_vec"):
+        assert got[name] > 0, name

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -38,10 +37,17 @@ class TestConfig:
 class TestInit:
     def test_init_feasible_margins(self):
         rng = np.random.default_rng(0)
-        c0 = cccp.init_feasible(2, 4, 1.0, rng, init_margin=1.05)
+        c0 = cccp.init_feasible(2, 4, 1.0, rng)
         C = cccp.c_to_constellation(c0, 2, 4)
-        assert cn.med(C) == pytest.approx(1.05, rel=1e-9)
+        assert cn.med(C) == pytest.approx(cccp.INIT_MARGIN, rel=1e-9)
         assert cn.min_elementwise(C) > 1e-9
+
+    def test_realify_roundtrip(self):
+        rng = np.random.default_rng(0)
+        c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        assert np.array_equal(cccp.unrealify(cccp.realify(c)), c)
+        with pytest.raises(ValueError):
+            cccp.unrealify(np.zeros(3))
 
     def test_vec_convention(self):
         # column m of the constellation is the m-th K-block of c
@@ -55,7 +61,7 @@ class TestLinearize:
         K, M = 2, 4
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(1)
-        z = qforms.realify(cccp.init_feasible(K, M, 1.0, rng))
+        z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
         spec = cccp.linearize(z, cfg)
         P = M * (M - 1) // 2
         assert spec.A.shape == (P + K * P, 2 * K * M + 2)
@@ -71,7 +77,7 @@ class TestLinearize:
         K, M = 2, 3
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(2)
-        z = qforms.realify(cccp.init_feasible(K, M, 1.0, rng))
+        z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
         spec = cccp.linearize(z, cfg)
         med_idx, _ = pair_forms(K, M)
         for g, h, idx in zip(spec.A[:, 1:-1], spec.b, med_idx):
@@ -91,7 +97,7 @@ class TestLinearize:
         P, n = len(med_idx), 2 * K * M
         assert len(ew_idx) == P * K
         for _ in range(5):
-            z = qforms.realify(cccp.init_feasible(K, M, 1.0, rng))
+            z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
             spec = cccp.linearize(z, cfg)
             A_ref = np.zeros((P + len(ew_idx), n + 2))
             b_ref = np.empty(len(A_ref))
@@ -137,6 +143,35 @@ class TestChains:
         a = cccp.run_chain(cfg, 0)
         b = cccp.run_chain(cfg, 1)
         assert not np.array_equal(a.c_final, b.c_final)
+
+    def test_init_failure_is_a_failed_chain(self, monkeypatch):
+        def no_start(*args):
+            raise RuntimeError("init_feasible: resample cap (100) exceeded")
+
+        monkeypatch.setattr(cccp, "init_feasible", no_start)
+        ch = cccp.run_chain(small_config(), 0)
+        assert ch.status == "failed"
+        assert (ch.iterations, ch.trace, ch.c_final) == (0, [], None)
+        assert math.isnan(ch.max_kkt)
+        assert "resample cap" in ch.failure
+
+    def test_linearize_failure_keeps_completed_iterations(self, monkeypatch):
+        real_linearize = cccp.linearize
+        calls = []
+
+        def third_fails(z, config):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("CCCP invariant violated: test")
+            return real_linearize(z, config)
+
+        monkeypatch.setattr(cccp, "linearize", third_fails)
+        ch = cccp.run_chain(small_config(max_iters=20, epsilon=1e-12), 0)
+        assert ch.status == "failed"
+        assert ch.iterations == 2 and len(ch.trace) == 2
+        assert ch.max_kkt == max(rec["kkt_residual"] for rec in ch.trace)
+        assert "CCCP invariant violated: test" in ch.failure
+        assert ch.c_final is None and math.isnan(ch.med)
 
     def test_termination_rule(self):
         cfg = small_config(max_iters=100)
@@ -211,18 +246,3 @@ class TestOptimize:
         assert [s["non_optimal_solves"] for s in res.all_restarts] == [
             cccp.run_chain(cfg, i).iterations for i in range(2)
         ]
-
-    def test_lambda_sweep_keeps_every_other_field(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cccp, "optimize", lambda cfg: seen.append(cfg) or cfg)
-        base = cccp.CCCPConfig(
-            K=3, M=8, d_e_threshold=2.0, epsilon=1e-3, max_iters=7, restarts=3,
-            seed=11, solver_tol=1e-6, init_margin=1.2, solver_max_newton=123,
-        )
-        out = cccp.lambda_sweep(base, [0.25, 0.75])
-        assert [lam for lam, _ in out] == [0.25, 0.75]
-        assert [cfg.lam for cfg in seen] == [0.25, 0.75]
-        for cfg in seen:
-            for f in dataclasses.fields(cccp.CCCPConfig):
-                if f.name != "lam":
-                    assert getattr(cfg, f.name) == getattr(base, f.name), f.name

@@ -237,6 +237,20 @@ class TestSimulate:
         assert rc == 0
         assert out.read_text().startswith("ebn0_db,")
 
+    def test_null_indicator_entry_exit_2(self, codebook_file, tmp_path, capsys):
+        with open(codebook_file) as fh:
+            doc = json.load(fh)
+        doc["indicator"]["rows"][0][0] = None
+        bad = tmp_path / "bad_cb.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "scma.csv"
+        rc = run(["simulate", "--codebook", str(bad),
+                  "--channel", "rayleigh_iid", "--ebn0", "0",
+                  "--seed", "2", "--max-vectors", "100", "--out", str(out)])
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_mpa_iters_exit_2(self, codebook_file, tmp_path, capsys):
         out = tmp_path / "scma.csv"
         rc = run(["simulate", "--codebook", codebook_file,

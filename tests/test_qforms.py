@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_constellation
 from mdconst import constellation as cn
-from mdconst import qforms
+from mdconst import cccp, qforms
 
 E12_K2_M4 = np.zeros((8, 8))
 E12_K2_M4[:4, :4] = [
@@ -59,14 +59,6 @@ def test_elementwise_forms_sum_to_pair_form(K, M):
         assert np.array_equal(E, S)
 
 
-def test_realify_roundtrip():
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    assert np.array_equal(qforms.unrealify(qforms.realify(c)), c)
-    with pytest.raises(ValueError):
-        qforms.unrealify(np.zeros(3))
-
-
 def _blockdiag(A):
     n = A.shape[0]
     Z = np.zeros((2 * n, 2 * n))
@@ -85,7 +77,7 @@ def test_implicit_explicit_direct_agree(km, seed):
     rng = np.random.default_rng(seed)
     C = random_constellation(rng, K, M)
     c = C.points.T.ravel()  # vec convention: column m occupies block m
-    z = qforms.realify(c)
+    z = cccp.realify(c)
     for i, j in cn.pair_indices(M):
         idx = qforms.euclidean_pair(i, j, K, M)
         direct = float(np.sum(np.abs(C.points[:, i] - C.points[:, j]) ** 2))

@@ -37,6 +37,12 @@ class TestIndicator:
         for n, j in [(None, 2), (2, None), (3, 2)]:
             with pytest.raises(ValueError, match="N/J"):
                 scma.IndicatorMatrix.from_json_dict({"N": n, "J": j, "rows": rows})
+        # a null, an object or a fraction in the rows is an error, not a
+        # TypeError and not silently truncated to an integer
+        for bad, msg in [(None, "0/1"), ({}, "numbers"), (0.5, "0/1")]:
+            with pytest.raises(ValueError, match=msg):
+                scma.IndicatorMatrix.from_json_dict(
+                    {"N": 2, "J": 2, "rows": [[bad, 1], [1, 0]]})
 
     def test_json_roundtrip(self, tmp_path):
         F = scma.default_indicator()
@@ -92,6 +98,8 @@ class TestOperators:
     def test_null_phase_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             scma.OperatorSet.from_json_dict({"phases": [[0.0, None]]})
+        with pytest.raises(ValueError, match="numbers"):
+            scma.OperatorSet.from_json_dict({"phases": [[0.0, {}]]})
 
 
 class TestCodebooks:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_objective, random_tiny_spec
-from mdconst import cccp, qforms, socp
+from mdconst import cccp, socp
 
 
 def simple_spec(lam=0.25):
@@ -124,7 +124,7 @@ def captured_28_spec():
     """The linearization a (2,8) chain solves at its fourth CCCP step."""
     cfg = cccp.CCCPConfig(K=2, M=8)
     rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
-    z = qforms.realify(cccp.init_feasible(2, 8, 1.0, rng))
+    z = cccp.realify(cccp.init_feasible(2, 8, 1.0, rng))
     for _ in range(3):
         z = socp.solve(cccp.linearize(z, cfg)).z
     return cccp.linearize(z, cfg)
