@@ -235,7 +235,8 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     max_kkt = max((rec["kkt_residual"] for rec in trace), default=math.nan)
     if status == "failed":
         return ChainResult(chain_index, status, len(trace), None, trace, math.nan,
-                           math.nan, math.nan, max_kkt, failure=failure)
+                           math.nan, math.nan, max_kkt, failure=failure,
+                           non_optimal_solves=non_optimal)
     c_final = unrealify(z)
     raw = c_to_constellation(c_final, K, M)
     norm = cn.normalize(raw)

@@ -106,8 +106,16 @@ def _nonfinite_to_null(obj):
 
 
 def json_floats(value, name: str) -> np.ndarray:
-    """A loaded JSON array as float64 (null -> NaN); a ValueError, not a
-    TypeError, if it holds an object or another non-number."""
+    """A loaded JSON array as float64 (null -> NaN); a ValueError naming
+    ``name``, not a TypeError, if it holds a string, a boolean, an object
+    or another non-number. numpy would read "1" and true as 1.0."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, (str, bool)):
+            raise ValueError(f"{name} must hold numbers, not {json.dumps(v)}")
     try:
         return np.asarray(value, dtype=np.float64)
     except TypeError as exc:

@@ -11,6 +11,18 @@ Layouts:
     res_users (N, dmax) padded with -1, res_deg (N,), user_res (J, K)
     -> posteriors (B, J, M), hard decisions (B, J).
 
+ML detection. Expanding the squared norm,
+
+  ||y - h x_m||^2 = ||y||^2 + sum_k |h_k|^2 |x_{k,m}|^2
+                    - 2 Re sum_k conj(y_k) h_k x_{k,m}.
+
+||y||^2 is the same for every m, so it cannot change the argmin and is
+dropped. With g = conj(y) h, the rest is one real product
+F @ W of the features F = [|h|^2, Re g, Im g] (B, 3K) and the weights
+W = [|X|^2; -2 Re X; 2 Im X] (3K, M); no (B, K, M) residual is built.
+Ties go to the lowest index m, as ``np.argmin`` returns the first
+minimum.
+
 MPA function-node update. For resource n with users p = 0..d-1, every
 combination of their symbols is one cell of a tensor with one axis per
 user and the batch last, (M, ..., M, B):
@@ -46,14 +58,25 @@ BACKEND = "numpy"
 
 
 def ml_detect_batch(y, h, points):
-    """Nearest-codeword detection, argmin of sum_k |y_k - h_k x_{m,k}|^2."""
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    h = np.ascontiguousarray(h, dtype=np.complex128)
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    # residual tensor (B, K, M); memory is the caller's chunking problem
-    r = y[:, :, None] - h[:, :, None] * points[None, :, :]
-    d = np.sum(r.real**2 + r.imag**2, axis=1)
-    return np.argmin(d, axis=1).astype(np.int64)
+    """Nearest-codeword detection, argmin of sum_k |y_k - h_k x_{m,k}|^2.
+
+    The distances less ||y||^2, as one product (B, 3K) @ (3K, M); see the
+    module docstring.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    X = np.asarray(points, dtype=np.complex128)
+    K = X.shape[0]
+    # F is filled in place: stacking its three parts with np.hstack made
+    # the kernel ~1.5x slower at M=4
+    F = np.empty((y.shape[0], 3 * K))
+    F[:, :K] = h.real**2 + h.imag**2
+    g = y.conj()
+    g *= h
+    F[:, K:2 * K] = g.real
+    F[:, 2 * K:] = g.imag
+    W = np.concatenate([np.abs(X) ** 2, -2.0 * X.real, 2.0 * X.imag])
+    return np.argmin(F @ W, axis=1).astype(np.int64, copy=False)
 
 
 def _ml_detect_loops(y, h, points):

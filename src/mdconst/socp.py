@@ -167,8 +167,10 @@ def solve(
     Returns the primal point with its row multipliers ``y`` and cone
     multiplier ``y_cone``. ``max_newton`` caps the interior-point
     iterations; the default 800 is far above the ~10-20 a CCCP subproblem
-    takes, so ``cccp`` relies on it and passes no solver arguments. Status "optimal" means gap and stationarity residual are at
-    most ``tol``; "max_iter" means the cap came first (the point is still
+    takes, so ``cccp`` relies on it and passes no solver arguments.
+
+    Status "optimal" means gap and stationarity residual are at most
+    ``tol``; "max_iter" means the cap came first (the point is still
     primal feasible); "numerical_failure" means the normal matrix could
     not be solved, a step was not finite, or rounding put an iterate on
     the boundary of its cone.

@@ -246,3 +246,20 @@ class TestOptimize:
         assert [s["non_optimal_solves"] for s in res.all_restarts] == [
             cccp.run_chain(cfg, i).iterations for i in range(2)
         ]
+
+    def test_failed_chain_keeps_non_optimal_count(self, monkeypatch):
+        real_solve = socp.solve
+        calls = []
+
+        def capped_then_fail(spec, **kw):
+            sol = real_solve(spec, **kw)
+            calls.append(sol)
+            sol.status = "max_iter" if len(calls) <= 2 else "numerical_failure"
+            return sol
+
+        monkeypatch.setattr(socp, "solve", capped_then_fail)
+        ch = cccp.run_chain(small_config(max_iters=10), 0)
+        assert len(calls) == 3
+        assert ch.status == "failed"
+        assert ch.iterations == 2
+        assert ch.non_optimal_solves == 2

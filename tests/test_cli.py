@@ -94,8 +94,11 @@ class TestMetrics:
             {"K": None, "M": 2, "points": [[[0, 0]], [[1, 0]]]},
             {"K": 1, "M": 2, "points": [[[{}, 0]], [[1, 0]]]},
             {"K": 1, "M": 2, "points": [[[0, 0]], [[1, 0]]], "meta": [1]},
+            {"K": 1, "M": 2, "points": [[["0", 0]], [[1, 0]]]},
+            {"K": 1, "M": 2, "points": [[[0, 0]], [[True, 0]]]},
         ],
-        ids=["null-point", "null-K", "object-point", "list-meta"],
+        ids=["null-point", "null-K", "object-point", "list-meta", "string-point",
+             "true-point"],
     )
     def test_malformed_values_exit_2(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"

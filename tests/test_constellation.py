@@ -243,6 +243,14 @@ class TestSerialization:
             os.umask(old)
         assert target.stat().st_mode & 0o777 == 0o644
 
+    @pytest.mark.parametrize("bad", ["1", "0.5", True, False])
+    def test_string_or_bool_point_rejected(self, bad):
+        # numpy would read "1" and true as 1.0
+        with pytest.raises(ValueError, match="points must hold numbers"):
+            cn.Constellation.from_json_dict(
+                {"K": 1, "M": 2, "points": [[[0.0, 0.0]], [[bad, 0.0]]]}
+            )
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cn.Constellation.from_json_dict(

@@ -1,8 +1,21 @@
+import math
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mdconst import kernels, scma
 from mdconst import constellation as cn
+
+FIXTURE_C24 = pathlib.Path(__file__).parents[1] / "mdbench" / "fixtures" / "c24_seed0.json"
+
+
+def _ml_constellation(name):
+    """The stored (2,4) design (M=4) or Cartesian QPSK^2 (M=16)."""
+    if name == "c24":
+        return cn.Constellation.load(str(FIXTURE_C24))
+    return cn.cartesian_qpsk(2)
 
 
 def _rand_p2p(rng, B=500, K=3, M=8):
@@ -108,6 +121,55 @@ class TestLoopOracles:
         y = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         H = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
         _assert_matches_loops(cbs, y, H, 0.5, 4)
+
+
+class TestMLDetect:
+    """The expanded-norm product against the residual-form loop oracle."""
+
+    @pytest.mark.parametrize("name", ["c24", "qpsk2"])
+    def test_noise_free_exact_recovery(self, name):
+        pts = _ml_constellation(name).points
+        K, M = pts.shape
+        rng = np.random.default_rng(10)
+        for m in range(M):
+            h = (rng.standard_normal((200, K)) + 1j * rng.standard_normal((200, K))) / math.sqrt(2)
+            out = kernels.ml_detect_batch(h * pts[:, m], h, pts)
+            assert np.all(out == m)
+
+    @pytest.mark.parametrize("channel", ["rayleigh", "awgn"])
+    @pytest.mark.parametrize("ebn0_db", [0.0, 20.0])
+    @pytest.mark.parametrize("name", ["c24", "qpsk2"])
+    def test_matches_loops(self, name, ebn0_db, channel):
+        pts = _ml_constellation(name).points
+        K, M = pts.shape
+        B = 2000
+        rng = np.random.default_rng(11)
+        if channel == "rayleigh":
+            h = (rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))) / math.sqrt(2)
+        else:
+            h = np.ones((B, K), dtype=complex)
+        n0 = 1.0 / (math.log2(M) * 10.0 ** (ebn0_db / 10.0))
+        noise = rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
+        y = h * pts[:, rng.integers(0, M, size=B)].T + math.sqrt(n0 / 2) * noise
+        assert np.array_equal(
+            kernels.ml_detect_batch(y, h, pts), kernels._ml_detect_loops(y, h, pts)
+        )
+
+    def test_peak_memory_has_no_residual_tensor(self):
+        # a (B, K, M) complex residual alone is 10 MiB here; the product
+        # needs the (B, 3K) features and the (B, M) metrics, ~4 MiB
+        rng = np.random.default_rng(12)
+        B, K = 20_000, 2
+        pts = cn.cartesian_qpsk(K).points
+        y = rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
+        h = rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
+        tracemalloc.start()
+        try:
+            kernels.ml_detect_batch(y, h, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestFunctionNode:

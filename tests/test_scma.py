@@ -44,6 +44,13 @@ class TestIndicator:
                 scma.IndicatorMatrix.from_json_dict(
                     {"N": 2, "J": 2, "rows": [[bad, 1], [1, 0]]})
 
+    @pytest.mark.parametrize("bad", ["1", True])
+    def test_string_or_bool_row_rejected(self, bad):
+        # numpy would read both as 1 and load the identity
+        with pytest.raises(ValueError, match="indicator rows must hold numbers"):
+            scma.IndicatorMatrix.from_json_dict(
+                {"N": 2, "J": 2, "rows": [[bad, 0], [0, 1]]})
+
     def test_json_roundtrip(self, tmp_path):
         F = scma.default_indicator()
         p = tmp_path / "F.json"
@@ -100,6 +107,11 @@ class TestOperators:
             scma.OperatorSet.from_json_dict({"phases": [[0.0, None]]})
         with pytest.raises(ValueError, match="numbers"):
             scma.OperatorSet.from_json_dict({"phases": [[0.0, {}]]})
+
+    @pytest.mark.parametrize("bad", ["0.5", True])
+    def test_string_or_bool_phase_rejected(self, bad):
+        with pytest.raises(ValueError, match="phases must hold numbers"):
+            scma.OperatorSet.from_json_dict({"phases": [[0.0, bad]]})
 
 
 class TestCodebooks:
