@@ -14,8 +14,8 @@ eta_{q+1} the subproblem's optimal level. The energy ||z||^2 alone is not
 monotone: an iterate may spend energy when the element-wise level gains more.
 
 The start is a complex Gaussian draw rescaled to MED = INIT_MARGIN * D_E,
-redrawn at most INIT_RESAMPLES times; every subproblem is solved with the
-default tolerance and iteration cap of ``socp.solve``.
+redrawn at most INIT_RESAMPLES times; every subproblem is solved to
+``socp.TOL`` within ``socp.MAX_ITER`` interior-point iterations.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ class CCCPConfig:
     def __post_init__(self):
         if self.K < 1 or self.M < 2:
             raise ValueError("need K >= 1 and M >= 2")
-        if self.lam <= 0 or self.d_e_threshold <= 0 or self.epsilon <= 0:
-            raise ValueError("lam, d_e_threshold and epsilon must be > 0")
+        # a range test, not "<= 0": a NaN fails every comparison
+        positive = (self.lam, self.d_e_threshold, self.epsilon)
+        if not all(0 < v < math.inf for v in positive):
+            raise ValueError("lam, d_e_threshold and epsilon must be finite and > 0")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
 

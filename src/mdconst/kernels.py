@@ -9,7 +9,8 @@ Layouts:
   ML detection: y (B, K), h (B, K), points (K, M) -> (B,) symbol indices.
   MPA detection: y (B, N), H (B, N, J), codebooks (J, N, M),
     res_users (N, dmax) padded with -1, res_deg (N,), user_res (J, K)
-    -> posteriors (B, J, M), hard decisions (B, J).
+    -> posteriors (B, J, M), hard decisions (B, J). The three graph
+    arrays are those ``scma.IndicatorMatrix`` builds once per indicator.
 
 ML detection. Expanding the squared norm,
 

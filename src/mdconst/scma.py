@@ -36,6 +36,10 @@ DEFAULT_INDICATOR_ROWS = (
 @dataclass(frozen=True)
 class IndicatorMatrix:
     rows: np.ndarray  # (N, J) binary
+    # the factor graph, read-only like rows; indices ascend, -1 pads res_users
+    user_res: np.ndarray = field(init=False, repr=False, compare=False)  # (J, K)
+    res_users: np.ndarray = field(init=False, repr=False, compare=False)  # (N, dmax)
+    res_deg: np.ndarray = field(init=False, repr=False, compare=False)  # (N,)
 
     def __post_init__(self):
         F = np.asarray(self.rows)
@@ -49,9 +53,17 @@ class IndicatorMatrix:
             raise ValueError("every user must occupy at least one resource")
         if np.any(w != w[0]):
             raise ValueError("all indicator columns must have equal weight")
-        F = np.ascontiguousarray(F)
-        F.flags.writeable = False
-        object.__setattr__(self, "rows", F)
+        # The factor graph, built once. A stable argsort of 1 - F puts the
+        # occupied entries of each row first, in increasing order.
+        res_deg = F.sum(axis=1)
+        res_users = np.argsort(1 - F, axis=1, kind="stable")[:, : res_deg.max()]
+        res_users[np.arange(res_users.shape[1]) >= res_deg[:, None]] = -1
+        user_res = np.argsort(1 - F.T, axis=1, kind="stable")[:, : w[0]]
+        for name, arr in (("rows", F), ("user_res", user_res),
+                          ("res_users", res_users), ("res_deg", res_deg)):
+            arr = np.ascontiguousarray(arr, dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def N(self) -> int:
@@ -63,10 +75,7 @@ class IndicatorMatrix:
 
     @property
     def column_weight(self) -> int:
-        return int(self.rows[:, 0].sum())
-
-    def row_weights(self) -> np.ndarray:
-        return self.rows.sum(axis=1)
+        return self.user_res.shape[1]
 
     def to_json_dict(self) -> dict:
         return {"N": self.N, "J": self.J, "rows": self.rows.tolist()}
@@ -97,20 +106,6 @@ def overloading_factor(F: IndicatorMatrix) -> float:
     return F.J / F.N
 
 
-def mapping_from_indicator(F: IndicatorMatrix, j: int) -> np.ndarray:
-    """Binary N x K selection matrix for user j (0-based).
-
-    Constellation dimension k lands on the k-th occupied resource of the
-    user, in increasing resource order; diag(V V^T) equals column j of F.
-    """
-    if not (0 <= j < F.J):
-        raise IndexError(f"user index {j} out of range for J={F.J}")
-    res = np.flatnonzero(F.rows[:, j])
-    V = np.zeros((F.N, res.size), dtype=np.int64)
-    V[res, np.arange(res.size)] = 1
-    return V
-
-
 @dataclass(frozen=True)
 class OperatorSet:
     """Per-user diagonal unit-modulus operators, stored as phase angles."""
@@ -125,9 +120,6 @@ class OperatorSet:
             raise ValueError("phases must be finite (a JSON null is NaN)")
         ph.flags.writeable = False
         object.__setattr__(self, "phases", ph)
-
-    def operator(self, j: int) -> np.ndarray:
-        return np.diag(np.exp(1j * self.phases[j]))
 
     def to_json_dict(self) -> dict:
         return {"phases": self.phases.tolist()}
@@ -153,14 +145,11 @@ def default_operators(F: IndicatorMatrix, M: int) -> OperatorSet:
     2*pi*r / (d_f * M) for rank r = 0, 1, ..., on whichever of their own
     dimensions maps to that resource.
     """
-    K = F.column_weight
-    phases = np.zeros((F.J, K))
+    phases = np.zeros((F.J, F.column_weight))
     for n in range(F.N):
-        users = np.flatnonzero(F.rows[n])
-        d_f = users.size
-        for rank, j in enumerate(users):
-            k = int(np.flatnonzero(np.flatnonzero(F.rows[:, j]) == n)[0])
-            phases[j, k] = 2.0 * math.pi * rank / (d_f * M)
+        d_f = int(F.res_deg[n])
+        for rank, j in enumerate(F.res_users[n, :d_f]):
+            phases[j, F.user_res[j] == n] = 2.0 * math.pi * rank / (d_f * M)
     return OperatorSet(phases=phases)
 
 
@@ -195,7 +184,6 @@ class SCMACodebookSet:
         out = []
         for j in range(self.J):
             cbj = self.codebooks[j]
-            nz = np.flatnonzero(np.any(np.abs(cbj) > 0, axis=1))
             out.append(
                 {
                     "K": self.N,
@@ -204,7 +192,7 @@ class SCMACodebookSet:
                         [[float(z.real), float(z.imag)] for z in cbj[:, m]]
                         for m in range(self.M)
                     ],
-                    "sparsity": nz.tolist(),
+                    "sparsity": self.indicator.user_res[j].tolist(),
                     "meta": {"user": j, **self.meta},
                 }
             )
@@ -235,7 +223,8 @@ class SCMACodebookSet:
 def build_codebooks(
     F: IndicatorMatrix, base: Constellation, ops: OperatorSet | None = None
 ) -> SCMACodebookSet:
-    """Codebook of user j = V_j diag(e^{i phi_j}) (base constellation)."""
+    """Codebook of user j = V_j diag(e^{i phi_j}) (base), i.e. the rotated
+    base written into rows ``user_res[j]``."""
     K = F.column_weight
     if base.K != K:
         raise ValueError(
@@ -248,41 +237,14 @@ def build_codebooks(
             f"operator set shape {ops.phases.shape} does not match (J, K)=({F.J}, {K})"
         )
     cb = np.zeros((F.J, F.N, base.M), dtype=np.complex128)
-    for j in range(F.J):
-        V = mapping_from_indicator(F, j)
-        cb[j] = V @ (ops.operator(j) @ base.points)
+    rotated = np.exp(1j * ops.phases)[:, :, None] * base.points  # (J, K, M)
+    cb[np.arange(F.J)[:, None], F.user_res] = rotated
     return SCMACodebookSet(codebooks=cb, indicator=F, operators=ops, base=base)
 
 
 def per_user_power(cbs: SCMACodebookSet) -> np.ndarray:
     """Average codeword energy per user."""
     return np.sum(np.abs(cbs.codebooks) ** 2, axis=(1, 2)) / cbs.M
-
-
-def _graph_arrays(F: IndicatorMatrix):
-    dmax = int(np.max(F.row_weights()))
-    res_users = np.full((F.N, dmax), -1, dtype=np.int64)
-    res_deg = np.zeros(F.N, dtype=np.int64)
-    for n in range(F.N):
-        users = np.flatnonzero(F.rows[n])
-        res_deg[n] = users.size
-        res_users[n, : users.size] = users
-    user_res = np.zeros((F.J, F.column_weight), dtype=np.int64)
-    for j in range(F.J):
-        user_res[j] = np.flatnonzero(F.rows[:, j])
-    return res_users, res_deg, user_res
-
-
-def mpa_detect(
-    y: np.ndarray,
-    H: np.ndarray,
-    cbs: SCMACodebookSet,
-    n0: float,
-    iters: int = 10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior (J, M) and hard decisions (J,) for one received vector."""
-    post, hard = mpa_detect_batch(y[None, :], H[None, :, :], cbs, n0, iters)
-    return post[0], hard[0]
 
 
 def mpa_detect_batch(
@@ -305,9 +267,9 @@ def mpa_detect_batch(
     H = np.asarray(H, dtype=np.complex128)
     if y.shape[1] != cbs.N or H.shape[1:] != (cbs.N, cbs.J):
         raise ValueError("y/H dimensions do not match the codebook set")
-    res_users, res_deg, user_res = _graph_arrays(cbs.indicator)
+    F = cbs.indicator
     return kernels.mpa_detect_batch(
-        y, H, cbs.codebooks, res_users, res_deg, user_res, n0, iters
+        y, H, cbs.codebooks, F.res_users, F.res_deg, F.user_res, n0, iters
     )
 
 

@@ -25,7 +25,7 @@ iterate starts from the given strict start, moved off the cone boundary,
 and stays feasible; the dual starts from the least-squares solution of
 the stationarity equation, shifted into the cone, and becomes feasible as
 the iterations proceed. The solver stops when the gap and the largest
-stationarity residual are both at most ``tol``.
+stationarity residual are both at most ``TOL``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+#: Stopping tolerance: the gap and the largest stationarity residual.
+TOL = 1e-8
+#: Interior-point iteration cap, far above the ~10-20 a CCCP subproblem takes.
+MAX_ITER = 800
 #: Share of the largest step to the cone boundary taken per iteration.
 #: 0.99 lost dual-cone centrality on 1 of ~3,000 Table-1 solves; 0.95 on none.
 STEP = 0.95
@@ -156,27 +160,18 @@ def _kkt_residual(A, b, c, v, y, y_c) -> float:
     return max(float(np.max(np.abs(r_stat))), primal, dual, gap)
 
 
-def solve(
-    spec: SubproblemSpec,
-    tol: float = 1e-8,
-    max_newton: int = 800,
-    trace: bool = False,
-) -> SubproblemSolution:
+def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
     """Minimize t - lam*eta subject to the cone and the affine rows.
 
     Returns the primal point with its row multipliers ``y`` and cone
-    multiplier ``y_cone``. ``max_newton`` caps the interior-point
-    iterations; the default 800 is far above the ~10-20 a CCCP subproblem
-    takes, so ``cccp`` relies on it and passes no solver arguments.
+    multiplier ``y_cone``.
 
     Status "optimal" means gap and stationarity residual are at most
-    ``tol``; "max_iter" means the cap came first (the point is still
-    primal feasible); "numerical_failure" means the normal matrix could
-    not be solved, a step was not finite, or rounding put an iterate on
-    the boundary of its cone.
+    ``TOL``; "max_iter" means ``MAX_ITER`` iterations came first (the
+    point is still primal feasible); "numerical_failure" means the normal
+    matrix could not be solved, a step was not finite, or rounding put an
+    iterate on the boundary of its cone.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     A, b = spec.A, spec.b
     v = np.array(spec.start, dtype=np.float64)
     m, k = A.shape[0], A.shape[1] - 1
@@ -221,10 +216,10 @@ def solve(
         r_dual = c - A.T @ y
         r_dual[:k] -= y_c
         gap = float(s @ y) + float(v[:k] @ y_c)
-        if gap <= tol and float(np.max(np.abs(r_dual))) <= tol:
+        if gap <= TOL and float(np.max(np.abs(r_dual))) <= TOL:
             status = "optimal"
             break
-        if iters >= max_newton:
+        if iters >= MAX_ITER:
             break
 
         # Scaling: W = diag(sqrt(s/y)) on the rows, NT scaling on the cone.

@@ -40,3 +40,5 @@ def test_wrapped_layers_count_calls():
     for name in ("cccp.chains", "socp.solves", "kernels.ml_calls", "kernels.mpa_calls",
                  "kernels.mpa_combos_per_vec"):
         assert got[name] > 0, name
+    # 10 MPA iterations x 4 resources x 4**3 symbol combinations each
+    assert got["kernels.mpa_combos_per_vec"] == 10 * 4 * 4**3 == 2560

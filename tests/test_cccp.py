@@ -25,6 +25,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             cccp.CCCPConfig(K=2, M=4, restarts=0)
 
+    @pytest.mark.parametrize("field", ["lam", "d_e_threshold", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        # NaN passed a "<= 0" check: a NaN epsilon switched off the
+        # step-norm stop and a NaN or infinite lam or threshold ended in a
+        # numerical failure
+        with pytest.raises(ValueError, match="finite and > 0"):
+            cccp.CCCPConfig(K=2, M=4, **{field: value})
+
     def test_defaults(self):
         cfg = cccp.CCCPConfig(K=2, M=4)
         assert cfg.lam == 0.5

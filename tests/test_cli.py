@@ -59,6 +59,15 @@ class TestOptimize:
                   "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--de", "--epsilon"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exit_2(self, tmp_path, flag, value):
+        out = tmp_path / "x.json"
+        rc = run(["optimize", "--K", "2", "--M", "4", "--restarts", "2",
+                  "--max-iters", "20", "--seed", "0", flag, value, "--out", str(out)])
+        assert rc == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMetrics:
     def test_report(self, base_file, tmp_path, capsys):

@@ -64,7 +64,8 @@ def lse_paths(monkeypatch):
 
 
 def _assert_matches_loops(cbs, y, H, n0, iters):
-    args = scma._graph_arrays(cbs.indicator)
+    F = cbs.indicator
+    args = (F.res_users, F.res_deg, F.user_res)
     pa, ha = kernels.mpa_detect_batch(y, H, cbs.codebooks, *args, n0, iters)
     pb, hb = kernels._mpa_detect_loops(y, H, cbs.codebooks, *args, n0, iters)
     assert np.all(np.isfinite(pa))

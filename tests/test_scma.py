@@ -21,7 +21,7 @@ class TestIndicator:
         F = scma.default_indicator()
         assert (F.N, F.J) == (4, 6)
         assert F.column_weight == 2
-        assert np.all(F.row_weights() == 3)
+        assert np.all(F.res_deg == 3)
         assert scma.overloading_factor(F) == pytest.approx(1.5)
 
     def test_validation(self):
@@ -59,21 +59,42 @@ class TestIndicator:
         assert np.array_equal(F.rows, G.rows)
 
 
-class TestMapping:
-    def test_diag_vvt_is_indicator_column(self):
-        F = scma.default_indicator()
-        for j in range(F.J):
-            V = scma.mapping_from_indicator(F, j)
-            assert np.array_equal(np.diag(V @ V.T), F.rows[:, j])
-            # columns of V are orthonormal
-            assert np.array_equal(V.T @ V, np.eye(F.column_weight, dtype=np.int64))
+def _graph_by_loops(rows):
+    """user_res, res_users (padded with -1) and res_deg, read off the rows."""
+    N, J = rows.shape
+    user_res = [[n for n in range(N) if rows[n, j]] for j in range(J)]
+    res_users = [[j for j in range(J) if rows[n, j]] for n in range(N)]
+    dmax = max(len(u) for u in res_users)
+    padded = [u + [-1] * (dmax - len(u)) for u in res_users]
+    return user_res, padded, [len(u) for u in res_users]
 
-    def test_index_validation(self):
-        F = scma.default_indicator()
-        with pytest.raises(IndexError):
-            scma.mapping_from_indicator(F, 6)
-        with pytest.raises(IndexError):
-            scma.mapping_from_indicator(F, -1)
+
+GRAPH_INDICATORS = {
+    "default": np.array(scma.DEFAULT_INDICATOR_ROWS),
+    "permuted": np.array(scma.DEFAULT_INDICATOR_ROWS)[:, [3, 0, 5, 1, 4, 2]],
+    # resource 1 is idle and the others carry 3, 2 and 3 users
+    "idle-resource": np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 1]]),
+}
+
+
+class TestFactorGraph:
+    @pytest.mark.parametrize("name", list(GRAPH_INDICATORS))
+    def test_arrays_match_loops(self, name):
+        rows = GRAPH_INDICATORS[name]
+        F = scma.IndicatorMatrix(rows=rows)
+        user_res, res_users, res_deg = _graph_by_loops(rows)
+        assert F.user_res.tolist() == user_res
+        assert F.res_users.tolist() == res_users
+        assert F.res_deg.tolist() == res_deg
+        assert F.column_weight == len(user_res[0])
+
+    @pytest.mark.parametrize("name", list(GRAPH_INDICATORS))
+    def test_arrays_read_only(self, name):
+        F = scma.IndicatorMatrix(rows=GRAPH_INDICATORS[name])
+        for arr in (F.rows, F.user_res, F.res_users, F.res_deg):
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestOperators:
@@ -92,11 +113,6 @@ class TestOperators:
                 got.append(ops.phases[j, k])
             expect = [2 * np.pi * r / (d_f * M) for r in range(d_f)]
             assert got == pytest.approx(expect)
-
-    def test_operator_unit_modulus(self):
-        ops = scma.default_operators(scma.default_indicator(), 4)
-        U = ops.operator(2)
-        assert np.allclose(np.abs(np.diag(U)), 1.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match=r"\(J, K\)"):
@@ -119,6 +135,16 @@ class TestCodebooks:
         F = cbs24.indicator
         occupied = np.any(np.abs(cbs24.codebooks) > 1e-12, axis=2)
         assert np.array_equal(occupied.T.astype(np.int64), F.rows)
+
+    def test_json_sparsity_from_indicator(self):
+        # a zero base dimension leaves an occupied resource at 0 in every
+        # codeword; the JSON still lists it, as the indicator does
+        F = scma.default_indicator()
+        base = cn.Constellation(points=np.array([[1, 1j, -1, -1j], [0, 0, 0, 0]]))
+        records = scma.build_codebooks(F, base).to_json_list()
+        assert records[0]["sparsity"] == [1, 3]
+        for j, rec in enumerate(records):
+            assert rec["sparsity"] == np.flatnonzero(F.rows[:, j]).tolist()
 
     def test_per_user_power_unit(self, cbs24):
         assert scma.per_user_power(cbs24) == pytest.approx(
@@ -172,7 +198,8 @@ class TestDetection:
         for _ in range(20):
             y = rng.standard_normal(1) + 1j * rng.standard_normal(1)
             H = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
-            post, hard = scma.mpa_detect(y, H, cbs, n0=0.5, iters=1)
+            post, hard = scma.mpa_detect_batch(y[None], H[None], cbs, n0=0.5, iters=1)
+            post, hard = post[0], hard[0]
             exact = scma.joint_ml_marginals(y, H, cbs, n0=0.5)
             assert post == pytest.approx(exact, abs=1e-10)
             assert np.array_equal(hard, np.argmax(exact, axis=1))
@@ -181,7 +208,8 @@ class TestDetection:
         rng = np.random.default_rng(9)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         H = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) / np.sqrt(2)
-        post, hard = scma.mpa_detect(y, H, cbs24, n0=1.0, iters=30)
+        post, hard = scma.mpa_detect_batch(y[None], H[None], cbs24, n0=1.0, iters=30)
+        post, hard = post[0], hard[0]
         exact = scma.joint_ml_marginals(y, H, cbs24, n0=1.0)
         assert np.array_equal(hard, np.argmax(post, axis=1))
         # loopy but typically accurate; hard decisions should agree here
@@ -199,9 +227,9 @@ class TestDetection:
         y = np.zeros(4, dtype=complex)
         H = np.zeros((4, 6), dtype=complex)
         with pytest.raises(ValueError, match="iters"):
-            scma.mpa_detect(y, H, cbs24, n0=1.0, iters=0)
+            scma.mpa_detect_batch(y[None], H[None], cbs24, n0=1.0, iters=0)
         with pytest.raises(ValueError, match="n0"):
-            scma.mpa_detect(y, H, cbs24, n0=0.0)
+            scma.mpa_detect_batch(y[None], H[None], cbs24, n0=0.0)
         for bad in (np.inf, np.nan, -1.0):
             with pytest.raises(ValueError, match="n0"):
                 scma.mpa_detect_batch(y[None], H[None], cbs24, n0=bad)

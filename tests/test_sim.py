@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mdconst import scma, sim
+from mdconst import kernels, scma, sim
 from mdconst import constellation as cn
 
 
@@ -14,24 +14,9 @@ def qpsk2():
 
 
 class TestBitMapping:
-    def test_roundtrip(self):
-        for nbits in (1, 2, 3, 4):
-            for idx in range(2**nbits):
-                bits = sim.demap(idx, nbits)
-                assert sim.map_bits(bits) == idx
-                assert len(bits) == nbits
-
-    def test_big_endian(self):
-        assert sim.map_bits((1, 0)) == 2
-        assert sim.demap(6, 3) == (1, 1, 0)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="power of 2"):
             sim.bits_per_symbol(3)
-        with pytest.raises(ValueError, match="0/1"):
-            sim.map_bits((0, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            sim.demap(8, 3)
 
     def test_bits_per_symbol(self):
         assert sim.bits_per_symbol(4) == 2
@@ -57,17 +42,19 @@ class TestMLDetect:
         for m in (0, 5, 15):
             y = qpsk2.points[:, m]
             h = np.ones(2, dtype=complex)
-            assert sim.ml_detect(y, h, qpsk2) == m
+            assert kernels.ml_detect_batch(y[None], h[None], qpsk2.points)[0] == m
 
     def test_fading_compensated(self, qpsk2):
         rng = np.random.default_rng(3)
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert sim.ml_detect(h * qpsk2.points[:, 9], h, qpsk2) == 9
+        y = h * qpsk2.points[:, 9]
+        assert kernels.ml_detect_batch(y[None], h[None], qpsk2.points)[0] == 9
 
     def test_tie_breaks_to_lowest_index(self):
         # two identical points: y equidistant, index 0 must win
         C = cn.Constellation(points=np.array([[1.0 + 0j, 1.0 + 0j]]))
-        assert sim.ml_detect(np.array([0.0 + 0j]), np.ones(1, dtype=complex), C) == 0
+        y, h = np.array([[0.0 + 0j]]), np.ones((1, 1), dtype=complex)
+        assert kernels.ml_detect_batch(y, h, C.points)[0] == 0
 
 
 class TestP2P:

@@ -21,10 +21,6 @@ def simple_spec(lam=0.25):
 
 
 class TestValidation:
-    def test_tol_positive(self):
-        with pytest.raises(ValueError):
-            socp.solve(simple_spec(), tol=0.0)
-
     def test_dimension_mismatch(self):
         spec = simple_spec()
         for start in (spec.start[:-1], np.append(spec.start, 0.0)):
@@ -59,11 +55,11 @@ class TestSolve:
 
     def test_solution_feasible_and_kkt(self):
         spec = simple_spec()
-        sol = socp.solve(spec, tol=1e-8)
+        sol = socp.solve(spec)
         v = np.concatenate([[sol.t], sol.z, [sol.eta]])
         assert np.min(spec.A @ v - spec.b) >= -1e-9
         assert np.linalg.norm(sol.z) <= sol.t + 1e-9
-        assert sol.kkt_residual <= 1e-7  # 10 * tol
+        assert sol.kkt_residual <= 1e-7  # 10 * socp.TOL
 
     def test_cone_tightness_at_optimum(self):
         # objective includes +t, so the cone is active: t = ||z||
@@ -83,14 +79,13 @@ class TestSolve:
     def test_trace_duality_measure(self):
         # one (degree / mu, iteration, mu) row per iteration; the duality
         # measure stays positive and ends at or below the tolerance
-        tol = 1e-8
-        sol = socp.solve(simple_spec(), tol=tol, trace=True)
+        sol = socp.solve(simple_spec(), trace=True)
         assert len(sol.trace) == sol.newton_iters > 0
         for tau, it, mu in sol.trace:
             assert mu > 0.0
             assert tau == pytest.approx(4 / mu)  # degree: 3 rows + 1 cone
         assert [it for _, it, _ in sol.trace] == list(range(1, sol.newton_iters + 1))
-        assert sol.trace[-1][2] <= tol
+        assert sol.trace[-1][2] <= socp.TOL
 
     def test_deterministic(self):
         s1 = socp.solve(simple_spec())
@@ -131,13 +126,13 @@ def captured_28_spec():
 
 
 class TestKKT:
-    def _check(self, spec, tol=1e-8):
-        sol = socp.solve(spec, tol=tol)
+    def _check(self, spec):
+        sol = socp.solve(spec)
         assert sol.status == "optimal"
         assert sol.y.shape == (spec.A.shape[0],)
         assert sol.y_cone.shape == (spec.A.shape[1] - 1,)
         viol = kkt_violations(spec, sol)
-        assert max(viol.values()) <= 10 * tol, viol
+        assert max(viol.values()) <= 10 * socp.TOL, viol
         assert sol.kkt_residual == pytest.approx(max(viol.values()), abs=1e-12)
 
     def test_simple_spec(self):
@@ -151,9 +146,11 @@ class TestKKT:
     def test_captured_28_linearization(self):
         self._check(captured_28_spec())
 
-    def test_iteration_cap_returns_max_iter(self):
-        for spec in (simple_spec(), captured_28_spec()):
-            sol = socp.solve(spec, max_newton=1)
+    def test_iteration_cap_returns_max_iter(self, monkeypatch):
+        specs = (simple_spec(), captured_28_spec())
+        monkeypatch.setattr(socp, "MAX_ITER", 1)
+        for spec in specs:
+            sol = socp.solve(spec)
             assert sol.status == "max_iter"
             assert sol.newton_iters == 1
             assert np.all(np.isfinite(sol.z))
