@@ -35,20 +35,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items() if k != "func"}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
-    return str(obj)
-
-
 def _write_manifest(out_path, command, config, seed, inputs, outputs, t0):
     manifest = {
         "command": command,
-        "config": _jsonable(config),
+        "config": {k: v for k, v in config.items() if k != "func"},
         "seed": seed,
         "version": __version__,
         "inputs": {p: _sha256(p) for p in inputs},
@@ -228,11 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="design a constellation")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p.add_argument("--de", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1e-4)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--restarts", type=int, default=20)
+    defaults = cccp.CCCPConfig
+    p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
+    p.add_argument("--de", type=float, default=defaults.d_e_threshold)
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="per-iteration CSV for the winning chain")

@@ -33,65 +33,7 @@ KISSING_REL_TOL = 1e-6
 AMGM_EQ_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Constellation:
-    """K x M complex constellation; column i is the vector x_i."""
-
-    points: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        if pts.ndim != 2:
-            raise ValueError("points must be a 2-D (K x M) array")
-        K, M = pts.shape
-        if K < 1:
-            raise ValueError("K must be >= 1")
-        if M < 2:
-            raise ValueError("M must be >= 2")
-        if not np.all(np.isfinite(pts.real)) or not np.all(np.isfinite(pts.imag)):
-            raise ValueError("points must be finite (no NaN/Inf)")
-        pts = np.ascontiguousarray(pts)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def K(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.points.shape[1]
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        pts = [
-            [[float(z.real), float(z.imag)] for z in self.points[:, m]]
-            for m in range(self.M)
-        ]
-        return {"K": self.K, "M": self.M, "points": pts, "meta": dict(self.meta)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Constellation":
-        require_keys(d, "K", "M", "points")
-        raw = json_floats(d["points"], "points")
-        if raw.shape != (d["M"], d["K"], 2):
-            raise ValueError("points shape does not match K/M")
-        meta = d.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ValueError("meta must be a JSON object")
-        # each [re, im] pair is one complex128 in memory: exact, keeps -0.0
-        pts = raw.view(np.complex128)[:, :, 0].T
-        return cls(points=pts, meta=dict(meta))
-
-    def save(self, path: str) -> None:
-        write_json_atomic(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path: str) -> "Constellation":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+# -- JSON files ------------------------------------------------------------
 
 
 def _nonfinite_to_null(obj):
@@ -154,6 +96,72 @@ def write_json_atomic(path: str, data: dict) -> None:
     """Write JSON atomically; floats keep Python's shortest round-trip repr,
     NaN and inf become null."""
     write_text_atomic(path, json.dumps(_nonfinite_to_null(data), indent=1) + "\n")
+
+
+class JsonFile:
+    """``save``/``load`` for a type stored as one JSON object, through its
+    ``to_json_dict`` and ``from_json_dict``."""
+
+    def save(self, path: str) -> None:
+        write_json_atomic(path, self.to_json_dict())
+
+    @classmethod
+    def load(cls, path: str):
+        with open(path) as fh:
+            return cls.from_json_dict(json.load(fh))
+
+
+@dataclass(frozen=True)
+class Constellation(JsonFile):
+    """K x M complex constellation; column i is the vector x_i."""
+
+    points: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=np.complex128)
+        if pts.ndim != 2:
+            raise ValueError("points must be a 2-D (K x M) array")
+        K, M = pts.shape
+        if K < 1:
+            raise ValueError("K must be >= 1")
+        if M < 2:
+            raise ValueError("M must be >= 2")
+        if not np.all(np.isfinite(pts.real)) or not np.all(np.isfinite(pts.imag)):
+            raise ValueError("points must be finite (no NaN/Inf)")
+        pts = np.ascontiguousarray(pts)
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def K(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def M(self) -> int:
+        return self.points.shape[1]
+
+    # -- serialization ---------------------------------------------------
+
+    def to_json_dict(self) -> dict:
+        pts = [
+            [[float(z.real), float(z.imag)] for z in self.points[:, m]]
+            for m in range(self.M)
+        ]
+        return {"K": self.K, "M": self.M, "points": pts, "meta": dict(self.meta)}
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "Constellation":
+        require_keys(d, "K", "M", "points")
+        raw = json_floats(d["points"], "points")
+        if raw.shape != (d["M"], d["K"], 2):
+            raise ValueError("points shape does not match K/M")
+        meta = d.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError("meta must be a JSON object")
+        # each [re, im] pair is one complex128 in memory: exact, keeps -0.0
+        pts = raw.view(np.complex128)[:, :, 0].T
+        return cls(points=pts, meta=dict(meta))
 
 
 def pair_indices(M: int) -> list[tuple[int, int]]:

@@ -8,20 +8,13 @@ operator and embedded into the N resources its indicator column selects.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .constellation import (
-    Constellation,
-    average_power,
-    json_floats,
-    require_keys,
-    write_json_atomic,
-)
+from .constellation import Constellation, JsonFile, json_floats, require_keys
 
 #: The widely used 4 resources x 6 users indicator matrix (column weight 2,
 #: row weight 3).
@@ -34,7 +27,7 @@ DEFAULT_INDICATOR_ROWS = (
 
 
 @dataclass(frozen=True)
-class IndicatorMatrix:
+class IndicatorMatrix(JsonFile):
     rows: np.ndarray  # (N, J) binary
     # the factor graph, read-only like rows; indices ascend, -1 pads res_users
     user_res: np.ndarray = field(init=False, repr=False, compare=False)  # (J, K)
@@ -45,6 +38,8 @@ class IndicatorMatrix:
         F = np.asarray(self.rows)
         if F.ndim != 2:
             raise ValueError("indicator matrix must be 2-D")
+        if F.shape[1] < 1:
+            raise ValueError("indicator matrix must have at least one user")
         if not np.all((F == 0) | (F == 1)):  # before the cast, which truncates
             raise ValueError("indicator entries must be 0/1")
         F = F.astype(np.int64)
@@ -88,14 +83,6 @@ class IndicatorMatrix:
             raise ValueError("indicator matrix N/J fields disagree with rows")
         return F
 
-    def save(self, path: str) -> None:
-        write_json_atomic(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path: str) -> "IndicatorMatrix":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def default_indicator() -> IndicatorMatrix:
     return IndicatorMatrix(rows=np.array(DEFAULT_INDICATOR_ROWS))
@@ -107,7 +94,7 @@ def overloading_factor(F: IndicatorMatrix) -> float:
 
 
 @dataclass(frozen=True)
-class OperatorSet:
+class OperatorSet(JsonFile):
     """Per-user diagonal unit-modulus operators, stored as phase angles."""
 
     phases: np.ndarray  # (J, K) radians
@@ -129,14 +116,6 @@ class OperatorSet:
         require_keys(d, "phases")
         return cls(phases=json_floats(d["phases"], "phases"))
 
-    def save(self, path: str) -> None:
-        write_json_atomic(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path: str) -> "OperatorSet":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def default_operators(F: IndicatorMatrix, M: int) -> OperatorSet:
     """Phase scheme separating colliding users on every resource.
@@ -154,14 +133,13 @@ def default_operators(F: IndicatorMatrix, M: int) -> OperatorSet:
 
 
 @dataclass(frozen=True)
-class SCMACodebookSet:
+class SCMACodebookSet(JsonFile):
     """J sparse codebooks; codebooks[j] is N x M, column m a codeword."""
 
     codebooks: np.ndarray  # (J, N, M) complex
     indicator: IndicatorMatrix
     operators: OperatorSet
     base: Constellation
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         cb = np.ascontiguousarray(np.asarray(self.codebooks, dtype=np.complex128))
@@ -180,39 +158,25 @@ class SCMACodebookSet:
     def M(self) -> int:
         return self.codebooks.shape[2]
 
-    def to_json_list(self) -> list:
-        out = []
-        for j in range(self.J):
-            cbj = self.codebooks[j]
-            out.append(
-                {
-                    "K": self.N,
-                    "M": self.M,
-                    "points": [
-                        [[float(z.real), float(z.imag)] for z in cbj[:, m]]
-                        for m in range(self.M)
-                    ],
-                    "sparsity": self.indicator.user_res[j].tolist(),
-                    "meta": {"user": j, **self.meta},
-                }
-            )
-        return out
-
-    def save(self, path: str) -> None:
-        write_json_atomic(
-            path,
-            {
-                "codebooks": self.to_json_list(),
-                "indicator": self.indicator.to_json_dict(),
-                "operators": self.operators.to_json_dict(),
-                "base": self.base.to_json_dict(),
-            },
-        )
+    def to_json_dict(self) -> dict:
+        # each record is an N x M Constellation; "sparsity" goes before "meta"
+        records = [
+            Constellation(points=cb, meta={"user": j}).to_json_dict()
+            for j, cb in enumerate(self.codebooks)
+        ]
+        for rec, res in zip(records, self.indicator.user_res):
+            rec["sparsity"] = res.tolist()
+            rec["meta"] = rec.pop("meta")
+        return {
+            "codebooks": records,
+            "indicator": self.indicator.to_json_dict(),
+            "operators": self.operators.to_json_dict(),
+            "base": self.base.to_json_dict(),
+        }
 
     @classmethod
-    def load(cls, path: str) -> "SCMACodebookSet":
-        with open(path) as fh:
-            d = json.load(fh)
+    def from_json_dict(cls, d: dict) -> "SCMACodebookSet":
+        """Rebuilt from indicator, operators and base; "codebooks" is not read."""
         require_keys(d, "indicator", "operators", "base")
         F = IndicatorMatrix.from_json_dict(d["indicator"])
         ops = OperatorSet.from_json_dict(d["operators"])

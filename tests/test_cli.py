@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mdconst import cli, scma
+from mdconst import cccp, cli, scma
 from mdconst import constellation as cn
 
 
@@ -35,6 +36,15 @@ class TestOptimize:
         assert str(out) in man["outputs"]
         header = trace.read_text().splitlines()[0]
         assert header.startswith("q,energy,objective,eta,step_norm")
+
+    def test_defaults_are_cccp_config_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["optimize", "--K", "2", "--M", "4", "--seed", "0", "--out", "c.json"])
+        defaults = {f.name: f.default for f in dataclasses.fields(cccp.CCCPConfig)}
+        for dest, name in [("lam", "lam"), ("de", "d_e_threshold"),
+                           ("epsilon", "epsilon"), ("max_iters", "max_iters"),
+                           ("restarts", "restarts")]:
+            assert getattr(args, dest) == defaults[name], dest
 
     def test_manifest_counts_non_optimal_solves(self, tmp_path):
         out = tmp_path / "c.json"
@@ -172,6 +182,38 @@ class TestSCMABuild:
         rc = run(["scma-build", "--base", str(base3),
                   "--out", str(tmp_path / "cb2.json")])
         assert rc == 2
+
+
+    def test_operators_file(self, tmp_path):
+        base = tmp_path / "base.json"
+        pts = cn.cartesian_qpsk(1).points
+        C = cn.Constellation(points=np.vstack([pts, pts * 1j]) / np.sqrt(2))
+        C.save(str(base))
+        F = scma.default_indicator()
+        ops = scma.OperatorSet(
+            phases=np.random.default_rng(7).uniform(-np.pi, np.pi, (F.J, 2)))
+        ops_file = tmp_path / "ops.json"
+        ops.save(str(ops_file))
+        assert np.array_equal(scma.OperatorSet.load(str(ops_file)).phases, ops.phases)
+        out = tmp_path / "cb.json"
+        rc = run(["scma-build", "--base", str(base), "--operators", str(ops_file),
+                  "--out", str(out)])
+        assert rc == 0
+        cbs = scma.SCMACodebookSet.load(str(out))
+        assert np.array_equal(cbs.operators.phases, ops.phases)
+        assert np.array_equal(cbs.codebooks, scma.build_codebooks(F, C, ops).codebooks)
+        man = json.loads((tmp_path / "cb.json.manifest.json").read_text())
+        assert str(ops_file) in man["inputs"]
+
+    def test_indicator_without_users_exit_2(self, base_file, tmp_path, capsys):
+        ind = tmp_path / "ind.json"
+        ind.write_text(json.dumps({"N": 2, "J": 0, "rows": [[], []]}))
+        out = tmp_path / "cb.json"
+        rc = run(["scma-build", "--base", base_file, "--indicator", str(ind),
+                  "--out", str(out)])
+        assert rc == 2
+        assert "at least one user" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

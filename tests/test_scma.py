@@ -1,9 +1,13 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from mdconst import scma
 from mdconst import constellation as cn
 from mdconst.cccp import CCCPConfig, optimize
+
+FIXTURE_C24 = pathlib.Path(__file__).parents[1] / "mdbench" / "fixtures" / "c24_seed0.json"
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,11 @@ class TestIndicator:
         with pytest.raises(ValueError, match="indicator rows must hold numbers"):
             scma.IndicatorMatrix.from_json_dict(
                 {"N": 2, "J": 2, "rows": [[bad, 0], [0, 1]]})
+
+    def test_no_users_rejected(self):
+        # a (2, 0) indicator passed the 0/1 check and failed at w[0]
+        with pytest.raises(ValueError, match="at least one user"):
+            scma.IndicatorMatrix(rows=np.zeros((2, 0)))
 
     def test_json_roundtrip(self, tmp_path):
         F = scma.default_indicator()
@@ -141,7 +150,7 @@ class TestCodebooks:
         # codeword; the JSON still lists it, as the indicator does
         F = scma.default_indicator()
         base = cn.Constellation(points=np.array([[1, 1j, -1, -1j], [0, 0, 0, 0]]))
-        records = scma.build_codebooks(F, base).to_json_list()
+        records = scma.build_codebooks(F, base).to_json_dict()["codebooks"]
         assert records[0]["sparsity"] == [1, 3]
         for j, rec in enumerate(records):
             assert rec["sparsity"] == np.flatnonzero(F.rows[:, j]).tolist()
@@ -239,3 +248,29 @@ class TestDetection:
             scma.mpa_detect_batch(np.zeros((1, 3), dtype=complex),
                                   np.zeros((1, 3, 6), dtype=complex),
                                   cbs24, n0=1.0)
+
+
+@pytest.mark.parametrize("cls", [
+    cn.Constellation, scma.IndicatorMatrix, scma.OperatorSet, scma.SCMACodebookSet,
+], ids=lambda c: c.__name__)
+def test_load_save_keeps_bytes(cls, tmp_path):
+    # every file type goes through one codec: load, then save, gives back
+    # the original bytes (key order, float repr, "sparsity" before "meta")
+    base = cn.Constellation.load(str(FIXTURE_C24))
+    F = scma.IndicatorMatrix(rows=np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
+    ops = scma.OperatorSet(phases=np.linspace(-np.pi, 0.3, 6).reshape(3, 2))
+    objects = {
+        cn.Constellation: base,
+        scma.IndicatorMatrix: F,
+        scma.OperatorSet: ops,
+        scma.SCMACodebookSet: scma.build_codebooks(F, base, ops),
+    }
+    orig, again = tmp_path / "orig.json", tmp_path / "again.json"
+    if cls is cn.Constellation:
+        orig.write_bytes(FIXTURE_C24.read_bytes())
+    else:
+        objects[cls].save(str(orig))
+    loaded = cls.load(str(orig))
+    assert type(loaded) is cls
+    loaded.save(str(again))
+    assert again.read_bytes() == orig.read_bytes()
