@@ -221,7 +221,8 @@ def mpa_detect_batch(
     """Batch MPA: y (B, N), H (B, N, J) -> posteriors (B, J, M), hard (B, J).
 
     Raises ``ValueError`` unless iters >= 1 (with no iteration the
-    posteriors stay uniform) and 0 < n0 < inf.
+    posteriors stay uniform), 0 < n0 < inf and y and H have these shapes
+    with one batch size B.
     """
     if iters < 1:
         raise ValueError(f"MPA iters must be >= 1, got {iters}")
@@ -229,8 +230,17 @@ def mpa_detect_batch(
         raise ValueError(f"MPA noise variance n0 must be finite and > 0, got {n0}")
     y = np.asarray(y, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
-    if y.shape[1] != cbs.N or H.shape[1:] != (cbs.N, cbs.J):
-        raise ValueError("y/H dimensions do not match the codebook set")
+    if (
+        y.ndim != 2
+        or H.ndim != 3
+        or y.shape[0] != H.shape[0]
+        or y.shape[1] != cbs.N
+        or H.shape[1:] != (cbs.N, cbs.J)
+    ):
+        raise ValueError(
+            f"y/H dimensions do not match the codebook set: y {y.shape} and "
+            f"H {H.shape} must be (B, N) and (B, N, J) with N={cbs.N}, J={cbs.J}"
+        )
     F = cbs.indicator
     return kernels.mpa_detect_batch(
         y, H, cbs.codebooks, F.res_users, F.res_deg, F.user_res, n0, iters

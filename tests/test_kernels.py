@@ -50,9 +50,10 @@ def _sent_scma(rng, base, B, n0):
 
 @pytest.fixture()
 def lse_paths(monkeypatch):
-    """Batch sizes handed to the shared and the per-edge function-node paths."""
-    seen = {"shared": [], "per_edge": []}
-    for name, key in (("_shared_lse", "shared"), ("_per_edge_lse", "per_edge")):
+    """Batch sizes handed to the probability-domain and the log-domain
+    (per-edge) function-node paths."""
+    seen = {"prob": [], "per_edge": []}
+    for name, key in (("_sum_product", "prob"), ("_per_edge_lse", "per_edge")):
         fn = getattr(kernels, name)
 
         def spy(base, *rest, fn=fn, key=key):
@@ -93,7 +94,7 @@ class TestLoopOracles:
         rng = np.random.default_rng(5)
         cbs, y, H, _ = _sent_scma(rng, cn.cartesian_qpsk(2), B=2, n0=0.025)
         _assert_matches_loops(cbs, y, H, 0.025, 3)
-        assert lse_paths["shared"]
+        assert lse_paths["prob"]
 
     @pytest.mark.parametrize("M", [4, 16])
     def test_mpa_noise_free(self, M, lse_paths):
@@ -104,7 +105,7 @@ class TestLoopOracles:
         cbs, y, H, tx = _sent_scma(rng, base, B=B, n0=None)
         hard = _assert_matches_loops(cbs, y, H, 1e-9, iters)
         assert np.array_equal(hard, tx)
-        assert lse_paths["per_edge"] and not lse_paths["shared"]
+        assert lse_paths["per_edge"] and not lse_paths["prob"]
 
     def test_mpa_mixed_underflow_rows(self, lse_paths):
         rng = np.random.default_rng(7)
@@ -112,7 +113,31 @@ class TestLoopOracles:
         y[2] *= 100.0
         _assert_matches_loops(cbs, y, H, 0.05, 6)
         mixed = [b for b in lse_paths["per_edge"] if 0 < b < 6]
-        assert mixed and lse_paths["shared"]
+        assert mixed and lse_paths["prob"]
+
+    @pytest.mark.parametrize("ebn0_db", [15.0, 20.0, 25.0])
+    @pytest.mark.parametrize("name", ["c24", "qpsk2"])
+    def test_mpa_high_snr(self, name, ebn0_db, lse_paths):
+        # whole slices of E = exp(dist - rowmax), or of its products with
+        # the incoming messages, fall below the double range in some rows:
+        # those rows must take the log-domain path, the others stay
+        base = _ml_constellation(name)
+        M = base.M
+        n0 = 1.0 / (math.log2(M) * 10.0 ** (ebn0_db / 10.0))
+        # the loop oracle takes ~3 ms per vector-iteration at M=4 and
+        # ~160 ms at M=16; at 15 dB ~1% of M=4 rows need the fallback
+        B, iters = ((150 if ebn0_db == 15.0 else 20), 3) if M == 4 else (3, 2)
+        cbs, y, H, _ = _sent_scma(np.random.default_rng(20), base, B=B, n0=n0)
+        _assert_matches_loops(cbs, y, H, n0, iters)
+        assert lse_paths["prob"] and lse_paths["per_edge"]
+
+    def test_mpa_row_blocks(self, monkeypatch):
+        # 4 resources of degree 3 at M=4 hold 256 cells per row: blocks of
+        # 3, 3 and 2 rows
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 3 * 8 * 256)
+        rng = np.random.default_rng(1)
+        cbs, y, H = _rand_scma(rng)
+        _assert_matches_loops(cbs, y, H, 0.5, 8)
 
     def test_mpa_resource_without_users(self):
         # column weights equal, so the indicator is valid; resource 1 is idle
@@ -122,6 +147,23 @@ class TestLoopOracles:
         y = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         H = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
         _assert_matches_loops(cbs, y, H, 0.5, 4)
+
+    @pytest.mark.parametrize("n0", [0.5, 1e-3])
+    def test_mpa_resource_degrees_0_to_4(self, n0, lse_paths):
+        # resources of degree 4, 1, 2, 1 and 0; column weight 2
+        rng = np.random.default_rng(15)
+        F = scma.IndicatorMatrix(rows=np.array([
+            [1, 1, 1, 1], [1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0],
+        ]))
+        cbs = scma.build_codebooks(F, _rand_base24(rng))
+        H = (rng.standard_normal((12, 5, 4)) + 1j * rng.standard_normal((12, 5, 4))) / np.sqrt(2)
+        tx = rng.integers(0, 4, size=(12, 4))
+        y = np.einsum("bnj,bjn->bn", H, cbs.codebooks[np.arange(4), :, tx])
+        y += np.sqrt(n0 / 2) * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        _assert_matches_loops(cbs, y, H, n0, 4)
+        assert lse_paths["prob"]
+        if n0 < 0.5:
+            assert lse_paths["per_edge"]
 
 
 class TestMLDetect:
@@ -174,11 +216,44 @@ class TestMLDetect:
 
 
 class TestFunctionNode:
+    def test_slice_sum_underflow_reroutes_row(self):
+        # row 0 passes the distance-only gap test (its lowest slice maximum
+        # sits ~600 below the row max), but the incoming message -200 on
+        # user 1 drives the whole slice of user 0 at symbol 1 to ~e^-800,
+        # which is 0 in double: the row must move to the log-domain path
+        rng = np.random.default_rng(8)
+        dist = rng.standard_normal((4, 4, 4, 2))
+        dist[1, :, :, 0] -= 2000.0
+        dist[1, 0, 0, 0] += 1400.0
+        node = kernels._FunctionNode(dist.copy(), lambda rows: dist[..., rows].copy())
+        assert node.log.size == 0
+        vf = np.zeros((3, 4, 2))
+        vf[1, 0, 0] = -200.0
+
+        def spread(v, p):  # (4, 2) message on axis p of the (4, 4, 4, 2) tensor
+            return v.reshape(*(1,) * p, 4, *(1,) * (2 - p), 2)
+
+        want = np.stack([
+            np.logaddexp.reduce(
+                np.moveaxis(dist + sum(spread(vf[q], q) for q in range(3) if q != p), p, 0)
+                .reshape(4, -1, 2),
+                axis=1,
+            )
+            for p in range(3)
+        ])
+        got = node.messages(vf)
+        assert list(node.log) == [0] and list(node.prob) == [1]
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-12)
+        # the rerouted row stays on the log-domain path
+        assert node.messages(vf) == pytest.approx(want, rel=1e-13, abs=1e-12)
+        assert list(node.log) == [0]
+
     @pytest.mark.parametrize("gap", [650.0, 750.0])
     def test_slice_far_below_row_max(self, gap):
         # row 0 has one symbol whose whole slice sits `gap` below the row max:
-        # exp under the shared max is 0 beyond ~745, so that row must take
-        # the per-edge path; row 1 stays on the shared path
+        # exp under the row max is 0 beyond ~745, so the log-domain update
+        # shifts each edge by its own slice maxima
         rng = np.random.default_rng(8)
         base = rng.standard_normal((4, 4, 4, 2))
         base[1, :, :, 0] -= gap
@@ -189,6 +264,28 @@ class TestFunctionNode:
         got = kernels._function_node(base.copy())
         assert np.all(np.isfinite(got))
         assert got == pytest.approx(want, rel=1e-13, abs=1e-12)
+
+
+class TestMPAMemory:
+    def test_m16_call_peak_and_probability_path(self, lse_paths):
+        # the four (M^3, B) tensors alone are 25 MiB at B=200, and a kernel
+        # holding them all plus per-iteration full-size temporaries peaks
+        # near 51 MiB; row blocks keep the E tensors within 16 MiB
+        rng = np.random.default_rng(14)
+        n0 = 1.0 / (4 * 10.0)  # 10 dB at M=16
+        cbs, y, H, _ = _sent_scma(rng, cn.cartesian_qpsk(2), B=200, n0=n0)
+        F = cbs.indicator
+        tracemalloc.start()
+        try:
+            kernels.mpa_detect_batch(
+                y, H, cbs.codebooks, F.res_users, F.res_deg, F.user_res, n0, 10
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        # every row of every resource update takes the probability path
+        assert sum(lse_paths["prob"]) == 200 * 40 and not lse_paths["per_edge"]
 
 
 class TestDispatch:

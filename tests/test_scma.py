@@ -249,6 +249,18 @@ class TestDetection:
                                   np.zeros((1, 3, 6), dtype=complex),
                                   cbs24, n0=1.0)
 
+    @pytest.mark.parametrize("y_shape,H_shape", [
+        ((4,), (1, 4, 6)),      # 1-D y
+        ((1, 4), (4, 6)),       # 2-D H
+        ((5, 4), (3, 4, 6)),    # batch sizes differ
+    ])
+    def test_shape_errors_name_the_shapes(self, cbs24, y_shape, H_shape):
+        y = np.zeros(y_shape, dtype=complex)
+        H = np.zeros(H_shape, dtype=complex)
+        match = rf"y \({y_shape[0]},.*H \({H_shape[0]},"
+        with pytest.raises(ValueError, match=match):
+            scma.mpa_detect_batch(y, H, cbs24, n0=1.0)
+
 
 @pytest.mark.parametrize("cls", [
     cn.Constellation, scma.IndicatorMatrix, scma.OperatorSet, scma.SCMACodebookSet,
