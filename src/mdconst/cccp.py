@@ -195,7 +195,7 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     step norm drops below epsilon or the iteration cap is hit.
 
     A start that cannot be drawn, an iterate that loses strict
-    feasibility, or a subproblem the solver cannot handle ends the chain
+    feasibility, or an unbounded or unsolvable subproblem ends the chain
     as "failed", keeping the iterations it completed.
     """
     K, M = config.K, config.M
@@ -209,8 +209,8 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
         z = realify(init_feasible(K, M, config.d_e_threshold, rng))
         for q in range(1, config.max_iters + 1):
             sol = socp.solve(linearize(z, config))
-            if sol.status == "numerical_failure":
-                raise ValueError("subproblem numerical_failure")
+            if sol.status in ("unbounded", "numerical_failure"):
+                raise ValueError(f"subproblem {sol.status}")
             non_optimal += sol.status != "optimal"
             step = float(np.linalg.norm(sol.z - z))
             med_vals, ew_vals, _, _ = _form_values(sol.z, K, M)

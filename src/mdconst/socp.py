@@ -8,24 +8,26 @@ families:
     g^T z           >= h     (linearized pair-distance constraints)
     g^T z - eta     >= h     (linearized element-wise constraints)
 
-With the row slack s = A v - b >= 0 and the cone slack P v = (t, z), the
-first n+1 entries of v, the dual problem is
+With G = [A; I_k 0], whose last k rows pick (t, z), the first k = n+1
+entries of v, both constraints read S = G v - (b, 0) in K = R^m_+ x Q,
+where Q = {(u_0, u_1): ||u_1|| <= u_0}. The dual problem is
 
-    maximize b^T y   subject to   A^T y + P^T y_c = c,   y >= 0,   y_c in Q,
+    maximize b^T y   subject to   G^T Y = c,   Y = (y, y_c) in K,
 
-where c = (1, 0, -lam) and Q = {(u_0, u_1): ||u_1|| <= u_0}.
-The duality gap of a primal-dual pair is s^T y + (t, z)^T y_c.
+where c = (1, 0, -lam). The solver keeps S and Y as the two rows of one
+(2, m+k) array; the duality gap of a primal-dual pair is S^T Y.
 
 The method is Mehrotra's predictor-corrector with Nesterov-Todd scaling
 (as in CVXOPT and ECOS). Every iteration factors the (n+2) x (n+2) normal
-matrix A^T diag(y/s) A + P^T W^-2 P, with W the scaling of the cone, and
-solves with it twice: once for the affine-scaling direction and once for
-the centred direction with the second-order correction. The primal
-iterate starts from the given strict start, moved off the cone boundary,
-and stays feasible; the dual starts from the least-squares solution of
-the stationarity equation, shifted into the cone, and becomes feasible as
-the iterations proceed. The solver stops when the gap and the largest
-stationarity residual are both at most ``TOL``.
+matrix G^T W^-2 G, with W the scaling of K, and solves with it twice: once
+for the affine-scaling direction and once for the centred direction with
+the second-order correction. The primal iterate starts from the given
+strict start, moved off the cone boundary, and stays feasible; the dual
+starts from the least-squares solution of G^T Y = c, shifted into K, and
+becomes feasible as the iterations proceed. The solver stops when the gap
+and the largest stationarity residual are both at most ``TOL``, or as
+unbounded once the iterate has left the start along a recession ray d,
+one with G d in K and c^T d < 0.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class SubproblemSolution:
     z: np.ndarray
     t: float
     eta: float
-    status: str  # "optimal" | "max_iter" | "numerical_failure"
+    status: str  # "optimal" | "max_iter" | "unbounded" | "numerical_failure"
     newton_iters: int  # interior-point iterations
     kkt_residual: float
     objective: float
@@ -112,52 +114,48 @@ def _soc_max_step(u: np.ndarray, du: np.ndarray) -> float:
     return 1.0 / gap if gap > 0.0 else math.inf
 
 
-def _nt_scaling(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nesterov-Todd scaling W of the cone and its inverse: W y = W^-1 s.
+def _nt_scaling(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nesterov-Todd scaling W of the cone, W^-1 and W^-2: W y = W^-1 s.
 
-    W = beta [[w_0, w_1^T], [w_1, I + w_1 w_1^T / (1 + w_0)]] with
-    w = (s/sqrt(det s) + J y/sqrt(det y)) / (2 gamma), J = diag(1, -I),
-    beta = (det s / det y)^(1/4); W^-1 flips the sign of w_1.
+    With J = diag(1, -I), w = (s/sqrt(det s) + J y/sqrt(det y)) / (2 gamma)
+    scaled to det w = 1, u = (w + e) / sqrt(1 + w_0) and
+    beta = (det s / det y)^(1/4): W = beta (u u^T - J), W^-1 = J W J / beta^2
+    and W^-2 = (2 (J w)(J w)^T - J) / beta^2.
     """
     ds, dy = math.sqrt(_soc_det(s)), math.sqrt(_soc_det(y))
-    sb, yb = s / ds, y / dy
-    gamma = math.sqrt((1.0 + float(sb @ yb)) / 2.0)
-    w = sb.copy()
-    w[0] += yb[0]
-    w[1:] -= yb[1:]
-    w /= 2.0 * gamma
-    k = s.size
-    W = np.empty((k, k))
-    W[0, 0] = w[0]
-    W[0, 1:] = W[1:, 0] = w[1:]
-    W[1:, 1:] = np.outer(w[1:], w[1:]) / (1.0 + w[0])
-    W[1:, 1:] += np.eye(k - 1)
-    W_inv = W.copy()
-    W_inv[0, 1:] *= -1.0
-    W_inv[1:, 0] *= -1.0
-    beta = math.sqrt(ds / dy)
-    return beta * W, W_inv / beta
+    j = np.full(s.size, -1.0)
+    j[0] = 1.0  # the diagonal of J
+    w = s / ds + j * y / dy
+    w /= math.sqrt(2.0 + 2.0 * float(s @ y) / (ds * dy))  # 2 gamma
+    u = w.copy()
+    u[0] += 1.0
+    u /= math.sqrt(u[0])
+    J = np.diag(j)
+    beta2 = ds / dy
+    W = math.sqrt(beta2) * (u[:, None] * u - J)
+    jw = j * w
+    return W, W * (j[:, None] * j) / beta2, (2.0 * jw[:, None] * jw - J) / beta2
 
 
-def _max_step(s, y, s_c, y_c, ds, dy, ds_c, dy_c) -> float:
-    """Largest step keeping (s, y) >= 0 and (s_c, y_c) in Q."""
-    alpha = min(_soc_max_step(s_c, ds_c), _soc_max_step(y_c, dy_c))
-    shrink = max(float(np.max(-ds / s)), float(np.max(-dy / y)))
+def _cone_margin(u: np.ndarray, m: int) -> float:
+    """How far u = (rows, cone) lies outside R^m_+ x Q; negative inside."""
+    return max(-float(np.min(u[:m])), float(np.linalg.norm(u[m + 1:])) - u[m])
+
+
+def _max_step(X: np.ndarray, dX: np.ndarray, m: int) -> float:
+    """Largest step keeping both rows of X in R^m_+ x Q."""
+    alpha = min(_soc_max_step(X[0, m:], dX[0, m:]), _soc_max_step(X[1, m:], dX[1, m:]))
+    shrink = float((-dX[:, :m] / X[:, :m]).max())
     return min(alpha, 1.0 / shrink) if shrink > 0.0 else alpha
 
 
-def _kkt_residual(A, b, c, v, y, y_c) -> float:
+def _kkt_residual(G, h, c, v, Y) -> float:
     """max(stationarity, primal infeasibility, dual-cone infeasibility, gap)
-    of the primal-dual pair, over v = (t, z, eta)."""
-    k = y_c.size
-    r_stat = c - A.T @ y
-    r_stat[:k] -= y_c
-    s = A @ v - b
-    s_c = v[:k]
-    primal = max(0.0, -float(np.min(s)), float(np.linalg.norm(s_c[1:])) - s_c[0])
-    dual = max(0.0, -float(np.min(y)), float(np.linalg.norm(y_c[1:])) - y_c[0])
-    gap = abs(float(s @ y) + float(s_c @ y_c))
-    return max(float(np.max(np.abs(r_stat))), primal, dual, gap)
+    of the primal-dual pair (v, Y)."""
+    m = G.shape[0] - G.shape[1] + 1
+    S = G @ v - h
+    stat = float(np.max(np.abs(c - G.T @ Y)))
+    return max(stat, _cone_margin(S, m), _cone_margin(Y, m), abs(float(S @ Y)))
 
 
 def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
@@ -167,10 +165,12 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
     multiplier ``y_cone``.
 
     Status "optimal" means gap and stationarity residual are at most
-    ``TOL``; "max_iter" means ``MAX_ITER`` iterations came first (the
-    point is still primal feasible); "numerical_failure" means the normal
-    matrix could not be solved, a step was not finite, or rounding put an
-    iterate on the boundary of its cone.
+    ``TOL``; "max_iter" means ``MAX_ITER`` iterations came first, and
+    "unbounded" that the iterate left the start along a ray that stays in
+    the cones, to ``TOL``, and lowers the objective (with both, the point
+    is still primal feasible); "numerical_failure" means the normal matrix
+    could not be solved, a step was not finite, or rounding put an iterate
+    on the boundary of its cone.
     """
     A, b = spec.A, spec.b
     v = np.array(spec.start, dtype=np.float64)
@@ -180,13 +180,11 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
     if not np.any(A[:, k] < 0.0):
         raise ValueError("need an element-wise row: without one eta is unbounded")
 
-    # The cone slack is the view v[:k].
-    s = A @ v - b
-    if _soc_det(v[:k]) <= 0.0 or v[0] <= 0.0 or np.any(s <= 0.0):
-        raise NotStrictlyFeasible(
-            "start point is not strictly interior "
-            f"(min row slack {np.min(s):.3e}, cone gap {_soc_det(v[:k]):.3e})"
-        )
+    G = np.concatenate([A, np.eye(k, k + 1)])
+    h = np.concatenate([b, np.zeros(k)])
+    margin = _cone_margin(G @ v - h, m)
+    if margin >= 0.0:
+        raise NotStrictlyFeasible(f"start point lies {margin:.3e} outside the cones")
     c = np.zeros(k + 1)
     c[0] = 1.0
     c[k] = -spec.lam
@@ -195,93 +193,87 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
     # row feasible and gives the cone and the element-wise rows room.
     v[0] = 1.1 * v[0] + 0.1
     v[k] -= 0.1 * (1.0 + abs(v[k]))
-    s = A @ v - b
 
-    # Dual start: least-norm solution of A^T y + P^T y_c = c, shifted into
-    # the interior of both cones.
-    G = np.concatenate([A, np.eye(k, k + 1)])
-    y_all = G @ np.linalg.solve(G.T @ G, c)
-    y, y_c = y_all[:m], y_all[m:]
-    shift = max(-float(np.min(y)), float(np.linalg.norm(y_c[1:])) - y_c[0])
-    shift = max(0.0, 1.0 + shift)
-    y = y + shift
-    y_c = y_c.copy()
-    y_c[0] += shift
+    # Dual start: least-norm solution of G^T Y = c, shifted into the
+    # interior of K.
+    Y = G @ np.linalg.solve(G.T @ G, c)
+    shift = max(0.0, 1.0 + _cone_margin(Y, m))
+    Y[: m + 1] += shift
+    X = np.array((G @ v - h, Y))
+    S, Y = X  # views of the slack and the multiplier
 
     degree = m + 1
     status = "max_iter"
+    last_gap = math.inf
     rows = []
     iters = 0
     while True:
-        r_dual = c - A.T @ y
-        r_dual[:k] -= y_c
-        gap = float(s @ y) + float(v[:k] @ y_c)
+        r_dual = c - G.T @ Y
+        gap = float(S @ Y)
         if gap <= TOL and float(np.max(np.abs(r_dual))) <= TOL:
             status = "optimal"
             break
+        # The gap fell at every iteration of every Table-1 solve (seeds 0 and
+        # 1000). Once it grows, test whether the iterate has left the start
+        # along a ray d with G d in K and c^T d < 0, to TOL: such a ray makes
+        # the subproblem unbounded below.
+        if gap > last_gap:
+            d = v - spec.start
+            d /= np.abs(d).max()
+            if _cone_margin(G @ d, m) <= TOL and float(c @ d) < -TOL:
+                status = "unbounded"
+                break
         if iters >= MAX_ITER:
             break
+        last_gap = gap
 
-        # Scaling: W = diag(sqrt(s/y)) on the rows, NT scaling on the cone.
-        s_c = v[:k]
-        d_row = y / s
+        # Scaling: W = diag(sqrt(s/y)) on the rows, NT scaling on the cone;
+        # lam = W^-1 S = W Y is the scaled point.
+        d_row = Y[:m] / S[:m]
         sq_row = np.sqrt(d_row)
-        lam_row = np.sqrt(s * y)
-        W_c, W_c_inv = _nt_scaling(s_c, y_c)
-        lam_c = W_c @ y_c
-        D_c = W_c_inv @ W_c_inv
-        H = (A.T * d_row) @ A
-        H[:k, :k] += D_c
+        W_c, W_c_inv, W_c_inv2 = _nt_scaling(S[m:], Y[m:])
+        lam = np.concatenate([np.sqrt(S[:m] * Y[:m]), W_c @ Y[m:]])
+        W2G = np.concatenate([d_row[:, None] * A, W_c_inv2 @ G[m:]])  # W^-2 G
+        H = G.T @ W2G
 
-        def direction(u_row, u_c):
-            # Newton direction with W^-1 ds + W dy = u (u = lam \ the target
-            # complementarity), A^T dy + P^T dy_c = r_dual, and the rows and
-            # the cone kept primal feasible: ds = A dv, ds_c = dv[:k].
-            wu_row = sq_row * u_row
-            wu_c = W_c_inv @ u_c
-            rhs = A.T @ wu_row - r_dual
-            rhs[:k] += wu_c
-            dv = np.linalg.solve(H, rhs)
-            ds = A @ dv
-            ds_c = dv[:k]
-            return dv, ds, ds_c, wu_row - d_row * ds, wu_c - D_c @ ds_c
+        def direction(u):
+            # Newton direction with W^-1 dS + W dY = u (u = lam \ the target
+            # complementarity), G^T dY = r_dual and dS = G dv.
+            wu = np.concatenate([sq_row * u[:m], W_c_inv @ u[m:]])
+            dv = np.linalg.solve(H, G.T @ wu - r_dual)
+            return dv, np.array((G @ dv, wu - W2G @ dv))
 
         try:
             # Predictor: affine-scaling direction, u = -lam.
-            dv, ds, ds_c, dy, dy_c = direction(-lam_row, -lam_c)
-            alpha = min(1.0, _max_step(s, y, s_c, y_c, ds, dy, ds_c, dy_c))
-            gap_aff = float((s + alpha * ds) @ (y + alpha * dy)) + float(
-                (s_c + alpha * ds_c) @ (y_c + alpha * dy_c)
-            )
-            sigma = min(1.0, max(0.0, gap_aff / gap)) ** 3
+            dv, dX = direction(-lam)
+            alpha = min(1.0, _max_step(X, dX, m))
+            S_aff, Y_aff = X + alpha * dX
+            sigma = min(1.0, max(0.0, float(S_aff @ Y_aff) / gap)) ** 3
             mu = gap / degree
 
             # Corrector: centring plus the second-order term of the predictor.
-            corr_row = sigma * mu - ds * dy
-            corr_c = -_soc_prod(W_c_inv @ ds_c, W_c @ dy_c)
+            dS, dY = dX
+            corr_c = -_soc_prod(W_c_inv @ dS[m:], W_c @ dY[m:])
             corr_c[0] += sigma * mu
-            dv, ds, ds_c, dy, dy_c = direction(
-                corr_row / lam_row - lam_row, _soc_div(lam_c, corr_c) - lam_c
-            )
-            alpha = min(1.0, STEP * _max_step(s, y, s_c, y_c, ds, dy, ds_c, dy_c))
+            corr_row = (sigma * mu - dS[:m] * dY[:m]) / lam[:m]
+            dv, dX = direction(np.concatenate([corr_row, _soc_div(lam[m:], corr_c)]) - lam)
+            alpha = min(1.0, STEP * _max_step(X, dX, m))
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
         if not (math.isfinite(alpha) and np.all(np.isfinite(dv))):
             status = "numerical_failure"
             break
-        v = v + alpha * dv
-        s = s + alpha * ds
-        y = y + alpha * dy
-        y_c = y_c + alpha * dy_c
+        v += alpha * dv
+        X += alpha * dX
         iters += 1
         # Rounding can put a cone iterate on the boundary, where the scaling
         # is undefined.
-        if min(_soc_det(v[:k]), _soc_det(y_c), float(np.min(s)), float(np.min(y))) <= 0.0:
+        if min(_soc_det(S[m:]), _soc_det(Y[m:]), float(X[:, :m].min())) <= 0.0:
             status = "numerical_failure"
             break
         if trace:
-            mu = (float(s @ y) + float(v[:k] @ y_c)) / degree
+            mu = float(S @ Y) / degree
             rows.append((degree / mu, iters, mu))
 
     return SubproblemSolution(
@@ -290,9 +282,9 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
         eta=float(v[k]),
         status=status,
         newton_iters=iters,
-        kkt_residual=_kkt_residual(A, b, c, v, y, y_c),
+        kkt_residual=_kkt_residual(G, h, c, v, Y),
         objective=float(c @ v),
         trace=rows,
-        y=y,
-        y_cone=y_c,
+        y=Y[:m].copy(),
+        y_cone=Y[m:].copy(),
     )

@@ -182,6 +182,12 @@ class TestChains:
         assert "CCCP invariant violated: test" in ch.failure
         assert ch.c_final is None and math.isnan(ch.med)
 
+    def test_unbounded_subproblem_is_a_failed_chain(self):
+        ch = cccp.run_chain(cccp.CCCPConfig(K=1, M=2), 0)
+        assert ch.status == "failed"
+        assert (ch.iterations, ch.c_final) == (0, None)
+        assert ch.failure == "subproblem unbounded"
+
     def test_termination_rule(self):
         cfg = small_config(max_iters=100)
         ch = cccp.run_chain(cfg, 0)

@@ -78,6 +78,14 @@ class TestOptimize:
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_unbounded_subproblems_exit_3(self, tmp_path, capsys):
+        # at K=1, M=2 every chain's first subproblem is unbounded below
+        rc = run(["optimize", "--K", "1", "--M", "2", "--restarts", "2",
+                  "--seed", "0", "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "chain 1: subproblem unbounded" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMetrics:
     def test_report(self, base_file, tmp_path, capsys):

@@ -163,3 +163,61 @@ class TestKKT:
             sol = socp.solve(spec)
             assert sol.status == "numerical_failure"
             assert np.all(np.isfinite(sol.z))
+
+
+class TestNTScaling:
+    @staticmethod
+    def interior(rng, k, near):
+        # a point of the open cone; near ones have det u ~ 1e-12 u_0^2
+        u = rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2)
+        r = np.linalg.norm(u[1:])
+        u[0] = r * (1.0 + 5e-13) if near else r + abs(u[0]) + 1e-3
+        return u
+
+    def test_rank_one_forms(self):
+        # W y = W^-1 s, W W^-1 = I and W^-1 W^-1 = W^-2, each to 1e-12 of
+        # the size of its products' terms, the scale of their rounding
+        n = np.linalg.norm
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for k in (2, 5, 33):
+            for near in (False, True):
+                for _ in range(100):
+                    s, y = self.interior(rng, k, near), self.interior(rng, k, near)
+                    if near:
+                        assert 0.0 < socp._soc_det(s) <= 2e-12 * s[0] ** 2
+                    W, W_inv, W_inv2 = socp._nt_scaling(s, y)
+                    assert np.array_equal(W, W.T)
+                    worst = max(
+                        worst,
+                        n(W @ y - W_inv @ s) / (n(W, 2) * n(y) + n(W_inv, 2) * n(s)),
+                        n(W @ W_inv - np.eye(k)) / (n(W, 2) * n(W_inv, 2)),
+                        n(W_inv @ W_inv - W_inv2) / n(W_inv, 2) ** 2,
+                    )
+        assert worst <= 1e-12
+
+
+def first_subproblem(K, M, chain):
+    """The linearization at the start of a seed-0 chain."""
+    rng = np.random.default_rng(np.random.SeedSequence([0, chain]))
+    z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
+    return cccp.linearize(z, cccp.CCCPConfig(K=K, M=M))
+
+
+class TestUnbounded:
+    # At K=1 the element-wise row of a pair is the pair's distance form. Its
+    # gradient has norm 2 sqrt(2) |x_i - x_j| > 1/lam, so moving z along it
+    # raises eta faster than it raises t: the subproblem is unbounded below.
+    @pytest.mark.parametrize("K, M, chain", [(1, 2, 0), (1, 2, 1), (1, 3, 1), (1, 4, 1)])
+    def test_recession_ray_reported(self, K, M, chain):
+        spec = first_subproblem(K, M, chain)
+        sol = socp.solve(spec)
+        assert sol.status == "unbounded"
+        assert sol.newton_iters < 50
+        v = np.concatenate([[sol.t], sol.z, [sol.eta]])
+        assert np.min(spec.A @ v - spec.b) > 0.0
+        assert np.linalg.norm(sol.z) < sol.t
+        d = (v - spec.start) / np.linalg.norm(v - spec.start)
+        assert np.min(spec.A @ d) >= -socp.TOL
+        assert d[0] - np.linalg.norm(d[1:-1]) >= -socp.TOL
+        assert d[0] - spec.lam * d[-1] < -0.01
