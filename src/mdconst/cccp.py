@@ -55,6 +55,9 @@ class CCCPConfig:
         positive = (self.lam, self.d_e_threshold, self.epsilon)
         if not all(0 < v < math.inf for v in positive):
             raise ValueError("lam, d_e_threshold and epsilon must be finite and > 0")
+        # linearize needs D_E^2; a float product overflows to inf, where ** raises
+        if not self.d_e_threshold * self.d_e_threshold < math.inf:
+            raise ValueError(f"d_e_threshold squared must be finite, got {self.d_e_threshold}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
 
@@ -79,7 +82,6 @@ class ChainResult:
 @dataclass
 class OptimizeResult:
     best: cn.Constellation
-    best_raw: cn.Constellation
     trace: list
     all_restarts: list = field(default_factory=list)
 
@@ -286,7 +288,6 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
     best = cn.Constellation(points=cn.normalize(raw).points, meta=meta)
     return OptimizeResult(
         best=best,
-        best_raw=raw,
         trace=best_chain.trace,
         all_restarts=[{k: getattr(ch, k) for k in RESTART_KEYS} for ch in chains],
     )

@@ -122,6 +122,8 @@ def cmd_metrics(args) -> int:
         variants = [("raw", C), ("normalized", cn.normalize(C))]
     else:
         variants = [("", C)]
+    printed = (("average_power", ".6f"), ("med", ".6f"), ("mpd", ".6f"), ("kissing_med", ""),
+               ("kissing_mpd", ""), ("min_elementwise", ".6f"), ("amgm_min_slack", ".3e"))
     report = {}
     for label, Cv in variants:
         prof = cn.distance_profile(Cv)
@@ -138,13 +140,8 @@ def cmd_metrics(args) -> int:
         }
         report[label or "metrics"] = entry
         tag = f" [{label}]" if label else ""
-        print(f"average_power{tag}: {entry['average_power']:.6f}")
-        print(f"med{tag}: {entry['med']:.6f}")
-        print(f"mpd{tag}: {entry['mpd']:.6f}")
-        print(f"kissing_med{tag}: {entry['kissing_med']}")
-        print(f"kissing_mpd{tag}: {entry['kissing_mpd']}")
-        print(f"min_elementwise{tag}: {entry['min_elementwise']:.6f}")
-        print(f"amgm_min_slack{tag}: {entry['amgm_min_slack']:.3e}")
+        for key, fmt in printed:
+            print(f"{key}{tag}: {entry[key]:{fmt}}")
     if args.json:
         write_json_atomic(args.json, report)
     return EXIT_OK
@@ -178,31 +175,17 @@ def cmd_simulate(args) -> int:
     spec = sim.SNRSpec(ebn0_db_list=tuple(ebn0))
     if (args.constellation is None) == (args.codebook is None):
         raise ValueError("pass exactly one of --constellation / --codebook")
+    shared = dict(snr=spec, seed=args.seed, min_bit_errors=args.min_errors,
+                  max_vectors=args.max_vectors, noise_free=args.noise_free)
     if args.constellation:
         C = cn.Constellation.load(args.constellation)
-        curve = sim.simulate_p2p(
-            C,
-            channel=args.channel,
-            snr=spec,
-            seed=args.seed,
-            min_bit_errors=args.min_errors,
-            max_vectors=args.max_vectors,
-            noise_free=args.noise_free,
-        )
+        curve = sim.simulate_p2p(C, channel=args.channel, **shared)
         inputs = [args.constellation]
     else:
         cbs = scma.SCMACodebookSet.load(args.codebook)
         if args.channel != "rayleigh_iid":
             raise ValueError("SCMA uplink simulation supports rayleigh_iid only")
-        curve = sim.simulate_scma_uplink(
-            cbs,
-            snr=spec,
-            seed=args.seed,
-            min_bit_errors=args.min_errors,
-            max_vectors=args.max_vectors,
-            mpa_iters=args.mpa_iters,
-            noise_free=args.noise_free,
-        )
+        curve = sim.simulate_scma_uplink(cbs, mpa_iters=args.mpa_iters, **shared)
         inputs = [args.codebook]
     curve.save_csv(args.out)
     _write_manifest(args.out, "simulate", vars(args), args.seed, inputs, [args.out], t0)

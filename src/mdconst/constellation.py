@@ -201,24 +201,14 @@ def _kissing(d: np.ndarray) -> int:
     return int(np.sum(d <= d.min() * (1.0 + KISSING_REL_TOL)))
 
 
-def pairwise_euclidean(C: Constellation) -> np.ndarray:
-    """Euclidean distances ||x_i - x_j|| for all i < j, pair order."""
-    return _euclidean(pair_gaps(C))
-
-
-def pairwise_product(C: Constellation) -> np.ndarray:
-    """Product distances for all pairs, +inf for identical pairs."""
-    return _product(pair_gaps(C))
-
-
 def med(C: Constellation) -> float:
     """Minimum Euclidean distance over all vector pairs."""
-    return float(pairwise_euclidean(C).min())
+    return float(_euclidean(pair_gaps(C)).min())
 
 
 def mpd(C: Constellation) -> float:
     """Minimum product distance over pairs with at least one differing dim."""
-    return float(_finite(pairwise_product(C)).min())
+    return float(_finite(_product(pair_gaps(C))).min())
 
 
 def min_elementwise(C: Constellation) -> float:

@@ -444,10 +444,7 @@ def _function_node(base):
     shifted by its own slice maxima, so every slice keeps an exp(0) term
     and every message is finite and exact whatever the gaps in the row.
     """
-    return _per_edge_lse(base, _slice_max(base))
-
-
-def _per_edge_lse(base, smax):
+    smax = _slice_max(base)
     deg, M, B = smax.shape
     out = np.empty(smax.shape)
     e = np.empty(base.shape)

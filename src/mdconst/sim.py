@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class SNRSpec:
 @dataclass
 class BERCurve:
     points: list  # dicts: ebn0_db, errors, bits, ber, vectors, seed
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["ebn0_db,errors,bits,ber,vectors,seed"]
@@ -91,9 +90,7 @@ def _add_noise(rng: np.random.Generator, y: np.ndarray, n0: float) -> np.ndarray
     return y + math.sqrt(n0 / 2) * _complex_normal(rng, y.shape)
 
 
-def _simulate(
-    snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, trial, meta
-):
+def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, trial):
     """Monte Carlo loop shared by the simulators.
 
     ``trial(rng, B, n0)`` sends B vectors at noise variance n0 (0 when
@@ -133,10 +130,7 @@ def _simulate(
         if np.ndim(per_user):
             point["per_user_errors"] = per_user.tolist()
         pts.append(point)
-    meta.update(
-        min_bit_errors=min_bit_errors, max_vectors=max_vectors, noise_free=noise_free
-    )
-    return BERCurve(points=pts, meta=meta)
+    return BERCurve(points=pts)
 
 
 def simulate_p2p(
@@ -167,10 +161,7 @@ def simulate_p2p(
         y = _add_noise(rng, h * C.points[:, tx].T, n0)
         return tx, kernels.ml_detect_batch(y, h, C.points)
 
-    meta = {"kind": "p2p", "channel": channel, "detector": "ml", "K": K, "M": M}
-    return _simulate(
-        snr, M, seed, min_bit_errors, max_vectors, noise_free, P2P_CHUNK, trial, meta
-    )
+    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, P2P_CHUNK, trial)
 
 
 def simulate_scma_uplink(
@@ -197,14 +188,4 @@ def simulate_scma_uplink(
         y = _add_noise(rng, y, n0)
         return tx, mpa_detect_batch(y, H, cbs, max(n0, 1e-9), mpa_iters)[1]
 
-    meta = {
-        "kind": "scma_uplink",
-        "channel": "rayleigh_iid",
-        "detector": f"mpa({mpa_iters})",
-        "J": J,
-        "N": N,
-        "M": M,
-    }
-    return _simulate(
-        snr, M, seed, min_bit_errors, max_vectors, noise_free, SCMA_CHUNK, trial, meta
-    )
+    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, SCMA_CHUNK, trial)

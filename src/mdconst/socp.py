@@ -149,6 +149,14 @@ def _max_step(X: np.ndarray, dX: np.ndarray, m: int) -> float:
     return min(alpha, 1.0 / shrink) if shrink > 0.0 else alpha
 
 
+def _is_ray(G, c, d, m, slack=0.0) -> bool:
+    """Whether d, scaled to unit max-norm, has G d in K to TOL plus ``slack``
+    over that norm, and c^T d < -TOL: a ray along which the objective falls."""
+    size = float(np.abs(d).max())
+    d = d / size
+    return _cone_margin(G @ d, m) <= TOL + slack / size and float(c @ d) < -TOL
+
+
 def _kkt_residual(G, h, c, v, Y) -> float:
     """max(stationarity, primal infeasibility, dual-cone infeasibility, gap)
     of the primal-dual pair (v, Y)."""
@@ -170,7 +178,9 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
     the cones, to ``TOL``, and lowers the objective (with both, the point
     is still primal feasible); "numerical_failure" means the normal matrix
     could not be solved, a step was not finite, or rounding put an iterate
-    on the boundary of its cone.
+    on the boundary of its cone. Such an exit that is a ray once ``TOL``
+    is widened by the start's slack over the distance travelled reports
+    "unbounded".
     """
     A, b = spec.A, spec.b
     v = np.array(spec.start, dtype=np.float64)
@@ -217,12 +227,9 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
         # 1000). Once it grows, test whether the iterate has left the start
         # along a ray d with G d in K and c^T d < 0, to TOL: such a ray makes
         # the subproblem unbounded below.
-        if gap > last_gap:
-            d = v - spec.start
-            d /= np.abs(d).max()
-            if _cone_margin(G @ d, m) <= TOL and float(c @ d) < -TOL:
-                status = "unbounded"
-                break
+        if gap > last_gap and _is_ray(G, c, v - spec.start, m):
+            status = "unbounded"
+            break
         if iters >= MAX_ITER:
             break
         last_gap = gap
@@ -275,6 +282,12 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
         if trace:
             mu = float(S @ Y) / degree
             rows.append((degree / mu, iters, mu))
+
+    # Rounding can end a barely unbounded run before v - v0 is a ray to TOL;
+    # seen from there, the start's own slack G v0 - (b, 0) still shifts G d.
+    if status == "numerical_failure" and _is_ray(
+            G, c, v - spec.start, m, float(np.abs(G @ spec.start - h).max())):
+        status = "unbounded"
 
     return SubproblemSolution(
         z=v[1:k].copy(),

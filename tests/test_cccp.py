@@ -34,6 +34,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite and > 0"):
             cccp.CCCPConfig(K=2, M=4, **{field: value})
 
+    @pytest.mark.parametrize("value", [1e160, 1.4e154])
+    def test_threshold_square_overflow_rejected(self, value):
+        # run_chain squares D_E before its try, and float ** raises OverflowError
+        with pytest.raises(ValueError, match="d_e_threshold squared"):
+            cccp.CCCPConfig(K=2, M=4, d_e_threshold=value)
+
     def test_defaults(self):
         cfg = cccp.CCCPConfig(K=2, M=4)
         assert cfg.lam == 0.5
@@ -188,6 +194,14 @@ class TestChains:
         assert (ch.iterations, ch.c_final) == (0, None)
         assert ch.failure == "subproblem unbounded"
 
+    @pytest.mark.parametrize("chain", [2, 16])
+    def test_barely_unbounded_subproblem_is_unbounded(self, chain):
+        # lam times the pair row's gradient norm is ~1.01 here: rounding ends
+        # the solve while the displacement still misses the cones by ~2e-8,
+        # more than TOL but less than the start's own slack seen from there
+        ch = cccp.run_chain(cccp.CCCPConfig(K=1, M=2, lam=0.34), chain)
+        assert ch.failure == "subproblem unbounded"
+
     def test_termination_rule(self):
         cfg = small_config(max_iters=100)
         ch = cccp.run_chain(cfg, 0)
@@ -227,7 +241,7 @@ class TestOptimize:
         assert res.best.meta["seed"] == cfg.seed
         # scaling arithmetic: raw MED >= D_E, so normalized MED >=
         # D_E / sqrt(raw average power)
-        raw_power = cn.average_power(res.best_raw)
+        raw_power = res.best.meta["final_energy"] / cfg.M
         assert cn.med(res.best) >= cfg.d_e_threshold / math.sqrt(raw_power) * (
             1 - 1e-9
         )

@@ -78,6 +78,13 @@ class TestOptimize:
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_threshold_square_overflow_exit_2(self, tmp_path, capsys):
+        rc = run(["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--seed", "0",
+                  "--de", "1e160", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "d_e_threshold" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unbounded_subproblems_exit_3(self, tmp_path, capsys):
         # at K=1, M=2 every chain's first subproblem is unbounded below
         rc = run(["optimize", "--K", "1", "--M", "2", "--restarts", "2",

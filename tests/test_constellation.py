@@ -62,7 +62,7 @@ class TestMetrics:
     def test_product_distance_identical_pair_is_inf(self):
         pts = np.array([[1 + 1j, 1 + 1j, 2.0], [1j, 1j, 3.0]])
         C = cn.Constellation(points=pts)
-        assert math.isinf(cn.pairwise_product(C)[0])
+        assert math.isinf(cn.distance_profile(C).pairwise_product[0])
         # the identical pair is excluded from the minimum
         assert math.isfinite(cn.mpd(C))
 
@@ -76,7 +76,7 @@ class TestMetrics:
         # vectors equal in dim 0, gap 2 in dim 1: product over admissible dims
         pts = np.array([[1.0, 1.0], [1.0, 3.0]], dtype=complex)
         C = cn.Constellation(points=pts)
-        assert cn.pairwise_product(C)[0] == pytest.approx(2.0)
+        assert cn.distance_profile(C).pairwise_product[0] == pytest.approx(2.0)
 
     def test_pair_indices_order(self):
         assert cn.pair_indices(4) == [

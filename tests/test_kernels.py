@@ -53,7 +53,7 @@ def lse_paths(monkeypatch):
     """Batch sizes handed to the probability-domain and the log-domain
     (per-edge) function-node paths."""
     seen = {"prob": [], "per_edge": []}
-    for name, key in (("_sum_product", "prob"), ("_per_edge_lse", "per_edge")):
+    for name, key in (("_sum_product", "prob"), ("_function_node", "per_edge")):
         fn = getattr(kernels, name)
 
         def spy(base, *rest, fn=fn, key=key):
