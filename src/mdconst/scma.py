@@ -206,11 +206,6 @@ def build_codebooks(
     return SCMACodebookSet(codebooks=cb, indicator=F, operators=ops, base=base)
 
 
-def per_user_power(cbs: SCMACodebookSet) -> np.ndarray:
-    """Average codeword energy per user."""
-    return np.sum(np.abs(cbs.codebooks) ** 2, axis=(1, 2)) / cbs.M
-
-
 def mpa_detect_batch(
     y: np.ndarray,
     H: np.ndarray,

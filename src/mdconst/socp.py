@@ -22,9 +22,13 @@ The method is Mehrotra's predictor-corrector with Nesterov-Todd scaling
 matrix G^T W^-2 G, with W the scaling of K, and solves with it twice: once
 for the affine-scaling direction and once for the centred direction with
 the second-order correction. The primal iterate starts from the given
-strict start, moved off the cone boundary, and stays feasible; the dual
-starts from the least-squares solution of G^T Y = c, shifted into K, and
-becomes feasible as the iterations proceed. The solver stops when the gap
+strict start, moved off the cone boundary, and stays feasible. A cold dual
+start is the least-squares solution of G^T Y = c, shifted into K; a warm
+one is the multiplier of the previous subproblem of the same CCCP chain,
+whose rows match these one to one, moved ``WARM_SHIFT`` inside K. Either
+becomes feasible as the iterations proceed. A cold start pushes the primal
+start 0.1 off the boundary, a warm one only ``WARM_PUSH``, so that the
+iterate stays near the previous optimum. The solver stops when the gap
 and the largest stationarity residual are both at most ``TOL``, or as
 unbounded once the iterate has left the start along a recession ray d,
 one with G d in K and c^T d < 0.
@@ -44,6 +48,16 @@ MAX_ITER = 800
 #: Share of the largest step to the cone boundary taken per iteration.
 #: 0.99 lost dual-cone centrality on 1 of ~3,000 Table-1 solves; 0.95 on none.
 STEP = 0.95
+#: Primal push off the boundary for a warm start, in place of the cold 0.1.
+#: Seed-0 Table-1 took 7,252 IPM iterations with 0.01, 7,686 with 0.001 and
+#: 8,188 with 0.1 (cold starts throughout: 9,889).
+WARM_PUSH = 0.01
+#: How far inside K a warm dual start is moved: each row multiplier is
+#: clipped at 0 and raised by this, and y_t raised until the cone multiplier
+#: sits this far inside Q. Seed-0 Table-1 took 7,252 IPM iterations with
+#: 0.01, 7,696 with 0.001, 8,285 with 0.1 and 9,189 with 1; seeds 7, 1000
+#: and 2000 took 27-29% fewer than with cold starts.
+WARM_SHIFT = 0.01
 
 
 @dataclass(frozen=True)
@@ -166,11 +180,21 @@ def _kkt_residual(G, h, c, v, Y) -> float:
     return max(stat, _cone_margin(S, m), _cone_margin(Y, m), abs(float(S @ Y)))
 
 
-def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
+def solve(spec: SubproblemSpec, trace: bool = False,
+          warm: SubproblemSolution | None = None) -> SubproblemSolution:
     """Minimize t - lam*eta subject to the cone and the affine rows.
 
     Returns the primal point with its row multipliers ``y`` and cone
     multiplier ``y_cone``.
+
+    Without ``warm`` the dual starts cold: the least-norm solution of
+    G^T Y = c, shifted 1 inside K, with the primal start pushed 0.1 off
+    the boundary. ``warm`` is the previous solution of the same CCCP chain;
+    its ``(y, y_cone)`` start the dual instead, each row multiplier clipped
+    at 0 and raised by ``WARM_SHIFT`` and y_t raised until the cone
+    multiplier sits ``WARM_SHIFT`` inside Q, and the primal push is
+    ``WARM_PUSH``. A ``warm`` whose multiplier shapes do not match the spec
+    raises ``ValueError``.
 
     Status "optimal" means gap and stationarity residual are at most
     ``TOL``; "max_iter" means ``MAX_ITER`` iterations came first, and
@@ -199,16 +223,26 @@ def solve(spec: SubproblemSpec, trace: bool = False) -> SubproblemSolution:
     c[0] = 1.0
     c[k] = -spec.lam
 
+    if warm is None:
+        push = 0.1
+        # Dual start: least-norm solution of G^T Y = c, shifted into the
+        # interior of K.
+        Y = G @ np.linalg.solve(G.T @ G, c)
+        shift = max(0.0, 1.0 + _cone_margin(Y, m))
+        Y[: m + 1] += shift
+    else:
+        if warm.y.shape != (m,) or warm.y_cone.shape != (k,):
+            raise ValueError(
+                f"warm start has {warm.y.shape} row and {warm.y_cone.shape} cone "
+                f"multipliers; the spec needs ({m},) and ({k},)")
+        push = WARM_PUSH
+        Y = np.concatenate([np.maximum(warm.y, 0.0) + WARM_SHIFT, warm.y_cone])
+        Y[m] = max(Y[m], math.sqrt(float(Y[m + 1:] @ Y[m + 1:])) + WARM_SHIFT)
+
     # Primal start off the boundary: raising t and lowering eta keeps every
     # row feasible and gives the cone and the element-wise rows room.
-    v[0] = 1.1 * v[0] + 0.1
-    v[k] -= 0.1 * (1.0 + abs(v[k]))
-
-    # Dual start: least-norm solution of G^T Y = c, shifted into the
-    # interior of K.
-    Y = G @ np.linalg.solve(G.T @ G, c)
-    shift = max(0.0, 1.0 + _cone_margin(Y, m))
-    Y[: m + 1] += shift
+    v[0] = (1.0 + push) * v[0] + push
+    v[k] -= push * (1.0 + abs(v[k]))
     X = np.array((G @ v - h, Y))
     S, Y = X  # views of the slack and the multiplier
 

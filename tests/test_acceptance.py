@@ -164,15 +164,15 @@ def test_cccp_composite_objective_non_increasing(table1):
 
 def test_solver_iteration_counts(table1):
     """Solver cost guard without timing: iteration counts repeat exactly, so
-    a slower interior-point method shows on any machine."""
-    iters = [
-        rec["newton_iters"]
-        for data in table1.values()
-        for ch in data["chains"]
-        for rec in ch.trace
-    ]
+    a slower interior-point method or a lost warm start shows on any machine."""
+    chains = [ch for data in table1.values() for ch in data["chains"]]
+    iters = [rec["newton_iters"] for ch in chains for rec in ch.trace]
     assert max(iters) <= 25, f"a subproblem took {max(iters)} iterations"
     assert np.mean(iters) <= 15, f"mean {np.mean(iters):.2f} iterations per subproblem"
+    # every solve after a chain's first starts from the previous multipliers:
+    # 7.55 iterations on average at seed 0, 10.62 with cold starts
+    warm = [rec["newton_iters"] for ch in chains for rec in ch.trace[1:]]
+    assert np.mean(warm) <= 9, f"mean {np.mean(warm):.2f} iterations per warm-started subproblem"
 
 
 def test_criterion_4_quadratic_form_oracles():

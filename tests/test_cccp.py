@@ -292,3 +292,19 @@ class TestOptimize:
         assert ch.status == "failed"
         assert ch.iterations == 2
         assert ch.non_optimal_solves == 2
+
+    def test_each_solve_warm_starts_from_the_previous(self, monkeypatch):
+        real_solve = socp.solve
+        warms, sols = [], []
+
+        def spy(spec, **kw):
+            warms.append(kw.get("warm"))
+            sols.append(real_solve(spec, **kw))
+            return sols[-1]
+
+        monkeypatch.setattr(socp, "solve", spy)
+        ch = cccp.run_chain(small_config(max_iters=6), 0)
+        assert ch.iterations == len(sols) >= 2
+        assert warms[0] is None
+        assert all(w is s for w, s in zip(warms[1:], sols))
+        assert ch.ipm_iters == sum(s.newton_iters for s in sols)

@@ -55,6 +55,11 @@ class TestOptimize:
         restarts = man["config"]["restarts"]
         assert [r["chain_index"] for r in restarts] == [0, 1]
         assert all(r["non_optimal_solves"] == 0 for r in restarts)
+        # each chain's interior-point work: at least one iteration per solve,
+        # the same count in the design file's restart rows
+        assert all(r["ipm_iters"] >= r["iterations"] >= 1 for r in restarts)
+        rows = json.loads(out.read_text())["meta"]["restarts"]
+        assert [r["ipm_iters"] for r in rows] == [r["ipm_iters"] for r in restarts]
 
     def test_determinism_bytes(self, tmp_path):
         argv = lambda o: ["optimize", "--K", "2", "--M", "3", "--restarts", "1",

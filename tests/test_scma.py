@@ -156,9 +156,8 @@ class TestCodebooks:
             assert rec["sparsity"] == np.flatnonzero(F.rows[:, j]).tolist()
 
     def test_per_user_power_unit(self, cbs24):
-        assert scma.per_user_power(cbs24) == pytest.approx(
-            np.ones(cbs24.J), abs=1e-9
-        )
+        power = np.sum(np.abs(cbs24.codebooks) ** 2, axis=(1, 2)) / cbs24.M
+        assert power == pytest.approx(np.ones(cbs24.J), abs=1e-9)
 
     def test_linearity_in_base(self, base24):
         F = scma.default_indicator()

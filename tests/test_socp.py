@@ -115,12 +115,12 @@ def kkt_violations(spec, sol):
     }
 
 
-def captured_28_spec():
-    """The linearization a (2,8) chain solves at its fourth CCCP step."""
+def captured_28_spec(step=4):
+    """The linearization a (2,8) chain solves at its ``step``-th CCCP step."""
     cfg = cccp.CCCPConfig(K=2, M=8)
     rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
     z = cccp.realify(cccp.init_feasible(2, 8, 1.0, rng))
-    for _ in range(3):
+    for _ in range(step - 1):
         z = socp.solve(cccp.linearize(z, cfg)).z
     return cccp.linearize(z, cfg)
 
@@ -163,6 +163,29 @@ class TestKKT:
             sol = socp.solve(spec)
             assert sol.status == "numerical_failure"
             assert np.all(np.isfinite(sol.z))
+
+
+class TestWarmStart:
+    def test_warm_from_previous_linearization(self):
+        # The subproblems are degenerate: here the warm solve's z is ~1e-6
+        # from the cold one's, so the two are compared by objective.
+        prev = socp.solve(captured_28_spec(3))
+        spec = captured_28_spec(4)
+        warm, cold = socp.solve(spec, warm=prev), socp.solve(spec)
+        for sol in (warm, cold):
+            assert sol.status == "optimal"
+            viol = kkt_violations(spec, sol)
+            assert max(viol.values()) <= socp.TOL, viol
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert warm.newton_iters < cold.newton_iters
+
+    def test_mismatched_warm_raises(self):
+        spec = simple_spec()
+        prev = socp.solve(spec)
+        for bad in (dataclasses.replace(prev, y=prev.y[:-1]),
+                    dataclasses.replace(prev, y_cone=prev.y_cone[:-1])):
+            with pytest.raises(ValueError, match="warm start"):
+                socp.solve(spec, warm=bad)
 
 
 class TestNTScaling:
