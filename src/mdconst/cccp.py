@@ -4,21 +4,22 @@ The non-convex program (minimize constellation energy, keep every pairwise
 squared Euclidean distance above a threshold and every per-dimension
 squared gap above an auxiliary level that is itself maximized) is solved
 by repeatedly replacing each quadratic constraint with its affine tangent
-at the current iterate and solving the resulting second-order cone
-subproblem. Each iterate stays feasible for the original quadratic
-constraints, and the composite objective F(z) = ||z|| - lam * min_ew(z)
-is non-increasing, where min_ew(z) is the smallest per-dimension squared
-gap. Per step, since z_q with eta = min_ew(z_q) is feasible for the q-th
-subproblem, ||z_{q+1}|| - ||z_q|| <= lam * (eta_{q+1} - min_ew(z_q)), with
-eta_{q+1} the subproblem's optimal level. The energy ||z||^2 alone is not
-monotone: an iterate may spend energy when the element-wise level gains more.
+at the current iterate and solving the resulting convex subproblem,
+minimize ||z|| - lam * eta over the tangent rows. Each iterate stays
+feasible for the original quadratic constraints, and the composite
+objective F(z) = ||z|| - lam * min_ew(z) is non-increasing, where
+min_ew(z) is the smallest per-dimension squared gap. Per step, since z_q
+with eta = min_ew(z_q) is feasible for the q-th subproblem,
+||z_{q+1}|| - ||z_q|| <= lam * (eta_{q+1} - min_ew(z_q)), with eta_{q+1}
+the subproblem's optimal level. The energy ||z||^2 alone is not monotone:
+an iterate may spend energy when the element-wise level gains more.
 
 The start is a complex Gaussian draw rescaled to MED = INIT_MARGIN * D_E,
 redrawn at most INIT_RESAMPLES times; every subproblem is solved to
 ``socp.TOL`` within ``socp.MAX_ITER`` interior-point iterations. Consecutive
 linearizations have the same rows in the same order, so every subproblem
 after a chain's first starts from the previous one's multipliers
-(``socp.solve(..., warm=...)``), which saves about a quarter of the
+(``socp.solve(..., warm=...)``), which saves about a fifth of the
 interior-point iterations.
 """
 
@@ -175,7 +176,9 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
 
     The row of a form q(z) = z^T Q z has g = 2 Q z_q and h = q(z_q), plus
     D_E^2 for a pair row, so that it reads q(z_q) + g^T (z - z_q) >= D_E^2
-    for a pair and >= eta for an element-wise form.
+    for a pair and >= eta for an element-wise form. A pair row's bound
+    D_E^2 + q(z_q) is positive, so z = 0 is infeasible, as ``socp.solve``
+    requires.
     """
     K, M = config.K, config.M
     de2 = config.d_e_threshold**2

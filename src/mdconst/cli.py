@@ -25,6 +25,8 @@ from .constellation import write_json_atomic, write_text_atomic
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+#: Most points an Eb/N0 sweep may ask for; each one is a simulation.
+MAX_EBN0_POINTS = 1000
 
 
 def _sha256(path: str) -> str:
@@ -59,8 +61,12 @@ def _parse_ebn0(text: str) -> list[float]:
             raise ValueError(f"sweep {text!r} needs finite numbers")
         if step <= 0:
             raise ValueError("sweep step must be > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
+        # count before building: 0:1e-12:1 would ask for 10^12 points
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_EBN0_POINTS:  # inf too, where floor raises
+            raise ValueError(f"sweep {text!r} has {span + 1:.4g} points, "
+                             f"more than {MAX_EBN0_POINTS}")
+        return [start + i * step for i in range(int(math.floor(span)) + 1)]
     return [float(p) for p in text.split(",") if p.strip()]
 
 

@@ -32,10 +32,12 @@ def random_tiny_spec(rng: np.random.Generator) -> socp.SubproblemSpec:
 
     Construction guarantees a strictly interior start and a bounded
     optimum: row gradients are capped at norm 1.5 and lam <= 0.5, so the
-    eta reward can never outrun the cone objective t >= ||z||.
+    eta reward can never outrun the cone objective t >= ||z||. The first
+    row is a pair row with a positive bound, as every pair row of a CCCP
+    linearization is, so z = 0 is infeasible.
     """
     n = int(rng.integers(1, 5))
-    n_med = int(rng.integers(0, 3))
+    n_med = int(rng.integers(1, 3))  # row 0 keeps z = 0 infeasible
     n_ew = int(rng.integers(1, 6 - n_med))  # at least one row bounds eta
     lam = float(rng.uniform(0.05, 0.5))
     x0 = rng.standard_normal(n)
@@ -53,7 +55,12 @@ def random_tiny_spec(rng: np.random.Generator) -> socp.SubproblemSpec:
     eta0_cap = np.inf
     for r in range(n_med + n_ew):
         g = rand_row()
-        h = float(g @ x0 - rng.uniform(0.1, 2.0))  # strict slack at x0
+        slack = rng.uniform(0.1, 2.0)  # strict slack at x0
+        if r == 0:  # a positive bound: move x0 along g to keep the slack
+            h = float(rng.uniform(0.1, 2.0))
+            x0 += g * (h + slack - float(g @ x0)) / float(g @ g)
+        else:
+            h = float(g @ x0 - slack)
         A[r, 1:-1], b[r] = g, h
         if r >= n_med:
             eta0_cap = min(eta0_cap, float(g @ x0 - h))

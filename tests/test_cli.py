@@ -257,6 +257,14 @@ class TestSimulate:
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 5  # header + 4
 
+    def test_sweep_size_checked_before_it_is_built(self):
+        # the cap itself passes; one point more, or 10^12, names its count
+        assert len(cli._parse_ebn0(f"0:1:{cli.MAX_EBN0_POINTS - 1}")) == cli.MAX_EBN0_POINTS
+        with pytest.raises(ValueError, match=f"has {cli.MAX_EBN0_POINTS + 1} points"):
+            cli._parse_ebn0(f"0:1:{cli.MAX_EBN0_POINTS}")
+        with pytest.raises(ValueError, match=r"has 1e\+12 points"):
+            cli._parse_ebn0("0:1e-12:1")
+
     def test_both_sources_rejected(self, base_file, tmp_path):
         rc = run(["simulate", "--constellation", base_file,
                   "--codebook", base_file, "--ebn0", "0",
@@ -283,6 +291,8 @@ class TestSimulate:
         ["--ebn0", "10:1:0"],
         ["--ebn0", "nan"],
         ["--ebn0", "0:1:inf"],
+        ["--ebn0", "0:1e-12:1"],
+        ["--ebn0", "0:1e-320:1"],
     ])
     def test_degenerate_inputs_exit_2(self, base_file, tmp_path, capsys, extra):
         # each ran to a traceback or wrote an empty or meaningless CSV

@@ -45,6 +45,16 @@ class TestValidation:
             with pytest.raises(ValueError, match="element-wise row"):
                 socp.solve(dataclasses.replace(spec, A=A))
 
+    def test_no_positive_pair_row(self):
+        # with every eta-free bound at or below 0, z = 0 is feasible and
+        # ||z|| is not smooth there
+        spec = simple_spec()
+        for bound in (0.0, -1.0):
+            b = spec.b.copy()
+            b[0] = bound
+            with pytest.raises(ValueError, match="pair row with a positive bound"):
+                socp.solve(dataclasses.replace(spec, b=b))
+
 
 class TestSolve:
     def test_simple_instance_against_oracle(self):
@@ -83,7 +93,7 @@ class TestSolve:
         assert len(sol.trace) == sol.newton_iters > 0
         for tau, it, mu in sol.trace:
             assert mu > 0.0
-            assert tau == pytest.approx(4 / mu)  # degree: 3 rows + 1 cone
+            assert tau == pytest.approx(3 / mu)  # degree: 3 rows, no cone
         assert [it for _, it, _ in sol.trace] == list(range(1, sol.newton_iters + 1))
         assert sol.trace[-1][2] <= socp.TOL
 
@@ -164,6 +174,17 @@ class TestKKT:
             assert sol.status == "numerical_failure"
             assert np.all(np.isfinite(sol.z))
 
+    def test_numerical_failure_keeps_the_last_feasible_point(self, monkeypatch):
+        # the step that would leave the orthant is not taken, so the point
+        # returned is strictly feasible and the next linearization exists
+        monkeypatch.setattr(socp, "STEP", 2.0)
+        for spec in (simple_spec(), captured_28_spec()):
+            sol = socp.solve(spec)
+            assert sol.status == "numerical_failure"
+            v = np.concatenate([[sol.t], sol.z, [sol.eta]])
+            assert np.min(spec.A @ v - spec.b) > 0.0
+            assert np.linalg.norm(sol.z) <= sol.t
+
 
 class TestWarmStart:
     def test_warm_from_previous_linearization(self):
@@ -186,38 +207,6 @@ class TestWarmStart:
                     dataclasses.replace(prev, y_cone=prev.y_cone[:-1])):
             with pytest.raises(ValueError, match="warm start"):
                 socp.solve(spec, warm=bad)
-
-
-class TestNTScaling:
-    @staticmethod
-    def interior(rng, k, near):
-        # a point of the open cone; near ones have det u ~ 1e-12 u_0^2
-        u = rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2)
-        r = np.linalg.norm(u[1:])
-        u[0] = r * (1.0 + 5e-13) if near else r + abs(u[0]) + 1e-3
-        return u
-
-    def test_rank_one_forms(self):
-        # W y = W^-1 s, W W^-1 = I and W^-1 W^-1 = W^-2, each to 1e-12 of
-        # the size of its products' terms, the scale of their rounding
-        n = np.linalg.norm
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for k in (2, 5, 33):
-            for near in (False, True):
-                for _ in range(100):
-                    s, y = self.interior(rng, k, near), self.interior(rng, k, near)
-                    if near:
-                        assert 0.0 < socp._soc_det(s) <= 2e-12 * s[0] ** 2
-                    W, W_inv, W_inv2 = socp._nt_scaling(s, y)
-                    assert np.array_equal(W, W.T)
-                    worst = max(
-                        worst,
-                        n(W @ y - W_inv @ s) / (n(W, 2) * n(y) + n(W_inv, 2) * n(s)),
-                        n(W @ W_inv - np.eye(k)) / (n(W, 2) * n(W_inv, 2)),
-                        n(W_inv @ W_inv - W_inv2) / n(W_inv, 2) ** 2,
-                    )
-        assert worst <= 1e-12
 
 
 def first_subproblem(K, M, chain):
