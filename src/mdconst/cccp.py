@@ -5,9 +5,11 @@ squared Euclidean distance above a threshold and every per-dimension
 squared gap above an auxiliary level that is itself maximized) is solved
 by repeatedly replacing each quadratic constraint with its affine tangent
 at the current iterate and solving the resulting convex subproblem,
-minimize ||z|| - lam * eta over the tangent rows. Each iterate stays
-feasible for the original quadratic constraints, and the composite
-objective F(z) = ||z|| - lam * min_ew(z) is non-increasing, where
+minimize ||z|| - lam * eta over the tangent rows, which ``linearize``
+builds as one row matrix over x = (z, eta) with the strict start
+(z_q, eta_0) for ``socp.solve``. Each iterate stays feasible for the
+original quadratic constraints, and the composite objective
+F(z) = ||z|| - lam * min_ew(z) is non-increasing, where
 min_ew(z) is the smallest per-dimension squared gap. Per step, since z_q
 with eta = min_ew(z_q) is feasible for the q-th subproblem,
 ||z_{q+1}|| - ||z_q|| <= lam * (eta_{q+1} - min_ew(z_q)), with eta_{q+1}
@@ -103,16 +105,16 @@ def _form_index(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (pi, pj), the (P, K) positions of x_i and x_j in Re(c) for the
     P = M(M-1)/2 pairs i < j, and ``flat``: where the gradient entries
     [2 dr, -2 dr, 2 di, -2 di] of the P pair rows and then of the P*K
-    element-wise rows land in the raveled (P(K+1), 2KM+2) row matrix over
-    v = (t, z, eta), whose column 0 is t. The arrays are read-only.
+    element-wise rows land in the raveled (P(K+1), 2KM+1) row matrix over
+    x = (z, eta). The arrays are read-only.
     """
-    width = 2 * K * M + 2
+    width = 2 * K * M + 1
     pairs = np.array(cn.pair_indices(M)).reshape(-1, 2)
     P = pairs.shape[0]
     ks = np.arange(K)
     pi = pairs[:, :1] * K + ks
     pj = pairs[:, 1:] * K + ks
-    cols = 1 + np.stack([pi, pj, pi + K * M, pj + K * M])  # (4, P, K)
+    cols = np.stack([pi, pj, pi + K * M, pj + K * M])  # (4, P, K)
     r_pair = np.arange(P)[:, None]
     r_ew = P + np.arange(P * K).reshape(P, K)
     flat = np.concatenate([(r_pair * width + cols).ravel(), (r_ew * width + cols).ravel()])
@@ -191,16 +193,15 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
 
     n, P = 2 * K * M, med_vals.size
     grad = np.concatenate([2.0 * dr, -2.0 * dr, 2.0 * di, -2.0 * di], axis=None)
-    A = np.zeros((P * (K + 1), n + 2))
+    A = np.zeros((P * (K + 1), n + 1))
     A.ravel()[_form_index(K, M)[2]] = np.tile(grad, 2)
     A[P:, -1] = -1.0
-    t0 = float(np.linalg.norm(z_q)) * (1.0 + 1e-6)
     eta0 = float(np.min(ew_vals)) * (1.0 - 1e-6)
     return socp.SubproblemSpec(
         lam=config.lam,
         A=A,
         b=np.concatenate([de2 + med_vals, ew_vals], axis=None),
-        start=np.concatenate([[t0], z_q, [eta0]]),
+        start=np.append(z_q, eta0),
     )
 
 

@@ -253,10 +253,8 @@ def amgm_check(C: Constellation) -> list[dict]:
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """All pairwise distances plus the derived minima and kissing counts."""
+    """The distance minima and kissing counts of a constellation."""
 
-    pairwise_euclidean: np.ndarray
-    pairwise_product: np.ndarray
     med: float
     mpd: float
     kissing_med: int
@@ -270,8 +268,6 @@ def distance_profile(C: Constellation) -> DistanceProfile:
     pe, pp = _euclidean(g), _product(g)
     finite = _finite(pp)
     return DistanceProfile(
-        pairwise_euclidean=pe,
-        pairwise_product=pp,
         med=float(pe.min()),
         mpd=float(finite.min()),
         kissing_med=_kissing(pe),

@@ -1,8 +1,7 @@
 """Primal-dual interior-point solver for the linearized subproblem.
 
 Each CCCP subproblem minimizes f(x) = ||z|| - lam*eta over x = (z, eta)
-subject to affine rows. ``SubproblemSpec`` holds them as A v >= b over
-v = (t, z, eta); the t column of A is zero, and A' is A without it:
+subject to affine rows, held in ``SubproblemSpec`` as A x >= b:
 
     g^T z           >= h     (linearized pair-distance constraints)
     g^T z - eta     >= h     (linearized element-wise constraints)
@@ -11,22 +10,21 @@ A pair row with h > 0, as every one CCCP builds has (h = D_E^2 + q(z_q)),
 keeps z = 0 infeasible, so f is smooth on the feasible set: its gradient
 is (u, -lam) and its Hessian (I - u u^T)/||z|| on the z block, u = z/||z||.
 The KKT conditions of this smooth convex program with linear rows are
-grad f = A'^T y, s = A' x - b >= 0, y >= 0 and s o y = 0.
+grad f = A^T y, s = A x - b >= 0, y >= 0 and s o y = 0.
 
 The method is Mehrotra's predictor-corrector (Vanderbei & Shanno 1999).
-Every iteration factors the normal matrix A'^T diag(y/s) A' + Hessian and
+Every iteration factors the normal matrix A^T diag(y/s) A + Hessian and
 solves with it twice, for the affine-scaling direction and for the centred
 one with the second-order correction. The primal iterate starts from the
-given strict start with eta pushed down and stays feasible; ``solve``
-describes the two dual starts.
+given strict start with eta pushed down and stays feasible, and s and y
+stay strictly positive; ``solve`` describes the two dual starts.
 
-Results are those of the equivalent cone program, minimize t - lam*eta
-subject to ||z|| <= t and A v >= b: t = ||z|| and the cone multiplier
-y_cone = (1, -A_z^T y). With r = grad f - A'^T y, that pair's gap is
-s^T y + z^T r_z, its dual-cone infeasibility at most ||r_z|| and its
-stationarity residual |r_eta|. The solver stops when all three are at
-most ``TOL``, or as unbounded once the displacement from the start, lifted
-to d = (||d_z||, d_z, d_eta), has A d >= 0 and ||d_z|| - lam*d_eta < 0.
+With r = grad f - A^T y, the one residual is
+max(|s^T y + z^T r_z|, ||r_z||, |r_eta|): the gap, with the z-part of the
+stationarity residual folded in, and the stationarity residual itself.
+The solver stops when it is at most ``TOL``, or as unbounded once the
+displacement d = x - x_0 from the start has A d >= 0 and
+||d_z|| - lam*d_eta < 0.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Stopping tolerance: the conic gap, dual-cone and stationarity residuals.
+#: Stopping tolerance on the residual (see ``_residual``).
 TOL = 1e-8
 #: Interior-point iteration cap, far above the <= 17 a Table-1 subproblem takes.
 MAX_ITER = 800
@@ -63,19 +61,18 @@ WARM_SHIFT = 0.01
 
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """One linearized convex subproblem: minimize t - lam*eta subject to
-    ||z|| <= t and A v >= b over v = (t, z, eta)."""
+    """One linearized convex subproblem: minimize ||z|| - lam*eta subject
+    to A x >= b over x = (z, eta)."""
 
     lam: float
-    A: np.ndarray  # (m, n+2); an element-wise row has a negative eta coefficient
+    A: np.ndarray  # (m, n+1); an element-wise row has a negative eta coefficient
     b: np.ndarray  # (m,)
-    start: np.ndarray  # (n+2,), strictly interior
+    start: np.ndarray  # (n+1,), strictly interior
 
 
 @dataclass
 class SubproblemSolution:
     z: np.ndarray
-    t: float
     eta: float
     status: str  # "optimal" | "max_iter" | "unbounded" | "numerical_failure"
     newton_iters: int  # interior-point iterations
@@ -83,41 +80,28 @@ class SubproblemSolution:
     objective: float
     trace: list = field(default_factory=list)  # (degree / mu, iteration, mu)
     y: np.ndarray = field(default_factory=lambda: np.empty(0))  # row multipliers
-    y_cone: np.ndarray = field(default_factory=lambda: np.empty(0))  # (y_t, y_z)
 
 
 class NotStrictlyFeasible(ValueError):
     """Raised when the provided start violates strict interior feasibility."""
 
 
-def _cone_margin(u: np.ndarray, m: int) -> float:
-    """How far u = (rows, cone) lies outside R^m_+ x Q, where
-    Q = {(u_0, u_1): ||u_1|| <= u_0}; negative inside."""
-    return max(-float(np.min(u[:m])), float(np.linalg.norm(u[m + 1:])) - u[m])
+def _residual(A, x, s, y, grad) -> float:
+    """max(|s^T y + z^T r_z|, ||r_z||, |r_eta|) with r = grad f - A^T y."""
+    r = grad - A.T @ y
+    r_z = r[:-1]
+    return max(abs(float(s @ y) + float(x[:-1] @ r_z)), math.sqrt(float(r_z @ r_z)),
+               abs(float(r[-1])))
 
 
-def _lift(x: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """The displacement x - x0 over (z, eta) as a ray over v = (t, z, eta),
-    with t moving by ||d_z||, so that it stays on the cone's boundary."""
-    d = x - x0
-    return np.concatenate([[math.sqrt(float(d[:-1] @ d[:-1]))], d])
-
-
-def _is_ray(G, c, d, m, slack=0.0) -> bool:
-    """Whether d, scaled to unit max-norm, has G d in K to TOL plus ``slack``
-    over that norm, and c^T d < -TOL: a ray along which the objective falls."""
-    size = float(np.abs(d).max())
-    d = d / size
-    return _cone_margin(G @ d, m) <= TOL + slack / size and float(c @ d) < -TOL
-
-
-def _kkt_residual(G, h, c, v, Y) -> float:
-    """max(stationarity, primal infeasibility, dual-cone infeasibility, gap)
-    of the conic primal-dual pair (v, Y), with G = [A; I 0] and h = (b, 0)."""
-    m = G.shape[0] - G.shape[1] + 1
-    S = G @ v - h
-    stat = float(np.max(np.abs(c - G.T @ Y)))
-    return max(stat, _cone_margin(S, m), _cone_margin(Y, m), abs(float(S @ Y)))
+def _is_ray(A, lam, d, slack=0.0) -> bool:
+    """Whether d = x - x_0 is a ray along which f falls: A d >= 0 to TOL
+    times size = max(||d_z||, |d_eta|) plus ``slack``, and
+    ||d_z|| - lam*d_eta < -TOL*size."""
+    dz_norm = math.sqrt(float(d[:-1] @ d[:-1]))
+    size = max(dz_norm, abs(float(d[-1])))
+    return (float((A @ d).min()) >= -(TOL * size + slack)
+            and dz_norm - lam * d[-1] < -TOL * size)
 
 
 def _boundary_step(s, ds, y, dy) -> float:
@@ -128,100 +112,87 @@ def _boundary_step(s, ds, y, dy) -> float:
 
 def solve(spec: SubproblemSpec, trace: bool = False,
           warm: SubproblemSolution | None = None) -> SubproblemSolution:
-    """Minimize t - lam*eta subject to ||z|| <= t and the affine rows.
+    """Minimize ||z|| - lam*eta subject to the affine rows A x >= b.
 
     The rows must include an element-wise row and a pair row with a
     positive bound; without either the subproblem is not the smooth one
     this solver handles, and ``ValueError`` is raised. Returns the primal
-    point with t = ||z||, its row multipliers ``y`` and the cone multiplier
-    ``y_cone`` = (1, -A_z^T y) derived from them.
+    point, its row multipliers ``y`` and the residual of the pair.
 
     Without ``warm`` the dual starts cold: the least-norm solution of
-    A'^T y = grad f at the start, shifted 1 inside the orthant, with eta
+    A^T y = grad f at the start, shifted 1 inside the orthant, with eta
     pushed 0.1 off the element-wise rows. ``warm`` is the previous solution
     of the same CCCP chain, whose rows match these one to one; its ``y``
     starts the dual instead, clipped at 0 and raised by ``WARM_SHIFT``, and
-    the push is ``WARM_PUSH``. A ``warm``
-    whose multiplier shapes do not match the spec raises ``ValueError``.
+    the push is ``WARM_PUSH``. A ``warm`` whose ``y`` does not have one
+    entry per row raises ``ValueError``.
 
-    Status "optimal" means the conic gap, dual-cone and stationarity
-    residuals are at most ``TOL``; "max_iter" means ``MAX_ITER``
+    ``kkt_residual`` is the residual at the returned point, and status
+    "optimal" means it is at most ``TOL``; "max_iter" means ``MAX_ITER``
     iterations came first, and "unbounded" that the iterate left the start
-    along a ray that, lifted to (||d_z||, d_z, d_eta), stays in the cones
-    to ``TOL`` and lowers the objective; the point returned is the start
-    plus that ray, t = t_0 + ||z - z_0||. "numerical_failure" means the
-    normal matrix could not be solved, a step was not finite, or it would
-    have put the iterate on the boundary of the orthant; the last iterate
-    is returned. Such an exit that is a ray once ``TOL`` is widened by the
-    start's slack over the distance travelled reports "unbounded". Every
-    point returned is primal feasible.
+    along a ray d = x - x_0 that keeps the rows to ``TOL`` and lowers the
+    objective; the point returned is the start plus that ray.
+    "numerical_failure" means the normal matrix could not be solved, a
+    step was not finite, or it would have put the iterate on the boundary
+    of the orthant; the last iterate is returned. Such an exit that is a
+    ray once ``TOL`` is widened by the start's slack over the distance
+    travelled reports "unbounded". ``objective`` is ||z|| - lam*eta at the
+    returned point, and every point returned is primal feasible.
     """
     A, b = spec.A, spec.b
-    v0 = np.asarray(spec.start, dtype=np.float64)
-    m, k = A.shape[0], A.shape[1] - 1
-    if b.shape != (m,) or v0.shape != (k + 1,):
-        raise ValueError("spec dimension mismatch: need A (m, n+2), b (m,), start (n+2,)")
-    if not np.any(A[:, k] < 0.0):
+    x0 = np.asarray(spec.start, dtype=np.float64)
+    m, n = A.shape[0], A.shape[1] - 1  # z has n entries; x = (z, eta) has n + 1
+    if b.shape != (m,) or x0.shape != (n + 1,):
+        raise ValueError("spec dimension mismatch: need A (m, n+1), b (m,), start (n+1,)")
+    if not np.any(A[:, n] < 0.0):
         raise ValueError("need an element-wise row: without one eta is unbounded")
-    if not np.any((A[:, k] == 0.0) & (b > 0.0)):
+    if not np.any((A[:, n] == 0.0) & (b > 0.0)):
         raise ValueError(
             "need a pair row with a positive bound (an eta-free row with b > 0): "
             "without one z = 0 is feasible, where ||z|| is not smooth")
+    s0 = A @ x0 - b
+    if float(s0.min()) <= 0.0:
+        raise NotStrictlyFeasible(f"start point's smallest row slack is {s0.min():.3e}")
 
-    G = np.concatenate([A, np.eye(k, k + 1)])
-    h = np.concatenate([b, np.zeros(k)])
-    margin = _cone_margin(G @ v0 - h, m)
-    if margin >= 0.0:
-        raise NotStrictlyFeasible(f"start point lies {margin:.3e} outside the cones")
-    c = np.zeros(k + 1)
-    c[[0, k]] = 1.0, -spec.lam
-
-    n = k - 1  # z has n entries; x = (z, eta) has k
-    Ax = np.ascontiguousarray(A[:, 1:])  # A'
-    x0 = v0[1:]
     x = x0.copy()
     z = x[:n]  # a view
     grad = np.append(z / math.sqrt(float(z @ z)), -spec.lam)  # grad f
     if warm is None:
         push = 0.1
-        y = np.linalg.lstsq(Ax.T, grad, rcond=None)[0]
+        y = np.linalg.lstsq(A.T, grad, rcond=None)[0]
         y += max(0.0, 1.0 - float(y.min()))
     else:
-        if warm.y.shape != (m,) or warm.y_cone.shape != (k,):
+        if warm.y.shape != (m,):
             raise ValueError(
-                f"warm start has {warm.y.shape} row and {warm.y_cone.shape} cone "
-                f"multipliers; the spec needs ({m},) and ({k},)")
+                f"warm start has {warm.y.shape} row multipliers; the spec needs ({m},)")
         push = WARM_PUSH
         y = np.maximum(warm.y, 0.0) + WARM_SHIFT
     # Lowering eta keeps every row feasible and gives the element-wise rows room.
     x[n] -= push * (1.0 + abs(x[n]))
-    s = Ax @ x - b
+    s = A @ x - b
 
-    diag = np.arange(n) * (k + 1)  # flat positions of the z block's diagonal
+    diag = np.arange(n) * (n + 2)  # flat positions of the z block's diagonal
     status = "max_iter"
     rows = []
     iters = 0
     while True:
         nz = math.sqrt(float(z @ z))
         grad[:n] = z / nz
-        r = grad - Ax.T @ y
-        r_z = r[:n]
-        gap = float(s @ y)
-        if (abs(gap + float(z @ r_z)) <= TOL and math.sqrt(float(r_z @ r_z)) <= TOL
-                and abs(r[n]) <= TOL):
+        if _residual(A, x, s, y, grad) <= TOL:
             status = "optimal"
             break
         if iters >= MAX_ITER:
             break
+        gap = float(s @ y)
 
         d_row = y / s
-        N = (Ax.T * d_row) @ Ax
+        N = (A.T * d_row) @ A
         N[:n, :n] -= (grad[:n] / nz)[:, None] * grad[:n]
         N.flat[diag] += 1.0 / nz
         try:
             # Predictor: affine-scaling direction, target s o y -> 0.
             dx = np.linalg.solve(N, -grad)
-            ds = Ax @ dx
+            ds = A @ dx
             dy = -y - d_row * ds
             alpha = min(1.0, _boundary_step(s, ds, y, dy))
             sigma = min(1.0, max(0.0, float((s + alpha * ds) @ (y + alpha * dy)) / gap)) ** 3
@@ -229,11 +200,11 @@ def solve(spec: SubproblemSpec, trace: bool = False,
             # Corrector: centring to sigma * mu, mu = gap / m, plus the
             # second-order term of the predictor.
             w = (sigma * gap / m - ds * dy) / s
-            dx = np.linalg.solve(N, Ax.T @ w - grad)
+            dx = np.linalg.solve(N, A.T @ w - grad)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        ds = Ax @ dx
+        ds = A @ dx
         dy = w - y - d_row * ds
         dz_norm = math.sqrt(float(dx[:n] @ dx[:n]))
         falls = dz_norm - spec.lam * dx[n] < 0.0
@@ -256,30 +227,26 @@ def solve(spec: SubproblemSpec, trace: bool = False,
         if trace:
             mu = float(s @ y) / m
             rows.append((m / mu, iters, mu))
-        if falls and _is_ray(G, c, _lift(x, x0), m):
+        if falls and _is_ray(A, spec.lam, x - x0):
             status = "unbounded"
             break
 
-    v = np.concatenate([[math.sqrt(float(z @ z))], x])
-    ray = _lift(x, x0)
     # Rounding can end a barely unbounded run before x - x0 is a ray to TOL;
-    # seen from there, the start's own slack G v0 - (b, 0) still shifts G d.
+    # seen from there, the start's own slack, its largest row slack or
+    # ||z_0||, still shifts A d.
     if status == "numerical_failure" and _is_ray(
-            G, c, ray, m, float(np.abs(G @ v0 - h).max())):
+            A, spec.lam, x - x0, max(float(s0.max()), math.sqrt(float(x0[:n] @ x0[:n])))):
         status = "unbounded"
-    if status == "unbounded":
-        v[0] = v0[0] + ray[0]
-    Y = np.concatenate([y, [1.0], -(Ax[:, :n].T @ y)])
+    nz = math.sqrt(float(z @ z))
+    grad[:n] = z / nz
 
     return SubproblemSolution(
         z=z.copy(),
-        t=float(v[0]),
-        eta=float(v[k]),
+        eta=float(x[n]),
         status=status,
         newton_iters=iters,
-        kkt_residual=_kkt_residual(G, h, c, v, Y),
-        objective=float(c @ v),
+        kkt_residual=_residual(A, x, s, y, grad),
+        objective=nz - spec.lam * float(x[n]),
         trace=rows,
         y=y.copy(),
-        y_cone=Y[m:].copy(),
     )

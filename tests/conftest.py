@@ -32,7 +32,7 @@ def random_tiny_spec(rng: np.random.Generator) -> socp.SubproblemSpec:
 
     Construction guarantees a strictly interior start and a bounded
     optimum: row gradients are capped at norm 1.5 and lam <= 0.5, so the
-    eta reward can never outrun the cone objective t >= ||z||. The first
+    eta reward can never outrun the objective's ||z||. The first
     row is a pair row with a positive bound, as every pair row of a CCCP
     linearization is, so z = 0 is infeasible.
     """
@@ -48,8 +48,8 @@ def random_tiny_spec(rng: np.random.Generator) -> socp.SubproblemSpec:
         g *= rng.uniform(0.3, 1.5) / norm
         return g
 
-    # rows over v = (t, z, eta): pair rows first, then element-wise rows
-    A = np.zeros((n_med + n_ew, n + 2))
+    # rows over x = (z, eta): pair rows first, then element-wise rows
+    A = np.zeros((n_med + n_ew, n + 1))
     b = np.empty(n_med + n_ew)
     A[n_med:, -1] = -1.0
     eta0_cap = np.inf
@@ -61,32 +61,29 @@ def random_tiny_spec(rng: np.random.Generator) -> socp.SubproblemSpec:
             x0 += g * (h + slack - float(g @ x0)) / float(g @ g)
         else:
             h = float(g @ x0 - slack)
-        A[r, 1:-1], b[r] = g, h
+        A[r, :-1], b[r] = g, h
         if r >= n_med:
             eta0_cap = min(eta0_cap, float(g @ x0 - h))
-    t0 = float(np.linalg.norm(x0) * 1.1 + 0.1)
     eta0 = eta0_cap - 0.05
-    return socp.SubproblemSpec(
-        lam=lam, A=A, b=b, start=np.concatenate([[t0], x0, [eta0]])
-    )
+    return socp.SubproblemSpec(lam=lam, A=A, b=b, start=np.append(x0, eta0))
 
 
 def oracle_objective(spec: socp.SubproblemSpec, iters: int = 4000) -> float:
-    """Independent minimum of t - lam*eta via bisection / ellipsoid method.
+    """Independent minimum of ||z|| - lam*eta via bisection / ellipsoid method.
 
-    For fixed z the optimal t is ||z|| and the optimal eta is the smallest
-    element-wise row slack, so the problem reduces to n <= 4 dimensions:
+    For fixed z the optimal eta is the smallest element-wise row slack, so
+    the problem reduces to n <= 4 dimensions:
         f(z) = ||z|| - lam * min_i (g_i^T z - h_i)   over med-feasible z.
     f is convex; n = 1 is solved by subgradient-sign bisection, n >= 2 by
     the ellipsoid method with feasibility cuts. Instances generated by
     random_tiny_spec are coercive (lam * ||g|| <= 0.75 < 1), which bounds
     the minimizer inside the initial ball.
     """
-    n = spec.A.shape[1] - 2
+    n = spec.A.shape[1] - 1
     lam = spec.lam
     ew = spec.A[:, -1] < 0.0  # element-wise rows carry -eta
-    Gm, hm = spec.A[~ew, 1:-1], spec.b[~ew]
-    Ge, he = spec.A[ew, 1:-1], spec.b[ew]
+    Gm, hm = spec.A[~ew, :-1], spec.b[~ew]
+    Ge, he = spec.A[ew, :-1], spec.b[ew]
 
     def fval(x):
         if Gm.size and (Gm @ x - hm).min() < -1e-15:
@@ -102,7 +99,7 @@ def oracle_objective(spec: socp.SubproblemSpec, iters: int = 4000) -> float:
         nz = np.linalg.norm(x)
         return (x / nz if nz > 1e-14 else np.zeros(n)) - lam * Ge[imin], False
 
-    x0 = np.asarray(spec.start[1:-1], dtype=np.float64)
+    x0 = np.asarray(spec.start[:-1], dtype=np.float64)
     f0 = fval(x0)
     radius = (
         4.0 * (abs(f0) + lam * float(np.abs(he).max()))

@@ -170,10 +170,20 @@ def test_solver_iteration_counts(table1):
     assert max(iters) <= 25, f"a subproblem took {max(iters)} iterations"
     assert np.mean(iters) <= 15, f"mean {np.mean(iters):.2f} iterations per subproblem"
     # every solve after a chain's first starts from the previous multipliers:
-    # 7.11 iterations on average at seed 0, 8.87 with cold starts (max 17;
-    # mean 7.36 over all 916 solves)
+    # 7.11 iterations on average at seed 0 (max 17; 7.36 over all 916
+    # solves), and 8.87 with every solve cold, so a lost warm start fails
     warm = [rec["newton_iters"] for ch in chains for rec in ch.trace[1:]]
-    assert np.mean(warm) <= 9, f"mean {np.mean(warm):.2f} iterations per warm-started subproblem"
+    assert np.mean(warm) <= 8, f"mean {np.mean(warm):.2f} iterations per warm-started subproblem"
+
+
+def test_optimal_solves_are_certified(table1):
+    """A chain whose every solve ended "optimal" has every reported KKT
+    residual at most socp.TOL: the stop rule tests the residual it reports
+    (at most 9.996e-9 at seeds 0 and 1000)."""
+    for data in table1.values():
+        for ch in data["chains"]:
+            if ch.non_optimal_solves == 0 and ch.trace:
+                assert ch.max_kkt <= socp.TOL, (ch.chain_index, ch.max_kkt)
 
 
 def test_criterion_4_quadratic_form_oracles():

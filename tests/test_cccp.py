@@ -79,13 +79,12 @@ class TestLinearize:
         z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
         spec = cccp.linearize(z, cfg)
         P = M * (M - 1) // 2
-        assert spec.A.shape == (P + K * P, 2 * K * M + 2)
+        assert spec.A.shape == (P + K * P, 2 * K * M + 1)
         assert spec.b.shape == (P + K * P,)
         assert np.count_nonzero(spec.A[:, -1]) == K * P
-        v0 = spec.start
-        assert np.array_equal(v0[1:-1], z)
-        assert np.min(spec.A @ v0 - spec.b) > 0.0
-        assert np.linalg.norm(v0[1:-1]) < v0[0]
+        x0 = spec.start
+        assert np.array_equal(x0[:-1], z)
+        assert np.min(spec.A @ x0 - spec.b) > 0.0
 
     def test_tangent_touches_quadratic(self):
         # at the expansion point the affine row value equals the quadratic
@@ -95,7 +94,7 @@ class TestLinearize:
         z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
         spec = cccp.linearize(z, cfg)
         med_idx, _ = pair_forms(K, M)
-        for g, h, idx in zip(spec.A[:, 1:-1], spec.b, med_idx):
+        for g, h, idx in zip(spec.A[:, :-1], spec.b, med_idx):
             # g = 2 A z_q and h = D_E^2 + z_q^T A z_q, so g.z_q - h =
             # z_q^T A z_q - D_E^2 (the current slack of the quadratic)
             assert float(g @ z) - h == pytest.approx(
@@ -105,7 +104,7 @@ class TestLinearize:
     @pytest.mark.parametrize("K, M", [(2, 4), (2, 8), (3, 4)])
     def test_rows_match_quadratic_form_oracle(self, K, M):
         # the index-array rows equal those built form by form with qforms,
-        # over v = (t, z, eta)
+        # over x = (z, eta)
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(K * 10 + M)
         med_idx, ew_idx = pair_forms(K, M)
@@ -114,17 +113,16 @@ class TestLinearize:
         for _ in range(5):
             z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
             spec = cccp.linearize(z, cfg)
-            A_ref = np.zeros((P + len(ew_idx), n + 2))
+            A_ref = np.zeros((P + len(ew_idx), n + 1))
             b_ref = np.empty(len(A_ref))
             for r, idx in enumerate(med_idx + ew_idx):
-                A_ref[r, 1 : n + 1] = qforms.qf_gradient(idx, z)
+                A_ref[r, :n] = qforms.qf_gradient(idx, z)
                 b_ref[r] = qforms.qf_value(idx, z)
-            A_ref[P:, n + 1] = -1.0
+            A_ref[P:, n] = -1.0
             b_ref[:P] += cfg.d_e_threshold**2
             assert spec.A.shape == A_ref.shape and spec.b.shape == b_ref.shape
             assert np.max(np.abs(spec.A - A_ref)) <= 1e-12
             assert np.max(np.abs(spec.b - b_ref)) <= 1e-12
-            assert not np.any(spec.A[:, 0])  # t column
             assert np.array_equal(spec.A[:P, -1], np.zeros(P))
             assert np.array_equal(spec.A[P:, -1], -np.ones(P * K))
 
@@ -249,7 +247,7 @@ class TestOptimize:
     def test_solver_statuses_surface_as_failed_chain(self, monkeypatch):
         def boom(spec, **kw):
             return socp.SubproblemSolution(
-                z=np.zeros(spec.A.shape[1] - 2), t=0.0, eta=0.0, status="numerical_failure",
+                z=np.zeros(spec.A.shape[1] - 1), eta=0.0, status="numerical_failure",
                 newton_iters=0, kkt_residual=math.inf, objective=math.nan,
             )
 

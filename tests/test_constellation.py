@@ -62,7 +62,7 @@ class TestMetrics:
     def test_product_distance_identical_pair_is_inf(self):
         pts = np.array([[1 + 1j, 1 + 1j, 2.0], [1j, 1j, 3.0]])
         C = cn.Constellation(points=pts)
-        assert math.isinf(cn.distance_profile(C).pairwise_product[0])
+        assert math.isinf(cn._product(cn.pair_gaps(C))[0])
         # the identical pair is excluded from the minimum
         assert math.isfinite(cn.mpd(C))
 
@@ -76,7 +76,7 @@ class TestMetrics:
         # vectors equal in dim 0, gap 2 in dim 1: product over admissible dims
         pts = np.array([[1.0, 1.0], [1.0, 3.0]], dtype=complex)
         C = cn.Constellation(points=pts)
-        assert cn.distance_profile(C).pairwise_product[0] == pytest.approx(2.0)
+        assert cn._product(cn.pair_gaps(C))[0] == pytest.approx(2.0)
 
     def test_pair_indices_order(self):
         assert cn.pair_indices(4) == [
@@ -91,6 +91,8 @@ def _kissing_bruteforce(d):
 
 def assert_profile_matches_bruteforce(C):
     prof = cn.distance_profile(C)
+    g = cn.pair_gaps(C)
+    pairwise_euclidean, pairwise_product = cn._euclidean(g), cn._product(g)
     amgm = cn.amgm_check(C)
     K, M = C.K, C.M
     pe, pp, gap_min, n = [], [], math.inf, 0
@@ -116,13 +118,13 @@ def assert_profile_matches_bruteforce(C):
             assert chk["equality"] == (spread <= cn.AMGM_EQ_TOL)
             n += 1
     assert len(amgm) == n
-    assert np.allclose(prof.pairwise_euclidean, pe, rtol=1e-12, atol=0)
-    assert np.array_equal(np.isinf(prof.pairwise_product), np.isinf(pp))
+    assert np.allclose(pairwise_euclidean, pe, rtol=1e-12, atol=0)
+    assert np.array_equal(np.isinf(pairwise_product), np.isinf(pp))
     assert prof.med == pytest.approx(min(pe), rel=1e-12)
     assert prof.kissing_med == _kissing_bruteforce(pe)
     assert prof.min_elementwise == pytest.approx(gap_min, rel=1e-12, abs=0)
     finite = [p for p in pp if math.isfinite(p)]
-    assert np.allclose(prof.pairwise_product[np.isfinite(pp)], finite, rtol=1e-12, atol=0)
+    assert np.allclose(pairwise_product[np.isfinite(pp)], finite, rtol=1e-12, atol=0)
     assert prof.mpd == pytest.approx(min(finite), rel=1e-12)
     assert prof.kissing_mpd == _kissing_bruteforce(finite)
 

@@ -9,6 +9,10 @@ class or constant it defines at top level under a name that starts with
 ``_`` must be read somewhere under src/, tests/ or mdbench/: as a name,
 an attribute, an imported name or a string such as a ``getattr`` or
 ``monkeypatch.setattr`` target. A mention inside a docstring does not count.
+
+The same walk guards against dead fields: every field of a ``@dataclass``
+under src/mdconst must be read somewhere under src/ or mdbench/, outside
+the tests, as an attribute or as a string such as a ``getattr`` key.
 """
 
 import ast
@@ -94,3 +98,58 @@ def test_no_unused_private_names(path):
     files = [p for d in ("src", "tests", "mdbench") for p in (ROOT / d).rglob("*.py")]
     refs = set().union(*(file_references(p) for p in files if p != path))
     assert unused_private_names(path.read_text(), refs) == []
+
+
+def dataclass_fields(tree: ast.Module) -> list[str]:
+    """"Class.field" for every annotated field of a top-level @dataclass."""
+    fields = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return fields
+
+
+def field_reads(tree: ast.Module) -> set[str]:
+    """Attribute names read, and every string constant."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def unread_fields(source: str, reads: set[str]) -> list[str]:
+    return sorted(f for f in dataclass_fields(ast.parse(source))
+                  if f.split(".")[1] not in reads)
+
+
+def test_field_checker_flags_only_unread_fields():
+    src = ("import dataclasses\nfrom dataclasses import dataclass, field\n\n"
+           "@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int\n"
+           "    c: list = field(default_factory=list)\n    K = 3\n\n"
+           "@dataclasses.dataclass\nclass B:\n    d: int\n    e: int = 0\n\n"
+           "class C:\n    f: int\n")
+    other = ("def g(x, y):\n    x.c = y.a\n    return getattr(x, 'e'), A(b=1)\n"
+             "\n\"\"\"Not x.d.\"\"\"\n")
+    assert unread_fields(src, field_reads(ast.parse(other))) == ["A.b", "A.c", "B.d"]
+
+
+@functools.lru_cache(maxsize=None)
+def file_field_reads(path: pathlib.Path) -> frozenset[str]:
+    return frozenset(field_reads(ast.parse(path.read_text())))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_dataclass_fields(path):
+    files = [p for d in ("src", "mdbench") for p in (ROOT / d).rglob("*.py")
+             if not p.name.startswith("test_")]
+    reads = set().union(*(file_field_reads(p) for p in files))
+    assert unread_fields(path.read_text(), reads) == []

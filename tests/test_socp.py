@@ -9,15 +9,15 @@ from mdconst import cccp, socp
 
 
 def simple_spec(lam=0.25):
-    # minimize t - lam*eta in 2-D with one med row and two ew rows; the
-    # columns are v = (t, z_1, z_2, eta)
+    # minimize ||z|| - lam*eta in 2-D with one med row and two ew rows; the
+    # columns are x = (z_1, z_2, eta)
     A = np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, -1.0],
-        [0.0, 0.6, 0.6, -1.0],
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, -1.0],
+        [0.6, 0.6, -1.0],
     ])
     b = np.array([1.0, 0.5, 0.2])
-    return socp.SubproblemSpec(lam=lam, A=A, b=b, start=np.array([3.5, 2.0, 2.0, 0.1]))
+    return socp.SubproblemSpec(lam=lam, A=A, b=b, start=np.array([2.0, 2.0, 0.1]))
 
 
 class TestValidation:
@@ -32,7 +32,7 @@ class TestValidation:
             socp.solve(bad)
 
     def test_not_strictly_feasible(self):
-        bad = dataclasses.replace(simple_spec(), start=np.array([1.0, 0.0, 0.0, 0.0]))
+        bad = dataclasses.replace(simple_spec(), start=np.array([0.0, 0.0, 0.0]))
         with pytest.raises(socp.NotStrictlyFeasible):
             socp.solve(bad)
 
@@ -66,15 +66,9 @@ class TestSolve:
     def test_solution_feasible_and_kkt(self):
         spec = simple_spec()
         sol = socp.solve(spec)
-        v = np.concatenate([[sol.t], sol.z, [sol.eta]])
-        assert np.min(spec.A @ v - spec.b) >= -1e-9
-        assert np.linalg.norm(sol.z) <= sol.t + 1e-9
+        x = np.append(sol.z, sol.eta)
+        assert np.min(spec.A @ x - spec.b) >= -1e-9
         assert sol.kkt_residual <= 1e-7  # 10 * socp.TOL
-
-    def test_cone_tightness_at_optimum(self):
-        # objective includes +t, so the cone is active: t = ||z||
-        sol = socp.solve(simple_spec())
-        assert sol.t == pytest.approx(float(np.linalg.norm(sol.z)), abs=1e-6)
 
     def test_random_tiny_instances_match_oracle(self):
         rng = np.random.default_rng(20240817)
@@ -101,28 +95,30 @@ class TestSolve:
         s1 = socp.solve(simple_spec())
         s2 = socp.solve(simple_spec())
         assert np.array_equal(s1.z, s2.z)
-        assert s1.t == s2.t and s1.eta == s2.eta
+        assert s1.eta == s2.eta
 
 
 def kkt_violations(spec, sol):
     """Stationarity, primal and dual feasibility and complementarity of the
-    returned pair, from the rows and the returned v and multipliers alone."""
-    A, b = spec.A, spec.b
-    v = np.concatenate([[sol.t], sol.z, [sol.eta]])
-    y, (y_t, *y_z) = sol.y, sol.y_cone
-    y_z = np.array(y_z)
-    c = np.zeros(v.size)
-    c[0], c[-1] = 1.0, -spec.lam
-    cone_part = np.concatenate([sol.y_cone, [0.0]])  # P^T y_c with P v = (t, z)
-    slack = A @ v - b
+    returned pair, from the rows and the returned x and multipliers alone."""
+    A, b, y = spec.A, spec.b, sol.y
+    x = np.append(sol.z, sol.eta)
+    grad = np.append(sol.z / np.linalg.norm(sol.z), -spec.lam)
+    r = grad - A.T @ y
+    slack = A @ x - b
     return {
-        "stationarity": float(np.max(np.abs(c - A.T @ y - cone_part))),
+        "stationarity_z": float(np.linalg.norm(r[:-1])),
+        "stationarity_eta": abs(float(r[-1])),
         "primal_rows": max(0.0, -float(np.min(slack))),
-        "primal_cone": max(0.0, float(np.linalg.norm(sol.z)) - sol.t),
         "dual_rows": max(0.0, -float(np.min(y))),
-        "dual_cone": max(0.0, float(np.linalg.norm(y_z)) - y_t),
-        "complementarity": abs(float(slack @ y) + sol.t * y_t + float(sol.z @ y_z)),
+        "complementarity": abs(float(slack @ y) + float(sol.z @ r[:-1])),
     }
+
+
+def optimal_iff_certified(sol):
+    """The status is "optimal" exactly when the reported residual is at
+    most TOL: the stop rule and the report measure the same thing."""
+    return (sol.status == "optimal") == (sol.kkt_residual <= socp.TOL)
 
 
 def captured_28_spec(step=4):
@@ -139,8 +135,8 @@ class TestKKT:
     def _check(self, spec):
         sol = socp.solve(spec)
         assert sol.status == "optimal"
+        assert optimal_iff_certified(sol)
         assert sol.y.shape == (spec.A.shape[0],)
-        assert sol.y_cone.shape == (spec.A.shape[1] - 1,)
         viol = kkt_violations(spec, sol)
         assert max(viol.values()) <= 10 * socp.TOL, viol
         assert sol.kkt_residual == pytest.approx(max(viol.values()), abs=1e-12)
@@ -163,8 +159,9 @@ class TestKKT:
             sol = socp.solve(spec)
             assert sol.status == "max_iter"
             assert sol.newton_iters == 1
+            assert optimal_iff_certified(sol)
             assert np.all(np.isfinite(sol.z))
-            assert math.isfinite(sol.t) and math.isfinite(sol.eta)
+            assert math.isfinite(sol.eta)
 
     def test_step_out_of_the_cone_is_numerical_failure(self, monkeypatch):
         # a step past the boundary must end in a status, not an exception
@@ -181,9 +178,8 @@ class TestKKT:
         for spec in (simple_spec(), captured_28_spec()):
             sol = socp.solve(spec)
             assert sol.status == "numerical_failure"
-            v = np.concatenate([[sol.t], sol.z, [sol.eta]])
-            assert np.min(spec.A @ v - spec.b) > 0.0
-            assert np.linalg.norm(sol.z) <= sol.t
+            x = np.append(sol.z, sol.eta)
+            assert np.min(spec.A @ x - spec.b) > 0.0
 
 
 class TestWarmStart:
@@ -203,10 +199,9 @@ class TestWarmStart:
     def test_mismatched_warm_raises(self):
         spec = simple_spec()
         prev = socp.solve(spec)
-        for bad in (dataclasses.replace(prev, y=prev.y[:-1]),
-                    dataclasses.replace(prev, y_cone=prev.y_cone[:-1])):
-            with pytest.raises(ValueError, match="warm start"):
-                socp.solve(spec, warm=bad)
+        bad = dataclasses.replace(prev, y=prev.y[:-1])
+        with pytest.raises(ValueError, match="warm start"):
+            socp.solve(spec, warm=bad)
 
 
 def first_subproblem(K, M, chain):
@@ -219,17 +214,15 @@ def first_subproblem(K, M, chain):
 class TestUnbounded:
     # At K=1 the element-wise row of a pair is the pair's distance form. Its
     # gradient has norm 2 sqrt(2) |x_i - x_j| > 1/lam, so moving z along it
-    # raises eta faster than it raises t: the subproblem is unbounded below.
+    # raises eta faster than it raises ||z||: the subproblem is unbounded below.
     @pytest.mark.parametrize("K, M, chain", [(1, 2, 0), (1, 2, 1), (1, 3, 1), (1, 4, 1)])
     def test_recession_ray_reported(self, K, M, chain):
         spec = first_subproblem(K, M, chain)
         sol = socp.solve(spec)
         assert sol.status == "unbounded"
         assert sol.newton_iters < 50
-        v = np.concatenate([[sol.t], sol.z, [sol.eta]])
-        assert np.min(spec.A @ v - spec.b) > 0.0
-        assert np.linalg.norm(sol.z) < sol.t
-        d = (v - spec.start) / np.linalg.norm(v - spec.start)
+        x = np.append(sol.z, sol.eta)
+        assert np.min(spec.A @ x - spec.b) > 0.0
+        d = (x - spec.start) / np.linalg.norm(x - spec.start)
         assert np.min(spec.A @ d) >= -socp.TOL
-        assert d[0] - np.linalg.norm(d[1:-1]) >= -socp.TOL
-        assert d[0] - spec.lam * d[-1] < -0.01
+        assert np.linalg.norm(d[:-1]) - spec.lam * d[-1] < -0.01
