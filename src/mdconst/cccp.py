@@ -21,7 +21,7 @@ redrawn at most INIT_RESAMPLES times; every subproblem is solved to
 ``socp.TOL`` within ``socp.MAX_ITER`` interior-point iterations. Consecutive
 linearizations have the same rows in the same order, so every subproblem
 after a chain's first starts from the previous one's multipliers
-(``socp.solve(..., warm=...)``), which saves about a fifth of the
+(``socp.solve(..., warm=...)``), which saves about a sixth of the
 interior-point iterations.
 """
 
@@ -75,15 +75,23 @@ class ChainResult:
 
     chain_index: int
     status: str  # "converged" | "max_iter" | "failed"
-    iterations: int
     c_final: np.ndarray | None
     trace: list  # per-iteration dicts
     final_energy: float
     med: float  # after unit-power normalization
     mpd: float
-    max_kkt: float
     failure: str = ""
     non_optimal_solves: int = 0  # accepted subproblem solves that hit max_iter
+
+    @property
+    def iterations(self) -> int:
+        """Completed CCCP iterations, one per recorded solve."""
+        return len(self.trace)
+
+    @property
+    def max_kkt(self) -> float:
+        """Largest KKT residual of the recorded solves; NaN if none."""
+        return max((rec["kkt_residual"] for rec in self.trace), default=math.nan)
 
     @property
     def ipm_iters(self) -> int:
@@ -174,23 +182,18 @@ def c_to_constellation(c: np.ndarray, K: int, M: int) -> cn.Constellation:
 
 
 def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
-    """Tangent subproblem at z_q; z_q itself is strictly interior for it.
+    """Tangent subproblem at z_q, with the start (z_q, min_ew(z_q) * (1 - 1e-6)).
 
     The row of a form q(z) = z^T Q z has g = 2 Q z_q and h = q(z_q), plus
     D_E^2 for a pair row, so that it reads q(z_q) + g^T (z - z_q) >= D_E^2
     for a pair and >= eta for an element-wise form. A pair row's bound
     D_E^2 + q(z_q) is positive, so z = 0 is infeasible, as ``socp.solve``
-    requires.
+    requires. The start's pair-row slacks are q(z_q) - D_E^2 and its least
+    element-wise slack 1e-6 * min_ew(z_q), so ``socp.solve``'s strict-start
+    check (``NotStrictlyFeasible``) is the check that z_q is strictly feasible.
     """
     K, M = config.K, config.M
-    de2 = config.d_e_threshold**2
     med_vals, ew_vals, dr, di = _form_values(z_q, K, M)
-    if np.min(med_vals) <= de2 or np.min(ew_vals) <= 0.0:
-        raise ValueError(
-            "CCCP invariant violated: iterate lost strict feasibility "
-            f"(min pair qf {np.min(med_vals):.6e}, min elem qf {np.min(ew_vals):.6e})"
-        )
-
     n, P = 2 * K * M, med_vals.size
     grad = np.concatenate([2.0 * dr, -2.0 * dr, 2.0 * di, -2.0 * di], axis=None)
     A = np.zeros((P * (K + 1), n + 1))
@@ -200,7 +203,7 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
     return socp.SubproblemSpec(
         lam=config.lam,
         A=A,
-        b=np.concatenate([de2 + med_vals, ew_vals], axis=None),
+        b=np.concatenate([config.d_e_threshold**2 + med_vals, ew_vals], axis=None),
         start=np.append(z_q, eta0),
     )
 
@@ -251,24 +254,20 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     except (RuntimeError, ValueError) as exc:
         status, failure = "failed", str(exc)
 
-    max_kkt = max((rec["kkt_residual"] for rec in trace), default=math.nan)
     if status == "failed":
-        return ChainResult(chain_index, status, len(trace), None, trace, math.nan,
-                           math.nan, math.nan, max_kkt, failure=failure,
-                           non_optimal_solves=non_optimal)
+        return ChainResult(chain_index, status, None, trace, math.nan, math.nan, math.nan,
+                           failure=failure, non_optimal_solves=non_optimal)
     c_final = unrealify(z)
     raw = c_to_constellation(c_final, K, M)
     norm = cn.normalize(raw)
     return ChainResult(
         chain_index=chain_index,
         status=status,
-        iterations=len(trace),
         c_final=c_final,
         trace=trace,
         final_energy=float(z @ z),
         med=cn.med(norm),
         mpd=cn.mpd(norm),
-        max_kkt=max_kkt,
         non_optimal_solves=non_optimal,
     )
 

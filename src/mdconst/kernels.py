@@ -66,7 +66,7 @@ from functools import partial
 
 import numpy as np
 
-#: Name of the detection path, recorded in run manifests.
+#: Name of the detection path; no CLI manifest records it, only mdbench's run record.
 BACKEND = "numpy"
 
 

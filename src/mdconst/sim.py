@@ -49,8 +49,13 @@ class SNRSpec:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.ebn0_db_list)
-        if not vals or not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"need one or more finite Eb/N0 values, got {vals}")
+        try:  # noise_variance divides by 10^(x/10): it must be a finite normal double
+            ok = all(np.finfo(float).tiny <= 10.0 ** (v / 10.0) < math.inf for v in vals)
+        except OverflowError:
+            ok = False
+        if not vals or not ok:
+            raise ValueError("need one or more finite Eb/N0 values, each in about "
+                             f"-3076 to 3082 dB, got {vals}")
         object.__setattr__(self, "ebn0_db_list", vals)
 
     def noise_variance(self, M: int, ebn0_db: float) -> float:

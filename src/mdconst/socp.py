@@ -16,8 +16,8 @@ The method is Mehrotra's predictor-corrector (Vanderbei & Shanno 1999).
 Every iteration factors the normal matrix A^T diag(y/s) A + Hessian and
 solves with it twice, for the affine-scaling direction and for the centred
 one with the second-order correction. The primal iterate starts from the
-given strict start with eta pushed down and stays feasible, and s and y
-stay strictly positive; ``solve`` describes the two dual starts.
+given strict start with eta pushed down by ``PUSH`` and stays feasible,
+and s and y stay strictly positive; ``solve`` describes the dual start.
 
 With r = grad f - A^T y, the one residual is
 max(|s^T y + z^T r_z|, ||r_z||, |r_eta|): the gap, with the z-part of the
@@ -48,14 +48,14 @@ STEP = 0.95
 #: model and is not capped; capped, the unbounded K=1 test subproblems
 #: took 72-158 iterations to leave the start along a ray, uncapped 4-20.
 Z_STEP = 0.5
-#: Push of eta off the element-wise rows for a warm start, in place of the
-#: cold 0.1. Seed-0 Table-1 takes 6,746 IPM iterations with 0.01, 6,813
-#: with 0.001 and 6,901 with 0.1.
-WARM_PUSH = 0.01
+#: Push of eta off the element-wise rows at the start, as a share of
+#: 1 + |eta|. Seed-0 Table-1 takes 6,742 IPM iterations with 0.01, 6,809
+#: with 0.001 and 6,900 with 0.1.
+PUSH = 0.01
 #: How far inside the orthant a warm dual start is moved: each row
 #: multiplier is clipped at 0 and raised by this. Seed-0 Table-1 takes
-#: 6,746 IPM iterations with 0.01, 6,607 with 0.001, 7,319 with 0.1 and
-#: 8,038 with 1.
+#: 6,742 IPM iterations with 0.01, 6,604 with 0.001, 7,316 with 0.1 and
+#: 8,034 with 1.
 WARM_SHIFT = 0.01
 
 
@@ -119,13 +119,12 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     this solver handles, and ``ValueError`` is raised. Returns the primal
     point, its row multipliers ``y`` and the residual of the pair.
 
-    Without ``warm`` the dual starts cold: the least-norm solution of
-    A^T y = grad f at the start, shifted 1 inside the orthant, with eta
-    pushed 0.1 off the element-wise rows. ``warm`` is the previous solution
-    of the same CCCP chain, whose rows match these one to one; its ``y``
-    starts the dual instead, clipped at 0 and raised by ``WARM_SHIFT``, and
-    the push is ``WARM_PUSH``. A ``warm`` whose ``y`` does not have one
-    entry per row raises ``ValueError``.
+    The dual starts at y = 1 without ``warm``. ``warm`` is the previous
+    solution of the same CCCP chain, whose rows match these one to one; its
+    ``y`` starts the dual instead, clipped at 0 and raised by
+    ``WARM_SHIFT``. A ``warm`` whose ``y`` does not have one entry per row
+    raises ``ValueError``. Either way eta starts ``PUSH`` * (1 + |eta|)
+    below the start's.
 
     ``kkt_residual`` is the residual at the returned point, and status
     "optimal" means it is at most ``TOL``; "max_iter" means ``MAX_ITER``
@@ -154,22 +153,16 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     if float(s0.min()) <= 0.0:
         raise NotStrictlyFeasible(f"start point's smallest row slack is {s0.min():.3e}")
 
+    if warm is not None and warm.y.shape != (m,):
+        raise ValueError(
+            f"warm start has {warm.y.shape} row multipliers; the spec needs ({m},)")
+    y = np.ones(m) if warm is None else np.maximum(warm.y, 0.0) + WARM_SHIFT
     x = x0.copy()
     z = x[:n]  # a view
-    grad = np.append(z / math.sqrt(float(z @ z)), -spec.lam)  # grad f
-    if warm is None:
-        push = 0.1
-        y = np.linalg.lstsq(A.T, grad, rcond=None)[0]
-        y += max(0.0, 1.0 - float(y.min()))
-    else:
-        if warm.y.shape != (m,):
-            raise ValueError(
-                f"warm start has {warm.y.shape} row multipliers; the spec needs ({m},)")
-        push = WARM_PUSH
-        y = np.maximum(warm.y, 0.0) + WARM_SHIFT
     # Lowering eta keeps every row feasible and gives the element-wise rows room.
-    x[n] -= push * (1.0 + abs(x[n]))
+    x[n] -= PUSH * (1.0 + abs(x[n]))
     s = A @ x - b
+    grad = np.append(np.zeros(n), -spec.lam)  # grad f = (z/||z||, -lam); z part set below
 
     diag = np.arange(n) * (n + 2)  # flat positions of the z block's diagonal
     status = "max_iter"

@@ -37,8 +37,10 @@ def test_wrapped_layers_count_calls():
         tr.restore()
     assert not hasattr(cccp.run_chain, "mdbench_wraps")
     got = layers.metrics(tr)
-    for name in ("cccp.chains", "socp.solves", "kernels.ml_calls", "kernels.mpa_calls",
-                 "kernels.mpa_combos_per_vec"):
+    # cccp.outer_iters reads ChainResult.iterations, socp.newton_steps
+    # SubproblemSolution.newton_iters
+    for name in ("cccp.chains", "cccp.outer_iters", "socp.solves", "socp.newton_steps",
+                 "kernels.ml_calls", "kernels.mpa_calls", "kernels.mpa_combos_per_vec"):
         assert got[name] > 0, name
     # 10 MPA iterations x 4 resources x 4**3 symbol combinations each
     assert got["kernels.mpa_combos_per_vec"] == 10 * 4 * 4**3 == 2560

@@ -126,11 +126,31 @@ class TestLinearize:
             assert np.array_equal(spec.A[:P, -1], np.zeros(P))
             assert np.array_equal(spec.A[P:, -1], -np.ones(P * K))
 
-    def test_infeasible_iterate_rejected(self):
+    # K=2, M=3 iterates [x_0, x_1, x_2] with dyadic entries, so every form
+    # value and row slack is exact: z = 0, a closest pair at exactly D_E = 1,
+    # and MED 2 with a zero element-wise gap between x_1 and x_2
+    BOUNDARY_ITERATES = {
+        "zero": [0, 0, 0, 0, 0, 0],
+        "pair_at_de": [0, 0, 0.5 + 0.5j, 0.5 + 0.5j, 2, -2j],
+        "zero_ew_gap": [0, 0, 1 + 1j, 1 + 1j, 3, 1 + 1j],
+    }
+
+    @pytest.mark.parametrize("name", BOUNDARY_ITERATES)
+    def test_infeasible_iterate_rejected(self, name, monkeypatch):
+        # the start linearize builds is strictly interior just when the
+        # iterate is strictly feasible, so solve's check is the one check
+        c = np.array(self.BOUNDARY_ITERATES[name], dtype=complex)
         cfg = cccp.CCCPConfig(K=2, M=3)
-        z = np.zeros(12)
-        with pytest.raises(ValueError, match="CCCP invariant"):
-            cccp.linearize(z, cfg)
+        with pytest.raises(socp.NotStrictlyFeasible) as exc:
+            socp.solve(cccp.linearize(cccp.realify(c), cfg))
+        monkeypatch.setattr(cccp, "init_feasible", lambda *args: c)
+        ch = cccp.run_chain(cfg, 0)
+        assert (ch.status, ch.failure, ch.iterations) == ("failed", str(exc.value), 0)
+
+    def test_iterate_just_inside_is_accepted(self):
+        c = np.array(self.BOUNDARY_ITERATES["pair_at_de"], dtype=complex)
+        spec = cccp.linearize(cccp.realify(c * (1 + 1e-12)), cccp.CCCPConfig(K=2, M=3))
+        assert socp.solve(spec).status == "optimal"
 
 
 class TestChains:
@@ -212,8 +232,8 @@ class TestChains:
 class TestSelection:
     def _mk(self, idx, med, mpd, status="converged"):
         return cccp.ChainResult(
-            chain_index=idx, status=status, iterations=1, c_final=np.zeros(1),
-            trace=[], final_energy=1.0, med=med, mpd=mpd, max_kkt=0.0,
+            chain_index=idx, status=status, c_final=np.zeros(1),
+            trace=[], final_energy=1.0, med=med, mpd=mpd,
         )
 
     def test_lexicographic_med_then_mpd(self):

@@ -293,6 +293,11 @@ class TestSimulate:
         ["--ebn0", "0:1:inf"],
         ["--ebn0", "0:1e-12:1"],
         ["--ebn0", "0:1e-320:1"],
+        # 10^(x/10) or n0 = 1 / 10^(x/10) is not a finite double
+        ["--ebn0=1e308"],
+        ["--ebn0=-1e308"],
+        ["--ebn0=-3200"],
+        ["--ebn0=3100"],
     ])
     def test_degenerate_inputs_exit_2(self, base_file, tmp_path, capsys, extra):
         # each ran to a traceback or wrote an empty or meaningless CSV
