@@ -16,13 +16,14 @@ with eta = min_ew(z_q) is feasible for the q-th subproblem,
 the subproblem's optimal level. The energy ||z||^2 alone is not monotone:
 an iterate may spend energy when the element-wise level gains more.
 
-The start is a complex Gaussian draw rescaled to MED = INIT_MARGIN * D_E,
-redrawn at most INIT_RESAMPLES times; every subproblem is solved to
-``socp.TOL`` within ``socp.MAX_ITER`` interior-point iterations. Consecutive
-linearizations have the same rows in the same order, so every subproblem
-after a chain's first starts from the previous one's multipliers
-(``socp.solve(..., warm=...)``), which saves about a sixth of the
-interior-point iterations.
+Every form is read through one cached pair-difference matrix D, whose row
+p*K + k takes x_{i,k} - x_{j,k} of the p-th pair (i, j): it gives the form
+values, the tangent rows and the start, one complex Gaussian draw rescaled
+to MED = INIT_MARGIN * D_E. Each subproblem is solved to ``socp.TOL`` within
+``socp.MAX_ITER`` interior-point iterations and, after a chain's first,
+starts from the previous one's multipliers (``socp.solve(..., warm=...)``):
+consecutive linearizations have the same rows in the same order. The warm
+start saves about a sixth of the interior-point iterations.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from . import constellation as cn
 from . import socp
 
 INIT_MARGIN = 1.05  # start MED as a multiple of d_e_threshold
-INIT_RESAMPLES = 100  # draws before init_feasible gives up
 RESTART_KEYS = (
     "chain_index", "status", "iterations", "final_energy", "med", "mpd",
     "max_kkt", "non_optimal_solves", "failure", "ipm_iters",
@@ -107,39 +107,27 @@ class OptimizeResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _form_index(K: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of the distance forms over z = [Re(c); Im(c)].
+def _pair_differences(K: int, M: int) -> np.ndarray:
+    """The read-only (P*K, K*M) pair-difference matrix D.
 
-    Returns (pi, pj), the (P, K) positions of x_i and x_j in Re(c) for the
-    P = M(M-1)/2 pairs i < j, and ``flat``: where the gradient entries
-    [2 dr, -2 dr, 2 di, -2 di] of the P pair rows and then of the P*K
-    element-wise rows land in the raveled (P(K+1), 2KM+1) row matrix over
-    x = (z, eta). The arrays are read-only.
+    Row p*K + k holds +1 at x_{i,k} and -1 at x_{j,k} of the p-th of the
+    P = M(M-1)/2 pairs i < j, columns in vec(C) order (x_{m,k} at m*K + k),
+    so D Re(c) and D Im(c) are every per-dimension difference x_{i,k} - x_{j,k}.
     """
-    width = 2 * K * M + 1
-    pairs = np.array(cn.pair_indices(M)).reshape(-1, 2)
-    P = pairs.shape[0]
-    ks = np.arange(K)
-    pi = pairs[:, :1] * K + ks
-    pj = pairs[:, 1:] * K + ks
-    cols = np.stack([pi, pj, pi + K * M, pj + K * M])  # (4, P, K)
-    r_pair = np.arange(P)[:, None]
-    r_ew = P + np.arange(P * K).reshape(P, K)
-    flat = np.concatenate([(r_pair * width + cols).ravel(), (r_ew * width + cols).ravel()])
-    for arr in (pi, pj, flat):
-        arr.setflags(write=False)
-    return pi, pj, flat
+    i, j = np.triu_indices(M, k=1)
+    # D = E (x) I_K, with e_i - e_j the pair's row of E; + 0.0 makes -1 * 0 a +0.0
+    D = np.kron(np.eye(M)[i] - np.eye(M)[j], np.eye(K)) + 0.0
+    D.setflags(write=False)
+    return D
 
 
 def _form_values(z: np.ndarray, K: int, M: int):
-    """Pair values (P,), element-wise values (P, K) and the real and
-    imaginary differences x_i - x_j (P, K) at the realified z."""
-    pi, pj, _ = _form_index(K, M)
-    h = K * M
-    dr = z[pi] - z[pj]
-    di = z[h + pi] - z[h + pj]
-    ew = dr * dr + di * di
-    return ew.sum(axis=1), ew, dr, di
+    """Pair values (P,), element-wise values (P, K) and the differences
+    x_{i,k} - x_{j,k} (2, P*K), real row then imaginary, at the realified z."""
+    d = z.reshape(2, -1) @ _pair_differences(K, M).T
+    sq = d * d
+    ew = (sq[0] + sq[1]).reshape(-1, K)
+    return ew.sum(axis=1), ew, d
 
 
 def realify(c: np.ndarray) -> np.ndarray:
@@ -157,24 +145,14 @@ def unrealify(z: np.ndarray) -> np.ndarray:
 
 
 def init_feasible(K: int, M: int, d_e: float, rng: np.random.Generator) -> np.ndarray:
-    """Random complex Gaussian start rescaled to MED = INIT_MARGIN * d_e.
+    """One complex Gaussian draw rescaled to MED = INIT_MARGIN * d_e.
 
-    Redraws (at most INIT_RESAMPLES times) if any element-wise gap
-    collapses below 1e-9 after scaling, so the auxiliary level can start
-    strictly positive.
+    Its per-dimension gaps are nonzero almost surely; a draw with a zero gap
+    fails ``socp.solve``'s strict-start check and so ends its chain.
     """
-    for _ in range(INIT_RESAMPLES):
-        c = (rng.standard_normal(K * M) + 1j * rng.standard_normal(K * M)) / math.sqrt(2)
-        X = c.reshape(M, K).T  # column m is vector x_m
-        C = cn.Constellation(points=X)
-        dmin = cn.med(C)
-        if dmin <= 0.0:
-            continue
-        scale = INIT_MARGIN * d_e / dmin
-        c_scaled = c * scale
-        if cn.min_elementwise(cn.Constellation(points=X * scale)) > 1e-9:
-            return c_scaled
-    raise RuntimeError(f"init_feasible: resample cap ({INIT_RESAMPLES}) exceeded")
+    c = (rng.standard_normal(K * M) + 1j * rng.standard_normal(K * M)) / math.sqrt(2)
+    med2 = float(_form_values(realify(c), K, M)[0].min())
+    return c * (INIT_MARGIN * d_e / math.sqrt(med2))
 
 
 def c_to_constellation(c: np.ndarray, K: int, M: int) -> cn.Constellation:
@@ -193,13 +171,20 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
     check (``NotStrictlyFeasible``) is the check that z_q is strictly feasible.
     """
     K, M = config.K, config.M
-    med_vals, ew_vals, dr, di = _form_values(z_q, K, M)
-    n, P = 2 * K * M, med_vals.size
-    grad = np.concatenate([2.0 * dr, -2.0 * dr, 2.0 * di, -2.0 * di], axis=None)
-    A = np.zeros((P * (K + 1), n + 1))
-    A.ravel()[_form_index(K, M)[2]] = np.tile(grad, 2)
-    A[P:, -1] = -1.0
-    eta0 = float(np.min(ew_vals)) * (1.0 - 1e-6)
+    D = _pair_differences(K, M)
+    med_vals, ew_vals, d = _form_values(z_q, K, M)
+    P, h = med_vals.size, K * M
+    A = np.empty((P * (K + 1), 2 * h + 1))
+    ew_rows = A[P:]
+    g = 2.0 * d[:, :, None]
+    np.multiply(g[0], D, out=ew_rows[:, :h])
+    np.multiply(g[1], D, out=ew_rows[:, h:-1])
+    ew_rows[:, -1] = -1.0
+    # a pair row is the sum of its K element-wise rows, whose columns differ
+    np.add.reduce(ew_rows.reshape(P, K, -1), axis=1, out=A[:P])
+    A[:P, -1] = 0.0
+    A += 0.0  # turns the -0.0 of 0 times a negative difference into +0.0
+    eta0 = float(ew_vals.min()) * (1.0 - 1e-6)
     return socp.SubproblemSpec(
         lam=config.lam,
         A=A,
@@ -212,9 +197,9 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     """One restart: feasible init, iterate linearize/solve until the
     step norm drops below epsilon or the iteration cap is hit.
 
-    A start that cannot be drawn, an iterate that loses strict
-    feasibility, or an unbounded or unsolvable subproblem ends the chain
-    as "failed", keeping the iterations it completed.
+    An iterate that is not strictly feasible (the start included), or an
+    unbounded or unsolvable subproblem, ends the chain as "failed", keeping
+    the iterations it completed.
     """
     K, M = config.K, config.M
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, chain_index]))
@@ -233,7 +218,7 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
                 raise ValueError(f"subproblem {sol.status}")
             non_optimal += sol.status != "optimal"
             step = float(np.linalg.norm(sol.z - z))
-            med_vals, ew_vals, _, _ = _form_values(sol.z, K, M)
+            med_vals, ew_vals, _ = _form_values(sol.z, K, M)
             trace.append(
                 {
                     "q": q,
@@ -251,7 +236,7 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
             if step <= config.epsilon:
                 status = "converged"
                 break
-    except (RuntimeError, ValueError) as exc:
+    except ValueError as exc:
         status, failure = "failed", str(exc)
 
     if status == "failed":

@@ -284,10 +284,6 @@ def cartesian_qpsk(K: int) -> Constellation:
     """
     base = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / math.sqrt(2)
     M = 4**K
-    pts = np.empty((K, M), dtype=np.complex128)
-    for m in range(M):
-        idx = m
-        for k in range(K - 1, -1, -1):
-            pts[k, m] = base[idx % 4]
-            idx //= 4
+    # entry k of vector m is base-4 digit k of m, most significant first
+    pts = base[np.arange(M) // 4 ** np.arange(K - 1, -1, -1)[:, None] % 4]
     return normalize(Constellation(points=pts, meta={"family": "cartesian_qpsk"}))

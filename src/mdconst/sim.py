@@ -49,13 +49,16 @@ class SNRSpec:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.ebn0_db_list)
-        try:  # noise_variance divides by 10^(x/10): it must be a finite normal double
-            ok = all(np.finfo(float).tiny <= 10.0 ** (v / 10.0) < math.inf for v in vals)
+        # noise_variance divides by 10^(x/10): it must be finite, and at least
+        # 1e-300 (about -3000 dB) so that n0 <= 1e300 and the detectors'
+        # squared distances stay finite
+        try:
+            ok = all(1e-300 <= 10.0 ** (v / 10.0) < math.inf for v in vals)
         except OverflowError:
             ok = False
         if not vals or not ok:
             raise ValueError("need one or more finite Eb/N0 values, each in about "
-                             f"-3076 to 3082 dB, got {vals}")
+                             f"-3000 to 3082 dB, got {vals}")
         object.__setattr__(self, "ebn0_db_list", vals)
 
     def noise_variance(self, M: int, ebn0_db: float) -> float:

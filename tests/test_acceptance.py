@@ -211,7 +211,7 @@ def test_criterion_4_quadratic_form_oracles():
         direct = np.concatenate([gaps.sum(axis=1), elem_gaps], axis=1)
         runtime = np.array([
             np.concatenate([med, ew.ravel()])
-            for med, ew, _, _ in (cccp._form_values(cccp.realify(ct), K, M) for ct in c)
+            for med, ew, _ in (cccp._form_values(cccp.realify(ct), K, M) for ct in c)
         ])
         worst = max(worst, float(np.max(np.abs(runtime - direct))),
                     float(np.max(np.abs(runtime - explicit))))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,8 @@ class TestSimulate:
         ["--ebn0=-1e308"],
         ["--ebn0=-3200"],
         ["--ebn0=3100"],
+        # n0 above 1e300, where the detectors' squared distances overflow
+        ["--ebn0=-3001"],
     ])
     def test_degenerate_inputs_exit_2(self, base_file, tmp_path, capsys, extra):
         # each ran to a traceback or wrote an empty or meaningless CSV
@@ -325,6 +328,21 @@ class TestSimulate:
                   "--mpa-iters", "3", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("ebn0_db,")
+
+    @pytest.mark.parametrize("source", ["--constellation", "--codebook"])
+    def test_lowest_ebn0_runs_without_warnings(self, base_file, codebook_file, tmp_path,
+                                               source):
+        # n0 is 1e300 here; at -3076 dB (n0 ~ 1e307) the MPA's squared
+        # distances could overflow
+        out = tmp_path / "x.csv"
+        path = base_file if source == "--constellation" else codebook_file
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(["simulate", source, path, "--channel", "rayleigh_iid",
+                      "--ebn0=-3000", "--seed", "0", "--max-vectors", "300",
+                      "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().splitlines()[1].startswith("-3000,")
 
     def test_null_indicator_entry_exit_2(self, codebook_file, tmp_path, capsys):
         with open(codebook_file) as fh:

@@ -13,11 +13,16 @@ an attribute, an imported name or a string such as a ``getattr`` or
 The same walk guards against dead fields: every field of a ``@dataclass``
 under src/mdconst must be read somewhere under src/ or mdbench/, outside
 the tests, as an attribute or as a string such as a ``getattr`` key.
+
+Last, the command line must not import ``qforms``, the tests' oracle.
 """
 
 import ast
 import functools
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -153,3 +158,13 @@ def test_no_unread_dataclass_fields(path):
              if not p.name.startswith("test_")]
     reads = set().union(*(file_field_reads(p) for p in files))
     assert unread_fields(path.read_text(), reads) == []
+
+
+def test_cli_does_not_import_qforms():
+    # a fresh interpreter: the tests themselves import qforms
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, mdconst.cli; print('mdconst.qforms' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
