@@ -43,17 +43,16 @@ and two of an (M, M, B) partial per iteration, with no per-iteration
 ``exp`` of the tensor. The variable-node update stays in the log domain
 and normalizes each vf so that sum_m a_q[m] = 1.
 
-Underflow rule: a row leaves the probability path, for that resource and
-the rest of the call, when either check fails.
-  - Before the ``exp``: the slice maxima of dist (max reductions) must all
-    sit within 700 of r, or E would hold whole slices of 0, as at the
-    noise-free n0 = 1e-9 the simulator passes.
-  - Each iteration: every slice sum must be a normal finite double. Small
-    incoming a_q can drive a whole slice below the double range.
-Such rows run the exact log-domain update instead (``_function_node``):
-base = dist + sum_p vf_p, each edge's tensor shifted by that edge's own
-slice maxima, so every message stays finite. The fallback keeps dist for
-its rows only, and rebuilds it for a row rerouted after its ``exp``.
+Underflow rule: every row starts on the probability path and leaves it,
+for that resource and the rest of the call, when one of its slice sums
+is not a normal double. A slice more than ~745 below its row maximum,
+as at the noise-free n0 = 1e-9 the simulator passes, is all zeros in E
+and sums to 0 in the first iteration, before any of its messages are
+used; later, small incoming a_q can drive a whole slice below the double
+range. Such rows run the exact log-domain update instead
+(``_function_node``): base = dist + sum_p vf_p, each edge's tensor
+shifted by that edge's own slice maxima, so every message stays finite.
+The fallback rebuilds dist for the rows it takes over.
 
 Rows are independent, so the kernel runs them in blocks whose E tensors
 fit in ``_BLOCK_BYTES``, built in one buffer that every block reuses.
@@ -233,7 +232,8 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
     Same message schedule as ``_mpa_detect_loops``, vectorized over B.
     Function nodes run in the probability domain, with the log-domain
     fallback of the module docstring; variable nodes run in the log domain.
-    Rows run in blocks of at most ``_BLOCK_BYTES`` of E tensors.
+    Rows run in blocks of at most ``_BLOCK_BYTES`` of E tensors; raises
+    ``ValueError`` when one row's tensors exceed it.
     """
     y = np.asarray(y, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
@@ -243,8 +243,14 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
     J, _, M = cb.shape
     # slot[j, k]: the edge slot of user j at its k-th resource user_res[j, k]
     slot = np.argmax(res_users[user_res] == np.arange(J)[:, None, None], axis=2)
-    cells = int(np.sum(M ** res_deg.astype(np.int64)))
-    block = max(1, _BLOCK_BYTES // (8 * cells))
+    # Python ints: M**d wraps around in int64 (16**16 is 0)
+    cells = sum(M ** int(d) for d in res_deg)
+    if 8 * cells > _BLOCK_BYTES:
+        raise ValueError(
+            f"MPA needs {8 * cells} bytes of tensors per received vector, "
+            f"over the {_BLOCK_BYTES}-byte block; lower M or the resource degrees"
+        )
+    block = _BLOCK_BYTES // (8 * cells)
     # every block builds its E tensors in this one buffer: fresh pages for
     # each block's tensors cost ~15% of the kernel at M=16
     work = np.empty(min(block, B) * cells)
@@ -308,9 +314,6 @@ def _logsumexp(x, axis):
     return mx + np.log(np.sum(np.exp(e, out=e), axis=axis, keepdims=True))
 
 
-#: Widest gap below the row maximum that E = exp(dist - rowmax) may leave a
-#: slice maximum at: exp(-700) is still a normal double (exp(-708.4) is not).
-_EXP_GAP = 700.0
 #: Smallest normal double; a slice sum below it has lost precision.
 _TINY = np.finfo(np.float64).tiny
 
@@ -346,11 +349,12 @@ def _distance(yn, hn, cbn, n0, rows, out=None):
 class _FunctionNode:
     """One resource's function node over a batch of received vectors.
 
-    Rows on the probability path keep E = exp(dist - rowmax) (M, ..., M, Bp)
-    and their row maxima; rows on the log-domain fallback keep dist itself.
-    A row moves to the fallback for the rest of the call when its distance
-    slice maxima fail the ``_EXP_GAP`` test here, or when ``messages``
-    finds one of its slice sums 0, subnormal or non-finite.
+    Every row starts on the probability path, which keeps
+    E = exp(dist - rowmax) (M, ..., M, Bp) and the row maxima; rows on the
+    log-domain fallback keep dist itself. A row moves to the fallback, for
+    the rest of the call, only when ``messages`` finds one of its slice
+    sums below the smallest normal double. No slice sum can overflow:
+    E <= 1 and every a_q <= 1, so each is at most M**(d-1).
     """
 
     def __init__(self, dist, distance):
@@ -358,18 +362,12 @@ class _FunctionNode:
         ``distance(rows)`` builds it again for some rows."""
         self.distance = distance
         self.deg = dist.ndim - 1
-        smax = _slice_max(dist)
-        rowmax = smax[0].max(axis=0)
-        wide = rowmax - smax.min(axis=(0, 1)) > _EXP_GAP
-        self.prob = np.flatnonzero(~wide)
-        self.log = np.flatnonzero(wide)
-        # np.compress and np.take keep the result C-contiguous, which
-        # indexing the last axis does not, and einsum needs that for speed
-        self.dist = np.compress(wide, dist, axis=-1)
-        E = np.compress(~wide, dist, axis=-1) if wide.any() else dist
-        self.rowmax = rowmax[~wide]
-        E -= self.rowmax
-        self.E = np.exp(E, out=E)
+        self.rowmax = dist.max(axis=tuple(range(self.deg)))
+        dist -= self.rowmax
+        self.E = np.exp(dist, out=dist)
+        self.prob = np.arange(dist.shape[-1])
+        self.log = self.prob[:0]
+        self.dist = np.empty(dist.shape[:-1] + (0,))
 
     def messages(self, vf):
         """Messages (d, M, B) to the d users from their incoming ``vf`` (d, M, B).
@@ -380,7 +378,7 @@ class _FunctionNode:
         out = np.empty(vf.shape)
         if self.prob.size:
             s = _sum_product(self.E, np.exp(np.take(vf, self.prob, axis=-1)))
-            ok = ((s >= _TINY) & (s < np.inf)).all(axis=(0, 1))
+            ok = (s >= _TINY).all(axis=(0, 1))
             if not ok.all():
                 self._reroute(~ok)
                 s = np.compress(ok, s, axis=-1)
@@ -399,6 +397,8 @@ class _FunctionNode:
         self.dist = np.concatenate([self.dist, self.distance(rows)], axis=-1)
         self.log = np.concatenate([self.log, rows])
         self.prob = self.prob[~bad]
+        # np.compress keeps E C-contiguous, which indexing the last axis
+        # does not, and einsum needs that for speed
         self.E = np.compress(~bad, self.E, axis=-1)
         self.rowmax = self.rowmax[~bad]
 

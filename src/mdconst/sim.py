@@ -27,8 +27,8 @@ P2P_CHUNK = 20_000
 #: MPA builds a real (M**d_f, rows) tensor per resource, in row blocks of at
 #: most 16 MiB (``kernels._BLOCK_BYTES``), so its memory no longer grows with
 #: the chunk: a tracemalloc peak of ~23 MiB per 2,000-vector call at M=16,
-#: d_f=3 and 10 dB, ~45 MiB at 25 dB, where more rows need the log-domain
-#: update, and ~9 MiB at M=4.
+#: d_f=3 and 10 dB, ~44 MiB at 25 dB, where more rows move to the
+#: log-domain update, and ~9 MiB at M=4 (~15 MiB at 25 dB).
 SCMA_CHUNK = 2_000
 
 

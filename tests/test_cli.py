@@ -358,6 +358,24 @@ class TestSimulate:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mpa_tensors_over_block_exit_2(self, base_file, tmp_path, capsys):
+        # 16 users on each of 2 resources at M=16: 16**16 MPA cells per
+        # resource, which wrap to 0 in int64
+        ind = tmp_path / "ind.json"
+        ind.write_text(json.dumps({"N": 2, "J": 16, "rows": [[1] * 16] * 2}))
+        cb = tmp_path / "cb.json"
+        assert run(["scma-build", "--base", base_file, "--indicator", str(ind),
+                    "--out", str(cb)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "scma.csv"
+        rc = run(["simulate", "--codebook", str(cb), "--channel", "rayleigh_iid",
+                  "--ebn0", "10", "--seed", "0", "--max-vectors", "1",
+                  "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "bytes of tensors" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_mpa_iters_exit_2(self, codebook_file, tmp_path, capsys):
         out = tmp_path / "scma.csv"
         rc = run(["simulate", "--codebook", codebook_file,

@@ -98,14 +98,17 @@ class TestLoopOracles:
 
     @pytest.mark.parametrize("M", [4, 16])
     def test_mpa_noise_free(self, M, lse_paths):
-        # the n0 the simulator passes when noise-free: whole slices underflow
+        # the n0 the simulator passes when noise-free: whole slices of E
+        # underflow, so every row leaves the probability path in its first
+        # update, one per occupied resource, and stays on the log path
         rng = np.random.default_rng(6)
         base = cn.cartesian_qpsk(2) if M == 16 else _rand_base24(rng)
         B, iters = (2, 2) if M == 16 else (8, 6)
         cbs, y, H, tx = _sent_scma(rng, base, B=B, n0=None)
         hard = _assert_matches_loops(cbs, y, H, 1e-9, iters)
         assert np.array_equal(hard, tx)
-        assert lse_paths["per_edge"] and not lse_paths["prob"]
+        assert lse_paths["prob"] == [B] * 4
+        assert lse_paths["per_edge"] == [B] * (4 * iters)
 
     def test_mpa_mixed_underflow_rows(self, lse_paths):
         rng = np.random.default_rng(7)
@@ -120,7 +123,9 @@ class TestLoopOracles:
     def test_mpa_high_snr(self, name, ebn0_db, lse_paths):
         # whole slices of E = exp(dist - rowmax), or of its products with
         # the incoming messages, fall below the double range in some rows:
-        # those rows must take the log-domain path, the others stay
+        # those rows must take the log-domain path, the others stay. At
+        # qpsk2 and 15 dB no slice sum does: the widest slice sits ~701
+        # below its row maximum, and its sum is still a normal double
         base = _ml_constellation(name)
         M = base.M
         n0 = 1.0 / (math.log2(M) * 10.0 ** (ebn0_db / 10.0))
@@ -129,7 +134,8 @@ class TestLoopOracles:
         B, iters = ((150 if ebn0_db == 15.0 else 20), 3) if M == 4 else (3, 2)
         cbs, y, H, _ = _sent_scma(np.random.default_rng(20), base, B=B, n0=n0)
         _assert_matches_loops(cbs, y, H, n0, iters)
-        assert lse_paths["prob"] and lse_paths["per_edge"]
+        assert lse_paths["prob"]
+        assert bool(lse_paths["per_edge"]) == ((name, ebn0_db) != ("qpsk2", 15.0))
 
     def test_mpa_row_blocks(self, monkeypatch):
         # 4 resources of degree 3 at M=4 hold 256 cells per row: blocks of
@@ -217,8 +223,8 @@ class TestMLDetect:
 
 class TestFunctionNode:
     def test_slice_sum_underflow_reroutes_row(self):
-        # row 0 passes the distance-only gap test (its lowest slice maximum
-        # sits ~600 below the row max), but the incoming message -200 on
+        # row 0's lowest slice maximum sits ~600 below the row max, so its
+        # slices of E stay normal doubles, but the incoming message -200 on
         # user 1 drives the whole slice of user 0 at symbol 1 to ~e^-800,
         # which is 0 in double: the row must move to the log-domain path
         rng = np.random.default_rng(8)
@@ -248,6 +254,23 @@ class TestFunctionNode:
         # the rerouted row stays on the log-domain path
         assert node.messages(vf) == pytest.approx(want, rel=1e-13, abs=1e-12)
         assert list(node.log) == [0]
+
+    def test_empty_slice_reroutes_row_in_first_update(self):
+        # row 0 has one symbol whose whole slice sits 800 below its row max:
+        # that slice is all zeros in E, so its first slice sum is 0 and the
+        # row moves to the log-domain path before any message is used
+        rng = np.random.default_rng(8)
+        dist = rng.standard_normal((4, 4, 4, 2))
+        dist[1, :, :, 0] -= 800.0
+        node = kernels._FunctionNode(dist.copy(), lambda rows: dist[..., rows].copy())
+        assert node.log.size == 0
+        want = np.stack([
+            np.logaddexp.reduce(np.moveaxis(dist, p, 0).reshape(4, -1, 2), axis=1)
+            for p in range(3)
+        ])
+        got = node.messages(np.zeros((3, 4, 2)))
+        assert list(node.log) == [0] and list(node.prob) == [1]
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-12)
 
     @pytest.mark.parametrize("gap", [650.0, 750.0])
     def test_slice_far_below_row_max(self, gap):
@@ -286,6 +309,19 @@ class TestMPAMemory:
         assert peak < 40 * 2**20
         # every row of every resource update takes the probability path
         assert sum(lse_paths["prob"]) == 200 * 40 and not lse_paths["per_edge"]
+
+    @pytest.mark.parametrize("J, base", [(16, "qpsk2"), (13, "c24")])
+    def test_mpa_tensors_over_block_rejected(self, J, base):
+        # every user on both resources: one row holds 2 * M**J cells, and
+        # 16**16 wraps to 0 in int64; 2 * 4**13 cells are 1 GiB
+        F = scma.IndicatorMatrix(rows=np.ones((2, J), dtype=np.int64))
+        cbs = scma.build_codebooks(F, _ml_constellation(base))
+        y = np.ones((1, 2), dtype=complex)
+        H = np.ones((1, 2, J), dtype=complex)
+        with pytest.raises(ValueError, match="bytes of tensors per received vector"):
+            kernels.mpa_detect_batch(
+                y, H, cbs.codebooks, F.res_users, F.res_deg, F.user_res, 0.1, 1
+            )
 
 
 class TestDispatch:
