@@ -23,7 +23,8 @@ to MED = INIT_MARGIN * D_E. Each subproblem is solved to ``socp.TOL`` within
 ``socp.MAX_ITER`` interior-point iterations and, after a chain's first,
 starts from the previous one's multipliers (``socp.solve(..., warm=...)``):
 consecutive linearizations have the same rows in the same order. The warm
-start saves about a sixth of the interior-point iterations.
+start saves about a sixth of the interior-point iterations: seed-0 Table-1
+takes 5,558 with it and 6,579 with every solve cold.
 """
 
 from __future__ import annotations
@@ -62,9 +63,12 @@ class CCCPConfig:
         positive = (self.lam, self.d_e_threshold, self.epsilon)
         if not all(0 < v < math.inf for v in positive):
             raise ValueError("lam, d_e_threshold and epsilon must be finite and > 0")
-        # linearize needs D_E^2; a float product overflows to inf, where ** raises
-        if not self.d_e_threshold * self.d_e_threshold < math.inf:
-            raise ValueError(f"d_e_threshold squared must be finite, got {self.d_e_threshold}")
+        # linearize needs D_E^2 as a positive normal double, so that a pair
+        # row's bound D_E^2 + q(z_q) is positive; the product (** raises on
+        # overflow) is inf above the range and 0 or subnormal below it
+        if not np.finfo(np.float64).tiny <= self.d_e_threshold * self.d_e_threshold < math.inf:
+            raise ValueError("d_e_threshold squared must be a finite normal double, "
+                             f"got {self.d_e_threshold}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
 

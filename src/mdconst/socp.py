@@ -34,29 +34,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Stopping tolerance on the residual (see ``_residual``).
+#: Stopping tolerance on the residual named in the module docstring.
 TOL = 1e-8
-#: Interior-point iteration cap, far above the <= 17 a Table-1 subproblem takes.
+#: Interior-point iteration cap, far above the <= 14 a Table-1 subproblem takes.
 MAX_ITER = 800
 #: Share of the largest step to the boundary of the orthant (s, y) >= 0
-#: taken per iteration, applied after the ``Z_STEP`` cap.
-STEP = 0.95
+#: taken per iteration, applied after the ``Z_STEP`` cap. Seed-0 Table-1
+#: takes 5,558 IPM iterations with 0.985, 6,678 with 0.95, 6,073 with 0.97,
+#: 5,828 with 0.98 and 5,383 with 0.99; at 0.995 one solve stalls for all
+#: ``MAX_ITER`` iterations, and so does one at 0.99 with ``WARM_SHIFT`` 0.01.
+STEP = 0.985
 #: Largest move of z per iteration, as a share of ||z||, since the Hessian
-#: models ||z|| only near z: without it 132 of 1,000 ``random_tiny_spec``
-#: instances diverged and ended non-optimal, with it none. A direction
-#: with ||dz|| < lam*d_eta lowers f along its whole length whatever the
-#: model and is not capped; capped, the unbounded K=1 test subproblems
-#: took 72-158 iterations to leave the start along a ray, uncapped 4-20.
+#: models ||z|| only near z: without it 112 of 1,000 ``random_tiny_spec``
+#: instances (``default_rng(0)``) ended non-optimal, with it none, in at
+#: most 21 iterations. A direction with ||dz|| < lam*d_eta lowers f along
+#: its whole length whatever the model and is not capped; capped, the
+#: unbounded K=1 test subproblems took 4-50 iterations to leave the start
+#: along a ray, uncapped 4-17.
 Z_STEP = 0.5
 #: Push of eta off the element-wise rows at the start, as a share of
-#: 1 + |eta|. Seed-0 Table-1 takes 6,742 IPM iterations with 0.01, 6,809
-#: with 0.001 and 6,900 with 0.1.
+#: 1 + |eta|. Seed-0 Table-1 takes 5,558 IPM iterations with 0.01, 5,582
+#: with 0.001 and 5,893 with 0.1.
 PUSH = 0.01
 #: How far inside the orthant a warm dual start is moved: each row
 #: multiplier is clipped at 0 and raised by this. Seed-0 Table-1 takes
-#: 6,742 IPM iterations with 0.01, 6,604 with 0.001, 7,316 with 0.1 and
-#: 8,034 with 1.
-WARM_SHIFT = 0.01
+#: 5,558 IPM iterations with 0.003, 5,677 with 0.001, 5,634 with 0.01,
+#: 6,065 with 0.1 and 6,569 with 1.
+WARM_SHIFT = 0.003
+#: Largest size max(||z||, |eta|) an iterate may reach; past it the
+#: products an iteration forms (s o y, ds o dy, A dx) near the overflow of
+#: a double, and the solve ends as "numerical_failure". At lam = 1e5 a
+#: (2,4) solve drives eta down past it in ~500 iterations, where it used
+#: to overflow after ~750.
+MAX_SIZE = 1e150
 
 
 @dataclass(frozen=True)
@@ -86,27 +96,19 @@ class NotStrictlyFeasible(ValueError):
     """Raised when the provided start violates strict interior feasibility."""
 
 
-def _residual(A, x, s, y, grad) -> float:
-    """max(|s^T y + z^T r_z|, ||r_z||, |r_eta|) with r = grad f - A^T y."""
-    r = grad - A.T @ y
-    r_z = r[:-1]
-    return max(abs(float(s @ y) + float(x[:-1] @ r_z)), math.sqrt(float(r_z @ r_z)),
-               abs(float(r[-1])))
-
-
 def _is_ray(A, lam, d, slack=0.0) -> bool:
     """Whether d = x - x_0 is a ray along which f falls: A d >= 0 to TOL
     times size = max(||d_z||, |d_eta|) plus ``slack``, and
     ||d_z|| - lam*d_eta < -TOL*size."""
-    dz_norm = math.sqrt(float(d[:-1] @ d[:-1]))
-    size = max(dz_norm, abs(float(d[-1])))
-    return (float((A @ d).min()) >= -(TOL * size + slack)
+    dz_norm = math.hypot(*d[:-1].tolist())
+    size = max(dz_norm, abs(d[-1]))
+    return ((A @ d).min() >= -(TOL * size + slack)
             and dz_norm - lam * d[-1] < -TOL * size)
 
 
-def _boundary_step(s, ds, y, dy) -> float:
-    """Largest alpha keeping s + alpha ds and y + alpha dy non-negative."""
-    shrink = -min(float((ds / s).min()), float((dy / y).min()))
+def _boundary_step(X, dX) -> float:
+    """Largest alpha keeping X + alpha dX non-negative."""
+    shrink = -(dX / X).min()
     return 1.0 / shrink if shrink > 0.0 else math.inf
 
 
@@ -132,11 +134,12 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     along a ray d = x - x_0 that keeps the rows to ``TOL`` and lowers the
     objective; the point returned is the start plus that ray.
     "numerical_failure" means the normal matrix could not be solved, a
-    step was not finite, or it would have put the iterate on the boundary
-    of the orthant; the last iterate is returned. Such an exit that is a
-    ray once ``TOL`` is widened by the start's slack over the distance
-    travelled reports "unbounded". ``objective`` is ||z|| - lam*eta at the
-    returned point, and every point returned is primal feasible.
+    step was not finite, it would have put the iterate on the boundary
+    of the orthant, or the iterate's size reached ``MAX_SIZE``; the last
+    iterate is returned. Such an exit that is a ray once ``TOL`` is
+    widened by the start's slack over the distance travelled reports
+    "unbounded". ``objective`` is ||z|| - lam*eta at the returned point,
+    and every point returned is primal feasible.
     """
     A, b = spec.A, spec.b
     x0 = np.asarray(spec.start, dtype=np.float64)
@@ -150,58 +153,77 @@ def solve(spec: SubproblemSpec, trace: bool = False,
             "need a pair row with a positive bound (an eta-free row with b > 0): "
             "without one z = 0 is feasible, where ||z|| is not smooth")
     s0 = A @ x0 - b
-    if float(s0.min()) <= 0.0:
+    if s0.min() <= 0.0:
         raise NotStrictlyFeasible(f"start point's smallest row slack is {s0.min():.3e}")
 
     if warm is not None and warm.y.shape != (m,):
         raise ValueError(
             f"warm start has {warm.y.shape} row multipliers; the spec needs ({m},)")
-    y = np.ones(m) if warm is None else np.maximum(warm.y, 0.0) + WARM_SHIFT
     x = x0.copy()
     z = x[:n]  # a view
     # Lowering eta keeps every row feasible and gives the element-wise rows room.
     x[n] -= PUSH * (1.0 + abs(x[n]))
-    s = A @ x - b
+    # X holds the slacks s = A x - b over the row multipliers y, and dX
+    # their step (ds, dy), so one ratio test and one update serve both
+    X = np.stack((A @ x - b, np.ones(m) if warm is None else np.maximum(warm.y, 0.0) + WARM_SHIFT))
+    s, y = X
+    dX = np.empty((2, m))
+    ds, dy = dX
     grad = np.append(np.zeros(n), -spec.lam)  # grad f = (z/||z||, -lam); z part set below
+    # The one transposed copy of A, with a last column (u, 0), u = z/||z||,
+    # for the Hessian's rank-one term: with d = (y/s, -1/||z||), GT diag(d) GT^T
+    # is A^T diag(y/s) A - u u^T/||z||, and the view AT serves A^T y and A^T w.
+    GT = np.concatenate((A.T, np.zeros((n + 1, 1))), axis=1)
+    AT = GT[:, :m]
+    d = np.empty(m + 1)
+    d_row = d[:m]
+    N = np.empty((n + 1, n + 1))
+    N_diag = N.reshape(-1)[:n * (n + 2):n + 2]  # the z block's diagonal
 
-    diag = np.arange(n) * (n + 2)  # flat positions of the z block's diagonal
-    status = "max_iter"
-    rows = []
-    iters = 0
+    status, rows, iters, falls = "max_iter", [], 0, False
     while True:
-        nz = math.sqrt(float(z @ z))
-        grad[:n] = z / nz
-        if _residual(A, x, s, y, grad) <= TOL:
+        nz = math.hypot(*z.tolist())  # overflows only where ||z|| does, unlike z^T z
+        grad[:n] = GT[:n, m] = z / nz
+        r = grad - AT @ y  # r and res as in the module docstring
+        gap = s @ y
+        res = max(abs(gap + z @ r[:n]), math.sqrt(r[:n] @ r[:n]), abs(r[n]))
+        if falls and _is_ray(A, spec.lam, x - x0):
+            status = "unbounded"
+            break
+        if res <= TOL:
             status = "optimal"
             break
         if iters >= MAX_ITER:
             break
-        gap = float(s @ y)
+        if not max(nz, abs(x[n])) < MAX_SIZE:
+            status = "numerical_failure"
+            break
 
-        d_row = y / s
-        N = (A.T * d_row) @ A
-        N[:n, :n] -= (grad[:n] / nz)[:, None] * grad[:n]
-        N.flat[diag] += 1.0 / nz
+        np.divide(y, s, out=d_row)
+        d[m] = -1.0 / nz
+        np.matmul(GT * d, GT.T, out=N)
+        N_diag += 1.0 / nz  # the Hessian's I/||z||
         try:
             # Predictor: affine-scaling direction, target s o y -> 0.
             dx = np.linalg.solve(N, -grad)
-            ds = A @ dx
-            dy = -y - d_row * ds
-            alpha = min(1.0, _boundary_step(s, ds, y, dy))
-            sigma = min(1.0, max(0.0, float((s + alpha * ds) @ (y + alpha * dy)) / gap)) ** 3
+            np.matmul(A, dx, out=ds)
+            np.subtract(-y, d_row * ds, out=dy)
+            alpha = min(1.0, _boundary_step(X, dX))
+            X_aff = X + alpha * dX
+            sigma = min(1.0, max(0.0, X_aff[0] @ X_aff[1] / gap)) ** 3
 
             # Corrector: centring to sigma * mu, mu = gap / m, plus the
             # second-order term of the predictor.
             w = (sigma * gap / m - ds * dy) / s
-            dx = np.linalg.solve(N, A.T @ w - grad)
+            dx = np.linalg.solve(N, AT @ w - grad)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break
-        ds = A @ dx
-        dy = w - y - d_row * ds
-        dz_norm = math.sqrt(float(dx[:n] @ dx[:n]))
+        np.matmul(A, dx, out=ds)
+        np.subtract(w - y, d_row * ds, out=dy)
+        dz_norm = math.hypot(*dx[:n].tolist())
         falls = dz_norm - spec.lam * dx[n] < 0.0
-        alpha = _boundary_step(s, ds, y, dy)
+        alpha = _boundary_step(X, dX)
         if not falls and alpha * dz_norm > Z_STEP * nz:
             alpha = Z_STEP * nz / dz_norm
         alpha = min(1.0, STEP * alpha)
@@ -210,36 +232,26 @@ def solve(spec: SubproblemSpec, trace: bool = False,
             break
         # Rounding can put an iterate on the boundary, where y/s is undefined;
         # such a step is not taken, so the point returned stays feasible.
-        s_new, y_new = s + alpha * ds, y + alpha * dy
-        if min(float(s_new.min()), float(y_new.min())) <= 0.0:
+        X_new = X + alpha * dX
+        if X_new.min() <= 0.0:
             status = "numerical_failure"
             break
         x += alpha * dx
-        s, y = s_new, y_new
+        X = X_new
+        s, y = X
         iters += 1
         if trace:
             mu = float(s @ y) / m
             rows.append((m / mu, iters, mu))
-        if falls and _is_ray(A, spec.lam, x - x0):
-            status = "unbounded"
-            break
 
     # Rounding can end a barely unbounded run before x - x0 is a ray to TOL;
     # seen from there, the start's own slack, its largest row slack or
     # ||z_0||, still shifts A d.
     if status == "numerical_failure" and _is_ray(
-            A, spec.lam, x - x0, max(float(s0.max()), math.sqrt(float(x0[:n] @ x0[:n])))):
+            A, spec.lam, x - x0, max(s0.max(), math.sqrt(x0[:n] @ x0[:n]))):
         status = "unbounded"
-    nz = math.sqrt(float(z @ z))
-    grad[:n] = z / nz
 
     return SubproblemSolution(
-        z=z.copy(),
-        eta=float(x[n]),
-        status=status,
-        newton_iters=iters,
-        kkt_residual=_residual(A, x, s, y, grad),
-        objective=nz - spec.lam * float(x[n]),
-        trace=rows,
-        y=y.copy(),
-    )
+        z=z.copy(), eta=float(x[n]), status=status, newton_iters=iters,
+        kkt_residual=float(res), objective=float(nz - spec.lam * x[n]), trace=rows,
+        y=y.copy())

@@ -40,6 +40,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="d_e_threshold squared"):
             cccp.CCCPConfig(K=2, M=4, d_e_threshold=value)
 
+    @pytest.mark.parametrize("value", [1e-170, 1e-160])
+    def test_threshold_square_underflow_rejected(self, value):
+        # D_E^2 is 0 (1e-340) or subnormal (1e-320): a pair row's bound
+        # D_E^2 + q(z_q) must be a positive normal double
+        with pytest.raises(ValueError, match="d_e_threshold squared"):
+            cccp.CCCPConfig(K=2, M=4, d_e_threshold=value)
+
     def test_defaults(self):
         cfg = cccp.CCCPConfig(K=2, M=4)
         assert cfg.lam == 0.5

@@ -91,6 +91,24 @@ class TestOptimize:
         assert "d_e_threshold" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_threshold_square_underflow_exit_2(self, tmp_path, capsys):
+        # D_E^2 is 0 at 1e-170, which left no pair row with a positive bound
+        rc = run(["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--seed", "0",
+                  "--de", "1e-170", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "d_e_threshold" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_diverging_subproblems_exit_3(self, tmp_path, capsys):
+        # at lam = 1e5 the solves drive eta down without bound; each ends
+        # numerical_failure once |eta| reaches socp.MAX_SIZE, before its
+        # products overflow, so no numpy warning (an error here) is raised
+        rc = run(["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--seed", "0",
+                  "--lambda", "1e5", "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "chain 1: subproblem numerical_failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unbounded_subproblems_exit_3(self, tmp_path, capsys):
         # at K=1, M=2 every chain's first subproblem is unbounded below
         rc = run(["optimize", "--K", "1", "--M", "2", "--restarts", "2",

@@ -196,6 +196,15 @@ class TestWarmStart:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
         assert warm.newton_iters < cold.newton_iters
 
+    def test_no_stall_in_the_seed0_24_chain0(self):
+        # With STEP = 0.99 and WARM_SHIFT = 0.01 this chain's third solve ran
+        # all 800 iterations and ended "max_iter"; its solves take
+        # [8, 6, 7, 7, 6, 4, 4] iterations at the module's constants.
+        ch = cccp.run_chain(cccp.CCCPConfig(K=2, M=4), 0)
+        assert ch.status == "converged"
+        assert ch.non_optimal_solves == 0
+        assert max(rec["newton_iters"] for rec in ch.trace) <= 15
+
     def test_mismatched_warm_raises(self):
         spec = simple_spec()
         prev = socp.solve(spec)
