@@ -19,12 +19,14 @@ an iterate may spend energy when the element-wise level gains more.
 Every form is read through one cached pair-difference matrix D, whose row
 p*K + k takes x_{i,k} - x_{j,k} of the p-th pair (i, j): it gives the form
 values, the tangent rows and the start, one complex Gaussian draw rescaled
-to MED = INIT_MARGIN * D_E. Each subproblem is solved to ``socp.TOL`` within
-``socp.MAX_ITER`` interior-point iterations and, after a chain's first,
-starts from the previous one's multipliers (``socp.solve(..., warm=...)``):
-consecutive linearizations have the same rows in the same order. The warm
-start saves about a sixth of the interior-point iterations: seed-0 Table-1
-takes 5,558 with it and 6,579 with every solve cold.
+to MED = INIT_MARGIN * D_E. A chain steps only to an "optimal" solve, one
+certified to ``socp.TOL`` within ``socp.MAX_ITER`` interior-point iterations,
+on which the bound above rests; any other status ends the chain. After a
+chain's first, a solve starts from the previous one's multipliers
+(``socp.solve(..., warm=...)``): consecutive linearizations have the same
+rows in the same order. The warm start saves about a sixth of the
+interior-point iterations: seed-0 Table-1 takes 5,558 with it and 6,579
+with every solve cold.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from . import socp
 INIT_MARGIN = 1.05  # start MED as a multiple of d_e_threshold
 RESTART_KEYS = (
     "chain_index", "status", "iterations", "final_energy", "med", "mpd",
-    "max_kkt", "non_optimal_solves", "failure", "ipm_iters",
+    "max_kkt", "failure", "ipm_iters",
 )
 
 
@@ -75,7 +77,7 @@ class CCCPConfig:
 
 @dataclass
 class ChainResult:
-    """Outcome of one CCCP restart chain."""
+    """Outcome of one CCCP restart chain; every recorded solve ended "optimal"."""
 
     chain_index: int
     status: str  # "converged" | "max_iter" | "failed"
@@ -85,7 +87,6 @@ class ChainResult:
     med: float  # after unit-power normalization
     mpd: float
     failure: str = ""
-    non_optimal_solves: int = 0  # accepted subproblem solves that hit max_iter
 
     @property
     def iterations(self) -> int:
@@ -201,16 +202,15 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     """One restart: feasible init, iterate linearize/solve until the
     step norm drops below epsilon or the iteration cap is hit.
 
-    An iterate that is not strictly feasible (the start included), or an
-    unbounded or unsolvable subproblem, ends the chain as "failed", keeping
-    the iterations it completed.
+    An iterate that is not strictly feasible (the start included), or a
+    subproblem solve with any status but "optimal", ends the chain as
+    "failed" with "subproblem <status>", keeping the iterations it completed.
     """
     K, M = config.K, config.M
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, chain_index]))
     de2 = config.d_e_threshold**2
     trace = []
     status, failure = "max_iter", ""
-    non_optimal = 0
 
     try:
         z = realify(init_feasible(K, M, config.d_e_threshold, rng))
@@ -218,9 +218,8 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
         for q in range(1, config.max_iters + 1):
             # warm by keyword: a traced wrapper passes trace=True as one
             sol = socp.solve(linearize(z, config), warm=sol)
-            if sol.status in ("unbounded", "numerical_failure"):
+            if sol.status != "optimal":
                 raise ValueError(f"subproblem {sol.status}")
-            non_optimal += sol.status != "optimal"
             step = float(np.linalg.norm(sol.z - z))
             med_vals, ew_vals, _ = _form_values(sol.z, K, M)
             trace.append(
@@ -245,7 +244,7 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
 
     if status == "failed":
         return ChainResult(chain_index, status, None, trace, math.nan, math.nan, math.nan,
-                           failure=failure, non_optimal_solves=non_optimal)
+                           failure=failure)
     c_final = unrealify(z)
     raw = c_to_constellation(c_final, K, M)
     norm = cn.normalize(raw)
@@ -257,7 +256,6 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
         final_energy=float(z @ z),
         med=cn.med(norm),
         mpd=cn.mpd(norm),
-        non_optimal_solves=non_optimal,
     )
 
 

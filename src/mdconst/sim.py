@@ -103,9 +103,9 @@ def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, tria
 
     ``trial(rng, B, n0)`` sends B vectors at noise variance n0 (0 when
     noise-free) and returns sent and detected symbol indices, shape (B,)
-    or (B, users); the latter adds per-user error counts to each point.
-    Labeling is natural: a symbol's bits are its index in binary, so the
-    bit errors of a decision are the popcount of sent XOR detected.
+    or (B, users). Labeling is natural: a symbol's bits are its index in
+    binary, so the bit errors of a decision are the popcount of sent XOR
+    detected.
     """
     if max_vectors < 1 or min_bit_errors < 1:
         raise ValueError("max_vectors and min_bit_errors must be >= 1")
@@ -118,26 +118,20 @@ def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, tria
         errors = 0
         bits = 0
         vectors = 0
-        per_user = 0
         while vectors < max_vectors and errors < min_bit_errors:
             B = min(chunk, max_vectors - vectors)
             tx, rx = trial(rng, B, n0)
-            counts = pop[np.bitwise_xor(tx, rx)].sum(axis=0)
-            errors += int(np.sum(counts))
-            per_user = per_user + counts
+            errors += int(pop[np.bitwise_xor(tx, rx)].sum())
             bits += tx.size * nbits
             vectors += B
-        point = {
+        pts.append({
             "ebn0_db": ebn0,
             "errors": errors,
             "bits": bits,
             "ber": errors / bits,
             "vectors": vectors,
             "seed": seed,
-        }
-        if np.ndim(per_user):
-            point["per_user_errors"] = per_user.tolist()
-        pts.append(point)
+        })
     return BERCurve(points=pts)
 
 
@@ -184,8 +178,7 @@ def simulate_scma_uplink(
     """Uplink SCMA over i.i.d. Rayleigh fading with MPA detection.
 
     Every user-resource link fades independently per transmitted vector;
-    bit errors are counted across all users. Per-user error counts are
-    kept in each point record.
+    bit errors are counted across all users.
     """
     J, N, M = cbs.J, cbs.N, cbs.M
 

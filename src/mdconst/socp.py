@@ -36,7 +36,8 @@ import numpy as np
 
 #: Stopping tolerance on the residual named in the module docstring.
 TOL = 1e-8
-#: Interior-point iteration cap, far above the <= 14 a Table-1 subproblem takes.
+#: Interior-point iteration cap, far above the <= 14 a Table-1 subproblem
+#: takes; a CCCP solve that reaches it ends its chain as "failed".
 MAX_ITER = 800
 #: Share of the largest step to the boundary of the orthant (s, y) >= 0
 #: taken per iteration, applied after the ``Z_STEP`` cap. Seed-0 Table-1

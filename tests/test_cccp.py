@@ -262,52 +262,44 @@ class TestOptimize:
             1 - 1e-9
         )
 
-    def test_solver_statuses_surface_as_failed_chain(self, monkeypatch):
-        def boom(spec, **kw):
-            return socp.SubproblemSolution(
-                z=np.zeros(spec.A.shape[1] - 1), eta=0.0, status="numerical_failure",
-                newton_iters=0, kkt_residual=math.inf, objective=math.nan,
-            )
-
-        monkeypatch.setattr(socp, "solve", boom)
-        ch = cccp.run_chain(small_config(), 0)
-        assert ch.status == "failed"
-        assert "numerical_failure" in ch.failure
-
-    def test_max_iter_solves_are_counted(self, monkeypatch):
-        real_solve = socp.solve
-
-        def capped(spec, **kw):
-            sol = real_solve(spec, **kw)
-            sol.status = "max_iter"
-            return sol
-
-        monkeypatch.setattr(socp, "solve", capped)
-        cfg = small_config(restarts=2, max_iters=4)
-        ch = cccp.run_chain(cfg, 0)
-        assert ch.status != "failed"
-        assert ch.non_optimal_solves == ch.iterations >= 1
-        res = cccp.optimize(cfg)
-        assert [s["non_optimal_solves"] for s in res.all_restarts] == [
-            cccp.run_chain(cfg, i).iterations for i in range(2)
-        ]
-
-    def test_failed_chain_keeps_non_optimal_count(self, monkeypatch):
+    @pytest.mark.parametrize("status", ["max_iter", "unbounded", "numerical_failure"])
+    def test_solver_statuses_surface_as_failed_chain(self, monkeypatch, status):
+        # two real solves, then one that ends with the status: the chain keeps
+        # the two iterations and ends without stepping to the third solve
         real_solve = socp.solve
         calls = []
 
-        def capped_then_fail(spec, **kw):
+        def third_fails(spec, **kw):
             sol = real_solve(spec, **kw)
             calls.append(sol)
-            sol.status = "max_iter" if len(calls) <= 2 else "numerical_failure"
+            if len(calls) == 3:
+                sol.status = status
             return sol
 
-        monkeypatch.setattr(socp, "solve", capped_then_fail)
+        monkeypatch.setattr(socp, "solve", third_fails)
         ch = cccp.run_chain(small_config(max_iters=10), 0)
         assert len(calls) == 3
         assert ch.status == "failed"
         assert ch.iterations == 2
-        assert ch.non_optimal_solves == 2
+        assert ch.failure == f"subproblem {status}"
+
+    def test_diverging_solve_ends_its_chain(self, monkeypatch):
+        # at lam = 1e4 chain 1's first solve drives |eta| to ~1e139 and ends
+        # "max_iter"; no linearization is built from that iterate
+        real_solve = socp.solve
+        statuses = []
+
+        def spy(spec, **kw):
+            sol = real_solve(spec, **kw)
+            statuses.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(socp, "solve", spy)
+        ch = cccp.run_chain(cccp.CCCPConfig(K=2, M=4, lam=1e4), 1)
+        assert statuses == ["max_iter"]
+        assert ch.status == "failed"
+        assert ch.iterations == 0
+        assert ch.failure == "subproblem max_iter"
 
     def test_each_solve_warm_starts_from_the_previous(self, monkeypatch):
         real_solve = socp.solve

@@ -163,7 +163,6 @@ class TestSCMASim:
         assert a.points == b.points
         p = a.points[0]
         assert p["bits"] == p["vectors"] * cbs.J * sim.bits_per_symbol(cbs.M)
-        assert sum(p["per_user_errors"]) == p["errors"]
 
 
 class TestCSV:

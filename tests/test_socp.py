@@ -202,7 +202,6 @@ class TestWarmStart:
         # [8, 6, 7, 7, 6, 4, 4] iterations at the module's constants.
         ch = cccp.run_chain(cccp.CCCPConfig(K=2, M=4), 0)
         assert ch.status == "converged"
-        assert ch.non_optimal_solves == 0
         assert max(rec["newton_iters"] for rec in ch.trace) <= 15
 
     def test_mismatched_warm_raises(self):
