@@ -19,21 +19,23 @@ an iterate may spend energy when the element-wise level gains more.
 Every form is read through one cached pair-difference matrix D, whose row
 p*K + k takes x_{i,k} - x_{j,k} of the p-th pair (i, j): it gives the form
 values, the tangent rows and the start, one complex Gaussian draw rescaled
-to MED = INIT_MARGIN * D_E. A chain steps only to an "optimal" solve, one
-certified to ``socp.TOL`` within ``socp.MAX_ITER`` interior-point iterations,
-on which the bound above rests; any other status ends the chain. After a
-chain's first, a solve starts from the previous one's multipliers
-(``socp.solve(..., warm=...)``): consecutive linearizations have the same
-rows in the same order. The warm start saves about a sixth of the
-interior-point iterations: seed-0 Table-1 takes 5,558 with it and 6,579
-with every solve cold.
+to MED = INIT_MARGIN * D_E. A chain works on the realified z from that
+draw to its design, the last iterate scaled once to unit average power, and
+``optimize`` returns every chain with the winner's design. A chain steps
+only to an "optimal" solve, one certified to ``socp.TOL`` within
+``socp.MAX_ITER`` interior-point iterations, on which the bound above
+rests; any other status ends the chain. After a chain's first, a solve
+starts from the previous one's multipliers (``socp.solve(..., warm=...)``):
+consecutive linearizations have the same rows in the same order. The warm
+start saves about a sixth of the interior-point iterations: seed-0 Table-1
+takes 5,558 with it and 6,579 with every solve cold.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +75,8 @@ class CCCPConfig:
                              f"got {self.d_e_threshold}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -81,12 +85,16 @@ class ChainResult:
 
     chain_index: int
     status: str  # "converged" | "max_iter" | "failed"
-    c_final: np.ndarray | None
+    design: cn.Constellation | None  # last iterate at unit average power
     trace: list  # per-iteration dicts
-    final_energy: float
-    med: float  # after unit-power normalization
+    med: float  # of the design
     mpd: float
     failure: str = ""
+
+    @property
+    def final_energy(self) -> float:
+        """||z||^2 of the last iterate; NaN for a failed chain."""
+        return math.nan if self.design is None else self.trace[-1]["energy"]
 
     @property
     def iterations(self) -> int:
@@ -106,9 +114,18 @@ class ChainResult:
 
 @dataclass
 class OptimizeResult:
-    best: cn.Constellation
-    trace: list
-    all_restarts: list = field(default_factory=list)
+    best: cn.Constellation  # the winning chain's design, with run facts in meta
+    chains: list  # every ChainResult, in chain order
+
+    @property
+    def trace(self) -> list:
+        """The winning chain's per-iteration trace."""
+        return self.chains[self.best.meta["chain_index"]].trace
+
+    @property
+    def all_restarts(self) -> list:
+        """One RESTART_KEYS row per chain."""
+        return [{k: getattr(ch, k) for k in RESTART_KEYS} for ch in self.chains]
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,8 +137,8 @@ def _pair_differences(K: int, M: int) -> np.ndarray:
     so D Re(c) and D Im(c) are every per-dimension difference x_{i,k} - x_{j,k}.
     """
     i, j = np.triu_indices(M, k=1)
-    # D = E (x) I_K, with e_i - e_j the pair's row of E; + 0.0 makes -1 * 0 a +0.0
-    D = np.kron(np.eye(M)[i] - np.eye(M)[j], np.eye(K)) + 0.0
+    # D = E (x) I_K, with e_i - e_j the pair's row of E
+    D = np.kron(np.eye(M)[i] - np.eye(M)[j], np.eye(K))
     D.setflags(write=False)
     return D
 
@@ -141,27 +158,22 @@ def realify(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c.real, c.imag])
 
 
-def unrealify(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.size % 2:
-        raise ValueError("realified vector must have even length")
-    h = z.size // 2
-    return z[:h] + 1j * z[h:]
-
-
 def init_feasible(K: int, M: int, d_e: float, rng: np.random.Generator) -> np.ndarray:
-    """One complex Gaussian draw rescaled to MED = INIT_MARGIN * d_e.
+    """Realified z of one complex Gaussian draw rescaled to MED = INIT_MARGIN * d_e.
 
     Its per-dimension gaps are nonzero almost surely; a draw with a zero gap
     fails ``socp.solve``'s strict-start check and so ends its chain.
     """
     c = (rng.standard_normal(K * M) + 1j * rng.standard_normal(K * M)) / math.sqrt(2)
-    med2 = float(_form_values(realify(c), K, M)[0].min())
-    return c * (INIT_MARGIN * d_e / math.sqrt(med2))
+    z = realify(c)
+    med2 = float(_form_values(z, K, M)[0].min())
+    return z * (INIT_MARGIN * d_e / math.sqrt(med2))
 
 
-def c_to_constellation(c: np.ndarray, K: int, M: int) -> cn.Constellation:
-    return cn.Constellation(points=np.asarray(c).reshape(M, K).T)
+def c_to_constellation(z: np.ndarray, K: int, M: int) -> cn.Constellation:
+    """The constellation of the realified z; vector m is the m-th K-block of c."""
+    re, im = z.reshape(2, M, K)
+    return cn.Constellation(points=(re + 1j * im).T)
 
 
 def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
@@ -188,7 +200,6 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
     # a pair row is the sum of its K element-wise rows, whose columns differ
     np.add.reduce(ew_rows.reshape(P, K, -1), axis=1, out=A[:P])
     A[:P, -1] = 0.0
-    A += 0.0  # turns the -0.0 of 0 times a negative difference into +0.0
     eta0 = float(ew_vals.min()) * (1.0 - 1e-6)
     return socp.SubproblemSpec(
         lam=config.lam,
@@ -213,9 +224,9 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     status, failure = "max_iter", ""
 
     try:
-        z = realify(init_feasible(K, M, config.d_e_threshold, rng))
+        z = init_feasible(K, M, config.d_e_threshold, rng)
         sol = None
-        for q in range(1, config.max_iters + 1):
+        for _ in range(config.max_iters):
             # warm by keyword: a traced wrapper passes trace=True as one
             sol = socp.solve(linearize(z, config), warm=sol)
             if sol.status != "optimal":
@@ -224,7 +235,6 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
             med_vals, ew_vals, _ = _form_values(sol.z, K, M)
             trace.append(
                 {
-                    "q": q,
                     "energy": float(sol.z @ sol.z),
                     "objective": sol.objective,
                     "eta": sol.eta,
@@ -243,20 +253,10 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
         status, failure = "failed", str(exc)
 
     if status == "failed":
-        return ChainResult(chain_index, status, None, trace, math.nan, math.nan, math.nan,
-                           failure=failure)
-    c_final = unrealify(z)
-    raw = c_to_constellation(c_final, K, M)
-    norm = cn.normalize(raw)
-    return ChainResult(
-        chain_index=chain_index,
-        status=status,
-        c_final=c_final,
-        trace=trace,
-        final_energy=float(z @ z),
-        med=cn.med(norm),
-        mpd=cn.mpd(norm),
-    )
+        return ChainResult(chain_index, status, None, trace, math.nan, math.nan, failure)
+    design = cn.normalize(c_to_constellation(z, K, M))
+    prof = cn.distance_profile(design)
+    return ChainResult(chain_index, status, design, trace, prof.med, prof.mpd)
 
 
 def select_best(chains: list[ChainResult]) -> ChainResult:
@@ -273,7 +273,6 @@ def select_best(chains: list[ChainResult]) -> ChainResult:
 def optimize(config: CCCPConfig) -> OptimizeResult:
     chains = [run_chain(config, idx) for idx in range(config.restarts)]
     best_chain = select_best(chains)
-    raw = c_to_constellation(best_chain.c_final, config.K, config.M)
     meta = {
         "lambda": config.lam,
         "d_e_threshold": config.d_e_threshold,
@@ -286,10 +285,5 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
         "med": best_chain.med,
         "mpd": best_chain.mpd,
     }
-    best = cn.Constellation(points=cn.normalize(raw).points, meta=meta)
-    return OptimizeResult(
-        best=best,
-        trace=best_chain.trace,
-        all_restarts=[{k: getattr(ch, k) for k in RESTART_KEYS} for ch in chains],
-    )
-
+    best = cn.Constellation(points=best_chain.design.points, meta=meta)
+    return OptimizeResult(best, chains)

@@ -90,30 +90,30 @@ def cmd_optimize(args) -> int:
     except RuntimeError as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    best = result.best
+    best, restarts = result.best, result.all_restarts
     out = args.out
     d = best.to_json_dict()
     d["meta"]["restarts"] = [
-        {k: v for k, v in s.items() if k != "failure"} for s in result.all_restarts
+        {k: v for k, v in s.items() if k != "failure"} for s in restarts
     ]
     write_json_atomic(out, d)
     outputs = [out]
     if args.trace:
         rows = ["q,energy,objective,eta,step_norm\n"] + [
-            f"{rec['q']},{rec['energy']:.17g},{rec['objective']:.17g},"
+            f"{q},{rec['energy']:.17g},{rec['objective']:.17g},"
             f"{rec['eta']:.17g},{rec['step_norm']:.17g}\n"
-            for rec in result.trace
+            for q, rec in enumerate(result.trace, 1)
         ]
         write_text_atomic(args.trace, "".join(rows))
         outputs.append(args.trace)
     _write_manifest(
         out, "optimize",
-        vars(args) | {"config": cfg.__dict__, "restarts": result.all_restarts},
+        vars(args) | {"config": cfg.__dict__, "restarts": restarts},
         args.seed,
         [], outputs, t0,
     )
     print(
-        f"K={cfg.K} M={cfg.M}: med={cn.med(best):.4f} mpd={cn.mpd(best):.4f} "
+        f"K={cfg.K} M={cfg.M}: med={best.meta['med']:.4f} mpd={best.meta['mpd']:.4f} "
         f"(chain {best.meta['chain_index']}, {best.meta['iterations_used']} iters)"
     )
     return EXIT_OK

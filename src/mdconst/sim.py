@@ -109,6 +109,8 @@ def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, tria
     """
     if max_vectors < 1 or min_bit_errors < 1:
         raise ValueError("max_vectors and min_bit_errors must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     nbits = bits_per_symbol(M)
     pop = _popcount_table(nbits)
     pts = []

@@ -40,17 +40,10 @@ def _config(K, M):
 def table1():
     """Run the three design cases, keeping every chain's full trace."""
     out = {}
-    for (K, M), case in CASES.items():
+    for K, M in CASES:
         cfg = _config(K, M)
-        chains = [cccp.run_chain(cfg, i) for i in range(cfg.restarts)]
-        best_chain = cccp.select_best(chains)
-        raw = cccp.c_to_constellation(best_chain.c_final, K, M)
-        out[(K, M)] = {
-            "config": cfg,
-            "chains": chains,
-            "best_chain": best_chain,
-            "best": cn.normalize(raw),
-        }
+        res = cccp.optimize(cfg)
+        out[(K, M)] = {"config": cfg, "chains": res.chains, "best": res.best}
     return out
 
 
@@ -113,9 +106,9 @@ def test_criterion_3_cccp_structure(table1):
             # z_0 and min_ew(z_0) exactly as run_chain draws them
             rng = np.random.default_rng(
                 np.random.SeedSequence([cfg.seed, ch.chain_index]))
-            c0 = cccp.init_feasible(K, M, cfg.d_e_threshold, rng)
-            norm = float(np.linalg.norm(c0))
-            min_ew = cn.min_elementwise(cccp.c_to_constellation(c0, K, M)) ** 2
+            z0 = cccp.init_feasible(K, M, cfg.d_e_threshold, rng)
+            norm = float(np.linalg.norm(z0))
+            min_ew = cn.min_elementwise(cccp.c_to_constellation(z0, K, M)) ** 2
             for rec in ch.trace:
                 norm_new = math.sqrt(rec["energy"])
                 rise = norm_new - norm
@@ -364,10 +357,7 @@ def test_criterion_9_determinism(table1, ber_curves, tmp_path):
     # repeat the criterion-1 design runs and compare serialized bytes
     design_ok = True
     for (K, M), data in table1.items():
-        cfg = data["config"]
-        chains = [cccp.run_chain(cfg, i) for i in range(cfg.restarts)]
-        best = cn.normalize(
-            cccp.c_to_constellation(cccp.select_best(chains).c_final, K, M))
+        best = cccp.optimize(data["config"]).best
         a, b = tmp_path / f"a{K}{M}.json", tmp_path / f"b{K}{M}.json"
         data["best"].save(str(a))
         best.save(str(b))

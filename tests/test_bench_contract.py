@@ -18,6 +18,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "mdbench")
 )
 import layers  # noqa: E402
+import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 WRAPPED = (cccp, constellation, kernels, qforms, scma, sim, socp)
@@ -44,3 +45,12 @@ def test_wrapped_layers_count_calls():
         assert got[name] > 0, name
     # 10 MPA iterations x 4 resources x 4**3 symbol combinations each
     assert got["kernels.mpa_combos_per_vec"] == 10 * 4 * 4**3 == 2560
+
+
+def test_design_gate_passes_optimize():
+    # the gate reads best.points and each restart row's status, max_kkt,
+    # med and mpd
+    res = cccp.optimize(cccp.CCCPConfig(K=2, M=4, restarts=2, max_iters=5))
+    w = workloads.WORKLOADS["design-table1"].smoke()
+    ok, detail = workloads._check_design(w, 2, 4, 0, res)
+    assert ok, detail

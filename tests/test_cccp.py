@@ -24,6 +24,8 @@ class TestConfig:
             cccp.CCCPConfig(K=2, M=4, lam=0.0)
         with pytest.raises(ValueError):
             cccp.CCCPConfig(K=2, M=4, restarts=0)
+        with pytest.raises(ValueError, match="seed"):
+            cccp.CCCPConfig(K=2, M=4, seed=-1)
 
     @pytest.mark.parametrize("field", ["lam", "d_e_threshold", "epsilon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -59,22 +61,21 @@ class TestConfig:
 class TestInit:
     def test_init_feasible_margins(self):
         rng = np.random.default_rng(0)
-        c0 = cccp.init_feasible(2, 4, 1.0, rng)
-        C = cccp.c_to_constellation(c0, 2, 4)
+        z0 = cccp.init_feasible(2, 4, 1.0, rng)
+        C = cccp.c_to_constellation(z0, 2, 4)
         assert cn.med(C) == pytest.approx(cccp.INIT_MARGIN, rel=1e-9)
         assert cn.min_elementwise(C) > 1e-9
 
     def test_realify_roundtrip(self):
         rng = np.random.default_rng(0)
         c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        assert np.array_equal(cccp.unrealify(cccp.realify(c)), c)
-        with pytest.raises(ValueError):
-            cccp.unrealify(np.zeros(3))
+        C = cccp.c_to_constellation(cccp.realify(c), 2, 6)
+        assert np.array_equal(C.points.T.ravel(), c)
 
     def test_vec_convention(self):
         # column m of the constellation is the m-th K-block of c
         c = np.arange(6, dtype=complex)
-        C = cccp.c_to_constellation(c, 2, 3)
+        C = cccp.c_to_constellation(cccp.realify(c), 2, 3)
         assert np.array_equal(C.points[:, 1], np.array([2.0, 3.0], dtype=complex))
 
 
@@ -83,7 +84,7 @@ class TestLinearize:
         K, M = 2, 4
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(1)
-        z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
+        z = cccp.init_feasible(K, M, 1.0, rng)
         spec = cccp.linearize(z, cfg)
         P = M * (M - 1) // 2
         assert spec.A.shape == (P + K * P, 2 * K * M + 1)
@@ -98,7 +99,7 @@ class TestLinearize:
         K, M = 2, 3
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(2)
-        z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
+        z = cccp.init_feasible(K, M, 1.0, rng)
         spec = cccp.linearize(z, cfg)
         med_idx, _ = pair_forms(K, M)
         for g, h, idx in zip(spec.A[:, :-1], spec.b, med_idx):
@@ -118,7 +119,7 @@ class TestLinearize:
         P, n = len(med_idx), 2 * K * M
         assert len(ew_idx) == P * K
         for _ in range(5):
-            z = cccp.realify(cccp.init_feasible(K, M, 1.0, rng))
+            z = cccp.init_feasible(K, M, 1.0, rng)
             spec = cccp.linearize(z, cfg)
             A_ref = np.zeros((P + len(ew_idx), n + 1))
             b_ref = np.empty(len(A_ref))
@@ -150,10 +151,10 @@ class TestLinearize:
         cfg = cccp.CCCPConfig(K=2, M=3)
         with pytest.raises(socp.NotStrictlyFeasible) as exc:
             socp.solve(cccp.linearize(cccp.realify(c), cfg))
-        monkeypatch.setattr(cccp, "init_feasible", lambda *args: c)
+        monkeypatch.setattr(cccp, "init_feasible", lambda *args: cccp.realify(c))
         ch = cccp.run_chain(cfg, 0)
         assert (ch.status, ch.failure, ch.iterations) == ("failed", str(exc.value), 0)
-        assert (ch.trace, ch.c_final) == ([], None)
+        assert (ch.trace, ch.design) == ([], None)
         assert math.isnan(ch.max_kkt)
 
     def test_iterate_just_inside_is_accepted(self):
@@ -177,14 +178,14 @@ class TestChains:
         cfg = small_config(max_iters=10)
         a = cccp.run_chain(cfg, 3)
         b = cccp.run_chain(cfg, 3)
-        assert np.array_equal(a.c_final, b.c_final)
+        assert np.array_equal(a.design.points, b.design.points)
         assert a.trace == b.trace
 
     def test_distinct_chains_differ(self):
         cfg = small_config(max_iters=5)
         a = cccp.run_chain(cfg, 0)
         b = cccp.run_chain(cfg, 1)
-        assert not np.array_equal(a.c_final, b.c_final)
+        assert not np.array_equal(a.design.points, b.design.points)
 
     def test_linearize_failure_keeps_completed_iterations(self, monkeypatch):
         real_linearize = cccp.linearize
@@ -202,12 +203,13 @@ class TestChains:
         assert ch.iterations == 2 and len(ch.trace) == 2
         assert ch.max_kkt == max(rec["kkt_residual"] for rec in ch.trace)
         assert "CCCP invariant violated: test" in ch.failure
-        assert ch.c_final is None and math.isnan(ch.med)
+        assert ch.design is None and math.isnan(ch.med)
+        assert math.isnan(ch.final_energy)
 
     def test_unbounded_subproblem_is_a_failed_chain(self):
         ch = cccp.run_chain(cccp.CCCPConfig(K=1, M=2), 0)
         assert ch.status == "failed"
-        assert (ch.iterations, ch.c_final) == (0, None)
+        assert (ch.iterations, ch.design) == (0, None)
         assert ch.failure == "subproblem unbounded"
 
     @pytest.mark.parametrize("chain", [2, 16])
@@ -230,8 +232,7 @@ class TestChains:
 class TestSelection:
     def _mk(self, idx, med, mpd, status="converged"):
         return cccp.ChainResult(
-            chain_index=idx, status=status, c_final=np.zeros(1),
-            trace=[], final_energy=1.0, med=med, mpd=mpd,
+            chain_index=idx, status=status, design=None, trace=[], med=med, mpd=mpd,
         )
 
     def test_lexicographic_med_then_mpd(self):
@@ -261,6 +262,20 @@ class TestOptimize:
         assert cn.med(res.best) >= cfg.d_e_threshold / math.sqrt(raw_power) * (
             1 - 1e-9
         )
+
+    def test_best_is_the_winning_chains_design(self):
+        cfg = small_config(restarts=3, max_iters=30, seed=2)
+        res = cccp.optimize(cfg)
+        meta = res.best.meta
+        win = res.chains[meta["chain_index"]]
+        assert [ch.chain_index for ch in res.chains] == [0, 1, 2]
+        assert np.array_equal(res.best.points, win.design.points)
+        assert meta["final_energy"] == win.trace[-1]["energy"]
+        assert (meta["med"], meta["mpd"]) == (win.med, win.mpd)
+        assert res.trace is win.trace
+        failed = cccp.run_chain(cccp.CCCPConfig(K=1, M=2), 0)
+        assert failed.status == "failed"
+        assert failed.design is None and math.isnan(failed.final_energy)
 
     @pytest.mark.parametrize("status", ["max_iter", "unbounded", "numerical_failure"])
     def test_solver_statuses_surface_as_failed_chain(self, monkeypatch, status):

@@ -198,6 +198,23 @@ class TestUnwritableOutput:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--K", "2", "--M", "3", "--restarts", "1", "--max-iters", "5"],
+        ["simulate", "--constellation", "{base}", "--ebn0", "0", "--max-vectors", "100"],
+    ],
+    ids=["optimize", "simulate"],
+)
+def test_negative_seed_exit_2(base_file, tmp_path, capsys, argv):
+    # numpy's seeding rejected it with a message that did not name the seed
+    rc = run([a.format(base=base_file) for a in argv]
+             + ["--seed", "-1", "--out", str(tmp_path / "x.out")])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["base.json"]
+
+
 class TestSCMABuild:
     def test_default_build(self, tmp_path):
         base = tmp_path / "base.json"
