@@ -11,8 +11,10 @@ clock, so runs can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
+import os
 import sys
 import time
 
@@ -37,17 +39,30 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command, config, seed, inputs, outputs, t0):
-    manifest = {
-        "command": command,
-        "config": {k: v for k, v in config.items() if k != "func"},
-        "seed": seed,
-        "version": __version__,
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(p) for p in outputs},
-        "wall_clock_s": round(time.time() - t0, 3),
-    }
-    write_json_atomic(out_path + ".manifest.json", manifest)
+def _write_outputs(writes, command, config, seed, inputs, t0):
+    """Write each output by its (path, write) pair, then the manifest
+    beside the first. If a write fails, the outputs already written are
+    removed, so a subcommand that exits 2 leaves no partial output set."""
+    outputs = []
+    try:
+        for path, write in writes:
+            write(path)
+            outputs.append(path)
+        manifest = {
+            "command": command,
+            "config": {k: v for k, v in config.items() if k != "func"},
+            "seed": seed,
+            "version": __version__,
+            "inputs": {p: _sha256(p) for p in inputs},
+            "outputs": {p: _sha256(p) for p in outputs},
+            "wall_clock_s": round(time.time() - t0, 3),
+        }
+        write_json_atomic(outputs[0] + ".manifest.json", manifest)
+    except BaseException:
+        for path in outputs:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def _parse_ebn0(text: str) -> list[float]:
@@ -96,21 +111,18 @@ def cmd_optimize(args) -> int:
     d["meta"]["restarts"] = [
         {k: v for k, v in s.items() if k != "failure"} for s in restarts
     ]
-    write_json_atomic(out, d)
-    outputs = [out]
+    writes = [(out, lambda p: write_json_atomic(p, d))]
     if args.trace:
         rows = ["q,energy,objective,eta,step_norm\n"] + [
             f"{q},{rec['energy']:.17g},{rec['objective']:.17g},"
             f"{rec['eta']:.17g},{rec['step_norm']:.17g}\n"
             for q, rec in enumerate(result.trace, 1)
         ]
-        write_text_atomic(args.trace, "".join(rows))
-        outputs.append(args.trace)
-    _write_manifest(
-        out, "optimize",
+        writes.append((args.trace, lambda p: write_text_atomic(p, "".join(rows))))
+    _write_outputs(
+        writes, "optimize",
         vars(args) | {"config": cfg.__dict__, "restarts": restarts},
-        args.seed,
-        [], outputs, t0,
+        args.seed, [], t0,
     )
     print(
         f"K={cfg.K} M={cfg.M}: med={best.meta['med']:.4f} mpd={best.meta['mpd']:.4f} "
@@ -163,11 +175,10 @@ def cmd_scma_build(args) -> int:
     base = cn.Constellation.load(args.base)
     ops = scma.OperatorSet.load(args.operators) if args.operators else None
     cbs = scma.build_codebooks(F, base, ops)
-    cbs.save(args.out)
     inputs = [args.base] + ([args.indicator] if args.indicator else []) + (
         [args.operators] if args.operators else []
     )
-    _write_manifest(args.out, "scma-build", vars(args), None, inputs, [args.out], t0)
+    _write_outputs([(args.out, cbs.save)], "scma-build", vars(args), None, inputs, t0)
     print(
         f"built {cbs.J} codebooks on {cbs.N} resources (M={cbs.M}), "
         f"overloading {scma.overloading_factor(F):.2f}"
@@ -193,8 +204,7 @@ def cmd_simulate(args) -> int:
             raise ValueError("SCMA uplink simulation supports rayleigh_iid only")
         curve = sim.simulate_scma_uplink(cbs, mpa_iters=args.mpa_iters, **shared)
         inputs = [args.codebook]
-    curve.save_csv(args.out)
-    _write_manifest(args.out, "simulate", vars(args), args.seed, inputs, [args.out], t0)
+    _write_outputs([(args.out, curve.save_csv)], "simulate", vars(args), args.seed, inputs, t0)
     for p in curve.points:
         print(f"Eb/N0 {p['ebn0_db']:g} dB: ber={p['ber']:.3e} ({p['errors']} errors)")
     return EXIT_OK

@@ -75,21 +75,24 @@ def require_keys(d, *keys) -> None:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write text via a temp file in the same directory + rename, so a
-    reader never sees a partial file; the temp file goes on any error.
+    reader never sees a partial file; the temp file goes on any error, and
+    an ``OSError`` is raised again naming ``path``, not the temp file.
     The file gets mode 0666 less the umask, as open() would give it."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_json_atomic(path: str, data: dict) -> None:

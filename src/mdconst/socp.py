@@ -23,8 +23,11 @@ With r = grad f - A^T y, the one residual is
 max(|s^T y + z^T r_z|, ||r_z||, |r_eta|): the gap, with the z-part of the
 stationarity residual folded in, and the stationarity residual itself.
 The solver stops when it is at most ``TOL``, or as unbounded once the
-displacement d = x - x_0 from the start has A d >= 0 and
-||d_z|| - lam*d_eta < 0.
+Newton direction d it has just computed certifies that f is unbounded
+below: f falls along d, ||d_z|| - lam*d_eta < 0, and A d >= 0 to ``TOL``
+times max(||d_z||, |d_eta|), so every point x + t d, t >= 0, is feasible
+and f(x + t d) <= f(x) + t (||d_z|| - lam*d_eta) has no lower bound
+(a recession direction; Rockafellar 1970, section 8).
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ STEP = 0.985
 #: models ||z|| only near z: without it 112 of 1,000 ``random_tiny_spec``
 #: instances (``default_rng(0)``) ended non-optimal, with it none, in at
 #: most 21 iterations. A direction with ||dz|| < lam*d_eta lowers f along
-#: its whole length whatever the model and is not capped; capped, the
-#: unbounded K=1 test subproblems took 4-50 iterations to leave the start
-#: along a ray, uncapped 4-17.
+#: its whole length whatever the model and is not capped; capped, the four
+#: unbounded K=1 test subproblems took 15-32 iterations to reach a direction
+#: that certifies it, uncapped 3-7.
 Z_STEP = 0.5
 #: Push of eta off the element-wise rows at the start, as a share of
 #: 1 + |eta|. Seed-0 Table-1 takes 5,558 IPM iterations with 0.01, 5,582
@@ -97,16 +100,6 @@ class NotStrictlyFeasible(ValueError):
     """Raised when the provided start violates strict interior feasibility."""
 
 
-def _is_ray(A, lam, d, slack=0.0) -> bool:
-    """Whether d = x - x_0 is a ray along which f falls: A d >= 0 to TOL
-    times size = max(||d_z||, |d_eta|) plus ``slack``, and
-    ||d_z|| - lam*d_eta < -TOL*size."""
-    dz_norm = math.hypot(*d[:-1].tolist())
-    size = max(dz_norm, abs(d[-1]))
-    return ((A @ d).min() >= -(TOL * size + slack)
-            and dz_norm - lam * d[-1] < -TOL * size)
-
-
 def _boundary_step(X, dX) -> float:
     """Largest alpha keeping X + alpha dX non-negative."""
     shrink = -(dX / X).min()
@@ -131,16 +124,15 @@ def solve(spec: SubproblemSpec, trace: bool = False,
 
     ``kkt_residual`` is the residual at the returned point, and status
     "optimal" means it is at most ``TOL``; "max_iter" means ``MAX_ITER``
-    iterations came first, and "unbounded" that the iterate left the start
-    along a ray d = x - x_0 that keeps the rows to ``TOL`` and lowers the
-    objective; the point returned is the start plus that ray.
-    "numerical_failure" means the normal matrix could not be solved, a
-    step was not finite, it would have put the iterate on the boundary
-    of the orthant, or the iterate's size reached ``MAX_SIZE``; the last
-    iterate is returned. Such an exit that is a ray once ``TOL`` is
-    widened by the start's slack over the distance travelled reports
-    "unbounded". ``objective`` is ||z|| - lam*eta at the returned point,
-    and every point returned is primal feasible.
+    iterations came first, and "unbounded" that the Newton direction d from
+    the returned point is a recession direction as the module docstring
+    states it: A d >= 0 to ``TOL`` and ||d_z|| - lam*d_eta < 0, so the
+    subproblem has no minimum. "numerical_failure" means the normal matrix
+    could not be solved, a step was not finite, it would have put the
+    iterate on the boundary of the orthant, or the iterate's size reached
+    ``MAX_SIZE``. Whatever the status, the point returned is the last
+    iterate, and it is primal feasible; ``objective`` is ||z|| - lam*eta
+    there.
     """
     A, b = spec.A, spec.b
     x0 = np.asarray(spec.start, dtype=np.float64)
@@ -181,16 +173,13 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     N = np.empty((n + 1, n + 1))
     N_diag = N.reshape(-1)[:n * (n + 2):n + 2]  # the z block's diagonal
 
-    status, rows, iters, falls = "max_iter", [], 0, False
+    status, rows, iters = "max_iter", [], 0
     while True:
         nz = math.hypot(*z.tolist())  # overflows only where ||z|| does, unlike z^T z
         grad[:n] = GT[:n, m] = z / nz
         r = grad - AT @ y  # r and res as in the module docstring
         gap = s @ y
         res = max(abs(gap + z @ r[:n]), math.sqrt(r[:n] @ r[:n]), abs(r[n]))
-        if falls and _is_ray(A, spec.lam, x - x0):
-            status = "unbounded"
-            break
         if res <= TOL:
             status = "optimal"
             break
@@ -231,6 +220,11 @@ def solve(spec: SubproblemSpec, trace: bool = False,
         if not (math.isfinite(alpha) and math.isfinite(dz_norm + dx[n])):
             status = "numerical_failure"
             break
+        # f falls along dx and A dx >= 0 to TOL: dx is a recession direction
+        # of the subproblem, and it starts at the iterate returned
+        if falls and ds.min() >= -TOL * max(dz_norm, abs(dx[n])):
+            status = "unbounded"
+            break
         # Rounding can put an iterate on the boundary, where y/s is undefined;
         # such a step is not taken, so the point returned stays feasible.
         X_new = X + alpha * dX
@@ -244,13 +238,6 @@ def solve(spec: SubproblemSpec, trace: bool = False,
         if trace:
             mu = float(s @ y) / m
             rows.append((m / mu, iters, mu))
-
-    # Rounding can end a barely unbounded run before x - x0 is a ray to TOL;
-    # seen from there, the start's own slack, its largest row slack or
-    # ||z_0||, still shifts A d.
-    if status == "numerical_failure" and _is_ray(
-            A, spec.lam, x - x0, max(s0.max(), math.sqrt(x0[:n] @ x0[:n]))):
-        status = "unbounded"
 
     return SubproblemSolution(
         z=z.copy(), eta=float(x[n]), status=status, newton_iters=iters,

@@ -172,30 +172,44 @@ class TestMetrics:
         assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+OPTIMIZE_TINY = ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
+                 "--max-iters", "5", "--seed", "0"]
+
+
 class TestUnwritableOutput:
-    """An output path that is a directory is a usage error, not a crash."""
+    """An output path that cannot be written is a usage error, not a crash:
+    the error names that path, and no output of the run remains."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, bad",
         [
-            ["metrics", "{base}", "--json", "{dir}"],
-            ["simulate", "--constellation", "{base}", "--ebn0", "0", "--seed", "0",
-             "--max-vectors", "100", "--noise-free", "--out", "{dir}"],
-            ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
-             "--max-iters", "5", "--seed", "0", "--out", "{dir}"],
-            ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
-             "--max-iters", "5", "--seed", "0", "--out", "{tmp}/c.json",
-             "--trace", "{dir}"],
+            (["metrics", "{base}", "--json", "{bad}"], "taken/"),
+            (["simulate", "--constellation", "{base}", "--ebn0", "0", "--seed", "0",
+              "--max-vectors", "100", "--noise-free", "--out", "{bad}"], "taken/"),
+            (OPTIMIZE_TINY + ["--out", "{bad}"], "taken/"),
+            (OPTIMIZE_TINY + ["--out", "{tmp}/c.json", "--trace", "{bad}"], "taken/"),
+            (OPTIMIZE_TINY + ["--out", "{tmp}/c.json", "--trace", "{tmp}/t.csv"],
+             "c.json.manifest.json/"),
+            (OPTIMIZE_TINY + ["--out", "{tmp}/c.json", "--trace", "{bad}"], "nodir/t.csv"),
+            (["scma-build", "--base", "{base}", "--out", "{tmp}/cb.json"],
+             "cb.json.manifest.json/"),
         ],
-        ids=["metrics-json", "simulate-out", "optimize-out", "optimize-trace"],
+        ids=["metrics-json", "simulate-out", "optimize-out", "optimize-trace",
+             "optimize-manifest", "optimize-trace-nodir", "scma-build-manifest"],
     )
-    def test_directory_target_exit_2(self, base_file, tmp_path, capsys, argv):
-        target = tmp_path / "taken"
-        target.mkdir()
-        fill = {"base": base_file, "dir": str(target), "tmp": str(tmp_path)}
+    def test_directory_target_exit_2(self, base_file, tmp_path, capsys, argv, bad):
+        # bad is the path whose write fails: a directory where it ends in
+        # "/", else a file in a missing directory
+        target = tmp_path / bad
+        if bad.endswith("/"):
+            target.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        fill = {"base": base_file, "bad": str(target), "tmp": str(tmp_path)}
         assert run([a.format(**fill) for a in argv]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not list(tmp_path.glob("*.tmp"))
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert repr(str(target)) in err and ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize(

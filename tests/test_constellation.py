@@ -225,8 +225,9 @@ class TestSerialization:
     def test_atomic_text_write_removes_temp_on_error(self, tmp_path):
         target = tmp_path / "taken"
         target.mkdir()  # the rename onto a directory fails
-        with pytest.raises(OSError):
+        with pytest.raises(IsADirectoryError) as info:
             cn.write_text_atomic(str(target), "q\n")
+        assert info.value.filename == str(target)  # not the temp file
         assert list(tmp_path.iterdir()) == [target]
 
     def test_nonfinite_floats_become_null(self, tmp_path):

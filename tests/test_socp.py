@@ -219,6 +219,18 @@ def first_subproblem(K, M, chain):
     return cccp.linearize(z, cccp.CCCPConfig(K=K, M=M))
 
 
+def threshold_spec(dims, lam):
+    """min ||z|| - lam*eta over rows sum(z) >= 1 and z_k - eta >= 0 for
+    k < dims, from a start with equal z_k. Unbounded below exactly when
+    lam exceeds sqrt(dims): along z = t*1, eta = t the objective is
+    (sqrt(dims) - lam)*t, while at eta > 0 every z_k >= eta gives
+    ||z|| >= sqrt(dims)*eta, so the objective is at least 0 otherwise."""
+    A = np.hstack((np.eye(dims), -np.ones((dims, 1))))
+    A = np.vstack((np.append(np.ones(dims), 0.0), A))
+    start = np.append(np.full(dims, 2.0 / dims), 1.0 / dims)
+    return socp.SubproblemSpec(lam=lam, A=A, b=np.append(1.0, np.zeros(dims)), start=start)
+
+
 class TestUnbounded:
     # At K=1 the element-wise row of a pair is the pair's distance form. Its
     # gradient has norm 2 sqrt(2) |x_i - x_j| > 1/lam, so moving z along it
@@ -231,6 +243,24 @@ class TestUnbounded:
         assert sol.newton_iters < 50
         x = np.append(sol.z, sol.eta)
         assert np.min(spec.A @ x - spec.b) > 0.0
-        d = (x - spec.start) / np.linalg.norm(x - spec.start)
+        # d = (z, min_ew g^T z) from the returned z: its pair rows are the
+        # returned point's g^T z > h > 0 and its element-wise rows are >= 0,
+        # so A d >= 0 by construction; what is tested is that f falls along d
+        ew = spec.A[:, -1] < 0.0
+        d = np.append(sol.z, np.min(spec.A[ew, :-1] @ sol.z))
+        d /= np.linalg.norm(d)
         assert np.min(spec.A @ d) >= -socp.TOL
         assert np.linalg.norm(d[:-1]) - spec.lam * d[-1] < -0.01
+
+    @pytest.mark.parametrize("dims, bounded, unbounded", [
+        (1, (0.9, 0.99), (1.01, 1.1, 2.0)),
+        (2, (1.0, 1.4), (1.42, 1.5, 3.0)),
+    ], ids=["1-D", "2-D"])
+    def test_analytic_threshold(self, dims, bounded, unbounded):
+        # the threshold is lam = sqrt(dims): 1 in 1-D, sqrt(2) in 2-D
+        for lam in bounded + unbounded:
+            spec = threshold_spec(dims, lam)
+            sol = socp.solve(spec)
+            assert sol.status == ("optimal" if lam in bounded else "unbounded"), lam
+            x = np.append(sol.z, sol.eta)
+            assert np.min(spec.A @ x - spec.b) > 0.0
