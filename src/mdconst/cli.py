@@ -1,9 +1,10 @@
 """Command-line driver: optimize constellations, inspect metrics, build
 SCMA codebooks, and run BER simulations.
 
-Exit codes: 0 success, 2 validation error (bad input, or an input or
-output path that cannot be read or written), 3 numerical failure.
-Every output file gets a sibling <name>.manifest.json recording the
+Exit codes: 0 success; 2 validation error (bad input, an input or output
+path that cannot be read or written, or two of a run's files that are
+one file); 3 numerical failure, every ``optimize`` restart failing among
+them. Every output file gets a sibling <name>.manifest.json recording the
 command, resolved configuration, seed, input/output digests and wall
 clock, so runs can be reproduced exactly.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import math
 import os
@@ -29,6 +31,31 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 #: Most points an Eb/N0 sweep may ask for; each one is a simulation.
 MAX_EBN0_POINTS = 1000
+#: The file arguments a subcommand may read, in the manifest's order, and
+#: those it may write; the manifest goes beside the first output given.
+INPUT_ARGS = ("file", "--base", "--indicator", "--operators", "--constellation",
+              "--codebook")
+OUTPUT_ARGS = ("--out", "--json", "--trace")
+
+
+def _given(args, names):
+    """(name, path) of each of these file arguments that the run was given."""
+    return [(n, p) for n in names if (p := getattr(args, n.lstrip("-"), None))]
+
+
+def _check_distinct(args):
+    """Raise ValueError if a file the run writes, an output or the manifest,
+    is also a file it reads or another file it writes."""
+    outputs = _given(args, OUTPUT_ARGS)
+    if outputs:
+        name, path = outputs[0]
+        outputs.append((f"the {name} manifest", path + ".manifest.json"))
+    seen = {os.path.realpath(p): n for n, p in _given(args, INPUT_ARGS)}
+    for name, path in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {name} are the same file, {path!r}")
+        seen[real] = name
 
 
 def _sha256(path: str) -> str:
@@ -39,21 +66,23 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_outputs(writes, command, config, seed, inputs, t0):
+def _write_outputs(args, writes, extra, t0):
     """Write each output by its (path, write) pair, then the manifest
-    beside the first. If a write fails, the outputs already written are
-    removed, so a subcommand that exits 2 leaves no partial output set."""
+    beside the first: the command, its arguments with ``extra``, the seed
+    and the digests of the run's inputs and outputs. If a write fails, the
+    outputs already written are removed, so a run that exits 2 leaves no
+    partial output set."""
     outputs = []
     try:
         for path, write in writes:
             write(path)
             outputs.append(path)
         manifest = {
-            "command": command,
-            "config": {k: v for k, v in config.items() if k != "func"},
-            "seed": seed,
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items() if k != "func"} | extra,
+            "seed": getattr(args, "seed", None),
             "version": __version__,
-            "inputs": {p: _sha256(p) for p in inputs},
+            "inputs": {p: _sha256(p) for _, p in _given(args, INPUT_ARGS)},
             "outputs": {p: _sha256(p) for p in outputs},
             "wall_clock_s": round(time.time() - t0, 3),
         }
@@ -85,11 +114,11 @@ def _parse_ebn0(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-# -- subcommands -----------------------------------------------------------
+# -- subcommands: each returns its (path, write) pairs, its manifest extras
+# and its stdout lines, and main writes, records and prints them -----------
 
 
-def cmd_optimize(args) -> int:
-    t0 = time.time()
+def cmd_optimize(args):
     cfg = cccp.CCCPConfig(
         K=args.K,
         M=args.M,
@@ -100,18 +129,13 @@ def cmd_optimize(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
-    try:
-        result = cccp.optimize(cfg)
-    except RuntimeError as exc:
-        print(f"optimization failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    result = cccp.optimize(cfg)
     best, restarts = result.best, result.all_restarts
-    out = args.out
     d = best.to_json_dict()
     d["meta"]["restarts"] = [
         {k: v for k, v in s.items() if k != "failure"} for s in restarts
     ]
-    writes = [(out, lambda p: write_json_atomic(p, d))]
+    writes = [(args.out, lambda p: write_json_atomic(p, d))]
     if args.trace:
         rows = ["q,energy,objective,eta,step_norm\n"] + [
             f"{q},{rec['energy']:.17g},{rec['objective']:.17g},"
@@ -119,19 +143,13 @@ def cmd_optimize(args) -> int:
             for q, rec in enumerate(result.trace, 1)
         ]
         writes.append((args.trace, lambda p: write_text_atomic(p, "".join(rows))))
-    _write_outputs(
-        writes, "optimize",
-        vars(args) | {"config": cfg.__dict__, "restarts": restarts},
-        args.seed, [], t0,
-    )
-    print(
+    return writes, {"config": cfg.__dict__, "restarts": restarts}, [
         f"K={cfg.K} M={cfg.M}: med={best.meta['med']:.4f} mpd={best.meta['mpd']:.4f} "
         f"(chain {best.meta['chain_index']}, {best.meta['iterations_used']} iters)"
-    )
-    return EXIT_OK
+    ]
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args):
     C = cn.Constellation.load(args.file)
     power = cn.average_power(C)
     if abs(power - 1.0) > 1e-9:
@@ -142,31 +160,23 @@ def cmd_metrics(args) -> int:
         variants = [("", C)]
     printed = (("average_power", ".6f"), ("med", ".6f"), ("mpd", ".6f"), ("kissing_med", ""),
                ("kissing_mpd", ""), ("min_elementwise", ".6f"), ("amgm_min_slack", ".3e"))
-    report = {}
+    report, lines = {}, []
     for label, Cv in variants:
-        prof = cn.distance_profile(Cv)
         amgm = cn.amgm_check(Cv)
         entry = {
             "average_power": cn.average_power(Cv),
-            "med": prof.med,
-            "mpd": prof.mpd,
-            "kissing_med": prof.kissing_med,
-            "kissing_mpd": prof.kissing_mpd,
-            "min_elementwise": prof.min_elementwise,
+            **dataclasses.asdict(cn.distance_profile(Cv)),
             "amgm_min_slack": min(ch["slack"] for ch in amgm),
             "amgm_equality_pairs": [list(ch["pair"]) for ch in amgm if ch["equality"]],
         }
         report[label or "metrics"] = entry
         tag = f" [{label}]" if label else ""
-        for key, fmt in printed:
-            print(f"{key}{tag}: {entry[key]:{fmt}}")
-    if args.json:
-        write_json_atomic(args.json, report)
-    return EXIT_OK
+        lines += [f"{key}{tag}: {entry[key]:{fmt}}" for key, fmt in printed]
+    writes = [(args.json, lambda p: write_json_atomic(p, report))] if args.json else []
+    return writes, {}, lines
 
 
-def cmd_scma_build(args) -> int:
-    t0 = time.time()
+def cmd_scma_build(args):
     F = (
         scma.IndicatorMatrix.load(args.indicator)
         if args.indicator
@@ -175,19 +185,13 @@ def cmd_scma_build(args) -> int:
     base = cn.Constellation.load(args.base)
     ops = scma.OperatorSet.load(args.operators) if args.operators else None
     cbs = scma.build_codebooks(F, base, ops)
-    inputs = [args.base] + ([args.indicator] if args.indicator else []) + (
-        [args.operators] if args.operators else []
-    )
-    _write_outputs([(args.out, cbs.save)], "scma-build", vars(args), None, inputs, t0)
-    print(
+    return [(args.out, cbs.save)], {}, [
         f"built {cbs.J} codebooks on {cbs.N} resources (M={cbs.M}), "
         f"overloading {scma.overloading_factor(F):.2f}"
-    )
-    return EXIT_OK
+    ]
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.time()
+def cmd_simulate(args):
     ebn0 = _parse_ebn0(args.ebn0)
     spec = sim.SNRSpec(ebn0_db_list=tuple(ebn0))
     if (args.constellation is None) == (args.codebook is None):
@@ -197,17 +201,15 @@ def cmd_simulate(args) -> int:
     if args.constellation:
         C = cn.Constellation.load(args.constellation)
         curve = sim.simulate_p2p(C, channel=args.channel, **shared)
-        inputs = [args.constellation]
     else:
         cbs = scma.SCMACodebookSet.load(args.codebook)
         if args.channel != "rayleigh_iid":
             raise ValueError("SCMA uplink simulation supports rayleigh_iid only")
         curve = sim.simulate_scma_uplink(cbs, mpa_iters=args.mpa_iters, **shared)
-        inputs = [args.codebook]
-    _write_outputs([(args.out, curve.save_csv)], "simulate", vars(args), args.seed, inputs, t0)
-    for p in curve.points:
-        print(f"Eb/N0 {p['ebn0_db']:g} dB: ber={p['ber']:.3e} ({p['errors']} errors)")
-    return EXIT_OK
+    return [(args.out, curve.save_csv)], {}, [
+        f"Eb/N0 {p['ebn0_db']:g} dB: ber={p['ber']:.3e} ({p['errors']} errors)"
+        for p in curve.points
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,10 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        _check_distinct(args)
+        writes, extra, lines = args.func(args)
+        if writes:
+            _write_outputs(args, writes, extra, t0)
+    except RuntimeError as exc:  # cccp.optimize's: every restart failed
+        print(f"optimization failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -268,6 +276,9 @@ def main(argv=None) -> int:
         # unwritable output path are OSErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    for line in lines:
+        print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

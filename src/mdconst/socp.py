@@ -16,8 +16,10 @@ The method is Mehrotra's predictor-corrector (Vanderbei & Shanno 1999).
 Every iteration factors the normal matrix A^T diag(y/s) A + Hessian and
 solves with it twice, for the affine-scaling direction and for the centred
 one with the second-order correction. The primal iterate starts from the
-given strict start with eta pushed down by ``PUSH`` and stays feasible,
-and s and y stay strictly positive; ``solve`` describes the dual start.
+given strict start with eta pushed down by ``PUSH``. The slacks s are
+tracked as s + alpha*ds, not recomputed from A x - b, and s and y stay
+strictly positive; ``solve`` describes the dual start and what holds of
+the point it returns.
 
 With r = grad f - A^T y, the one residual is
 max(|s^T y + z^T r_z|, ||r_z||, |r_eta|): the gap, with the z-part of the
@@ -131,8 +133,11 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     could not be solved, a step was not finite, it would have put the
     iterate on the boundary of the orthant, or the iterate's size reached
     ``MAX_SIZE``. Whatever the status, the point returned is the last
-    iterate, and it is primal feasible; ``objective`` is ||z|| - lam*eta
-    there.
+    iterate, and ``objective`` is ||z|| - lam*eta there. Its tracked
+    slacks are positive, but A x - b recomputed there can be negative by
+    rounding (about 1e-14 has been seen). For a CCCP iterate the
+    feasibility check is the next subproblem's strict-start test, which
+    recomputes the slacks of its own rows at that point.
     """
     A, b = spec.A, spec.b
     x0 = np.asarray(spec.start, dtype=np.float64)
@@ -226,7 +231,7 @@ def solve(spec: SubproblemSpec, trace: bool = False,
             status = "unbounded"
             break
         # Rounding can put an iterate on the boundary, where y/s is undefined;
-        # such a step is not taken, so the point returned stays feasible.
+        # such a step is not taken, so the tracked s and y stay positive.
         X_new = X + alpha * dX
         if X_new.min() <= 0.0:
             status = "numerical_failure"

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -193,9 +196,11 @@ class TestUnwritableOutput:
             (OPTIMIZE_TINY + ["--out", "{tmp}/c.json", "--trace", "{bad}"], "nodir/t.csv"),
             (["scma-build", "--base", "{base}", "--out", "{tmp}/cb.json"],
              "cb.json.manifest.json/"),
+            (["metrics", "{base}", "--json", "{tmp}/m.json"], "m.json.manifest.json/"),
         ],
         ids=["metrics-json", "simulate-out", "optimize-out", "optimize-trace",
-             "optimize-manifest", "optimize-trace-nodir", "scma-build-manifest"],
+             "optimize-manifest", "optimize-trace-nodir", "scma-build-manifest",
+             "metrics-manifest"],
     )
     def test_directory_target_exit_2(self, base_file, tmp_path, capsys, argv, bad):
         # bad is the path whose write fails: a directory where it ends in
@@ -210,6 +215,108 @@ class TestUnwritableOutput:
         assert err.startswith("error:")
         assert repr(str(target)) in err and ".tmp" not in err
         assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.fixture()
+def run_dir(tmp_path, monkeypatch):
+    """A working directory holding base.json (K=2, M=4), ops.json and
+    cb.json, the codebooks built from them, each written without a manifest."""
+    monkeypatch.chdir(tmp_path)
+    pts = cn.cartesian_qpsk(1).points
+    base = cn.Constellation(points=np.vstack([pts, pts * 1j]) / np.sqrt(2))
+    base.save("base.json")
+    F = scma.default_indicator()
+    ops = scma.OperatorSet(phases=np.random.default_rng(3).uniform(-np.pi, np.pi, (F.J, 2)))
+    ops.save("ops.json")
+    scma.build_codebooks(F, base, ops).save("cb.json")
+    return tmp_path
+
+
+def _tree(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "argv, seed, reads, writes",
+    [
+        (OPTIMIZE_TINY + ["--out", "c.json", "--trace", "t.csv"], 0, [],
+         ["c.json", "t.csv"]),
+        (["metrics", "base.json", "--json", "m.json"], None, ["base.json"], ["m.json"]),
+        (["scma-build", "--base", "base.json", "--operators", "ops.json",
+          "--out", "cb2.json"], None, ["base.json", "ops.json"], ["cb2.json"]),
+        (["simulate", "--constellation", "base.json", "--ebn0", "0", "--seed", "4",
+          "--max-vectors", "100", "--out", "p.csv"], 4, ["base.json"], ["p.csv"]),
+        (["simulate", "--codebook", "cb.json", "--channel", "rayleigh_iid",
+          "--ebn0", "0", "--seed", "5", "--max-vectors", "100", "--mpa-iters", "3",
+          "--out", "s.csv"], 5, ["cb.json"], ["s.csv"]),
+    ],
+    ids=["optimize-trace", "metrics-json", "scma-build-operators", "simulate-p2p",
+         "simulate-scma"],
+)
+def test_every_output_has_manifest(run_dir, argv, seed, reads, writes):
+    before = _tree(run_dir)
+    assert run(argv) == 0
+    manifest = writes[0] + ".manifest.json"
+    assert set(_tree(run_dir)) == set(before) | set(writes) | {manifest}
+    man = json.loads((run_dir / manifest).read_text())
+    assert (man["command"], man["seed"]) == (argv[0], seed)
+    assert list(man["inputs"]) == reads
+    assert list(man["outputs"]) == writes
+
+
+def test_metrics_without_json_writes_nothing(run_dir, capsys):
+    before = _tree(run_dir)
+    assert run(["metrics", "base.json"]) == 0
+    assert "med: " in capsys.readouterr().out
+    assert _tree(run_dir) == before
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (OPTIMIZE_TINY + ["--out", "c.json", "--trace", "c.json"], ["--out", "--trace"]),
+        (OPTIMIZE_TINY + ["--out", "d.json", "--trace", "d.json.manifest.json"],
+         ["--trace", "the --out manifest"]),
+        (["scma-build", "--base", "base.json", "--out", "./base.json"],
+         ["--base", "--out"]),
+        (["metrics", "base.json", "--json", "base.json"], ["file", "--json"]),
+        (["simulate", "--constellation", "base.json", "--ebn0", "0", "--seed", "0",
+          "--max-vectors", "100", "--out", "base.json"], ["--constellation", "--out"]),
+    ],
+    ids=["optimize-out-trace", "optimize-trace-manifest", "scma-build-base-out",
+         "metrics-file-json", "simulate-constellation-out"],
+)
+def test_one_file_for_two_roles_exit_2(run_dir, capsys, argv, names):
+    # each ran to exit 0, one file overwriting the other or the input
+    before = _tree(run_dir)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(n in err for n in names)
+    assert _tree(run_dir) == before
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m mdconst.cli` runs sys.exit(main()), as the mdconst script does
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def mdconst(*argv):
+        return subprocess.Popen([sys.executable, "-W", "error", "-m", "mdconst.cli", *argv],
+                                cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+
+    # at K=1, M=2 every restart fails; it runs beside the two below
+    failing = mdconst("optimize", "--K", "1", "--M", "2", "--restarts", "2", "--seed", "0",
+                      "--out", "x.json")
+    for argv in (OPTIMIZE_TINY + ["--out", "c.json"], ["metrics", "c.json", "--json", "m.json"]):
+        proc = mdconst(*argv)
+        assert proc.communicate(timeout=120)[1] == "" and proc.returncode == 0
+    err = failing.communicate(timeout=120)[1]
+    assert failing.returncode == 3
+    assert err.startswith("optimization failed") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.json", "c.json.manifest.json", "m.json", "m.json.manifest.json"]
 
 
 @pytest.mark.parametrize(
