@@ -22,7 +22,10 @@ dropped. With g = conj(y) h, the rest is one real product
 F @ W of the features F = [|h|^2, Re g, Im g] (B, 3K) and the weights
 W = [|X|^2; -2 Re X; 2 Im X] (3K, M); no (B, K, M) residual is built.
 Ties go to the lowest index m, as ``np.argmin`` returns the first
-minimum.
+minimum. The product runs in row blocks of at most ``_ML_CELLS`` // (3K M)
+rows, F and g built per block: OpenBLAS runs a product that small on the
+calling thread, where a simulator chunk's whole product started a second
+BLAS thread that competed with the simulator's draw thread for a core.
 
 MPA function-node update (sum-product in the probability domain,
 Kschischang, Frey & Loeliger 2001). For resource n with users
@@ -54,8 +57,11 @@ range. Such rows run the exact log-domain update instead
 shifted by that edge's own slice maxima, so every message stays finite.
 The fallback rebuilds dist for the rows it takes over.
 
-Rows are independent, so the kernel runs them in blocks whose E tensors
-fit in ``_BLOCK_BYTES``, built in one buffer that every block reuses.
+The messages of every edge, user j's k-th, are kept as (J, K, M, B)
+arrays fv (function to variable) and vf; each function node reads and
+writes its own edges' rows. Rows are independent, so the kernel runs
+them in blocks whose E tensors fit in ``_BLOCK_BYTES``, built, with the
+messages, in buffers that every block of the call reuses.
 """
 
 from __future__ import annotations
@@ -72,26 +78,41 @@ BACKEND = "numpy"
 # -- maximum-likelihood detection -----------------------------------------
 
 
+#: Cells of the (rows, M) distance product per row block; see the module
+#: docstring.
+_ML_CELLS = 1 << 17
+
+
 def ml_detect_batch(y, h, points):
     """Nearest-codeword detection, argmin of sum_k |y_k - h_k x_{m,k}|^2.
 
-    The distances less ||y||^2, as one product (B, 3K) @ (3K, M); see the
-    module docstring.
+    The distances less ||y||^2, as products (rows, 3K) @ (3K, M) in row
+    blocks of at most ``_ML_CELLS`` // (3K M) rows; see the module
+    docstring.
     """
     y = np.asarray(y, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     X = np.asarray(points, dtype=np.complex128)
-    K = X.shape[0]
-    # F is filled in place: stacking its three parts with np.hstack made
-    # the kernel ~1.5x slower at M=4
-    F = np.empty((y.shape[0], 3 * K))
-    F[:, :K] = h.real**2 + h.imag**2
-    g = y.conj()
-    g *= h
-    F[:, K:2 * K] = g.real
-    F[:, 2 * K:] = g.imag
+    K, M = X.shape
+    B = y.shape[0]
     W = np.concatenate([np.abs(X) ** 2, -2.0 * X.real, 2.0 * X.imag])
-    return np.argmin(F @ W, axis=1).astype(np.int64, copy=False)
+    rows = max(1, _ML_CELLS // (3 * K * M))
+    # F and g are filled in place, once per block: stacking F's three
+    # parts with np.hstack made the kernel ~1.5x slower at M=4
+    F = np.empty((min(rows, B), 3 * K))
+    g = np.empty((min(rows, B), K), dtype=np.complex128)
+    out = np.empty(B, dtype=np.int64)
+    for start in range(0, B, rows):
+        yb, hb = y[start:start + rows], h[start:start + rows]
+        n = len(yb)
+        f, gb = F[:n], g[:n]
+        f[:, :K] = hb.real**2 + hb.imag**2
+        np.conjugate(yb, out=gb)
+        gb *= hb
+        f[:, K:2 * K] = gb.real
+        f[:, 2 * K:] = gb.imag
+        out[start:start + n] = np.argmin(f @ W, axis=1)
+    return out
 
 
 def _ml_detect_loops(y, h, points):
@@ -241,8 +262,12 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
     n0 = float(n0)
     B = y.shape[0]
     J, _, M = cb.shape
-    # slot[j, k]: the edge slot of user j at its k-th resource user_res[j, k]
+    K = user_res.shape[1]
+    # edge[n, p]: the message index j * K + k of the edge whose user j
+    # sits in slot p of its k-th resource n = user_res[j, k]
     slot = np.argmax(res_users[user_res] == np.arange(J)[:, None, None], axis=2)
+    edge = np.zeros(res_users.shape, dtype=np.intp)
+    edge[user_res, slot] = np.arange(J * K).reshape(J, K)
     # Python ints: M**d wraps around in int64 (16**16 is 0)
     cells = sum(M ** int(d) for d in res_deg)
     if 8 * cells > _BLOCK_BYTES:
@@ -251,14 +276,15 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
             f"over the {_BLOCK_BYTES}-byte block; lower M or the resource degrees"
         )
     block = _BLOCK_BYTES // (8 * cells)
-    # every block builds its E tensors in this one buffer: fresh pages for
-    # each block's tensors cost ~15% of the kernel at M=16
-    work = np.empty(min(block, B) * cells)
+    # every block builds its E tensors and its messages in these buffers:
+    # fresh pages for each block's tensors cost ~15% of the kernel at M=16
+    rows = min(block, B)
+    work = np.empty(rows * cells), np.empty(rows * J * K * M), np.empty(rows * J * K * M)
     post = np.empty((B, J, M))
     for b in range(0, B, block):
         rows = slice(b, b + block)
         post[rows] = _mpa_rows(
-            y[rows], H[rows], cb, res_users, res_deg, user_res, slot, n0, iters, work
+            y[rows], H[rows], cb, res_users, res_deg, user_res, edge, n0, iters, work
         )
     hard = np.argmax(post, axis=2).astype(np.int64)
     return post, hard
@@ -272,46 +298,57 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
 _BLOCK_BYTES = 16 << 20
 
 
-def _mpa_rows(y, H, cb, res_users, res_deg, user_res, slot, n0, iters, work):
+def _mpa_rows(y, H, cb, res_users, res_deg, user_res, edge, n0, iters, work):
     """Posteriors (B, J, M) of ``mpa_detect_batch`` for one block of rows.
 
-    ``work`` holds at least B * sum_n M**d_n doubles; it is overwritten.
+    ``edge`` (N, dmax) holds the message index of each resource slot.
+    The buffers ``work`` = (E, fv, vf) are overwritten: E holds at least
+    B * sum_n M**d_n doubles, fv and vf B * J * K * M each.
     """
     B, N = y.shape
-    J, _, M = cb.shape
-    dmax = res_users.shape[1]
-    # messages keep the batch last, so every reduction below runs over
-    # outer axes
-    fv = np.zeros((N, dmax, M, B))
-    vf = np.zeros((N, dmax, M, B))
+    M = cb.shape[2]
+    # the batch last, so every reduction below runs over outer axes; each
+    # fv is written before it is read
+    E, fv, vf = work
+    shape = user_res.shape + (M, B)
+    fv = fv[:math.prod(shape)].reshape(shape)
+    vf = vf[:fv.size].reshape(shape)
+    vf[...] = 0.0
+    fv_edges, vf_edges = fv.reshape(-1, M, B), vf.reshape(-1, M, B)
 
     # a resource no user occupies sends no message
     nodes = {}
     for n in np.flatnonzero(res_deg):
         users = res_users[n, :res_deg[n]]
         size = M ** len(users) * B
-        out = work[:size].reshape((M,) * len(users) + (B,))
-        work = work[size:]
+        out = E[:size].reshape((M,) * len(users) + (B,))
+        E = E[size:]
         distance = partial(_distance, y[:, n], H[:, n, users], cb[users, n], n0)
         nodes[n] = _FunctionNode(distance(slice(None), out), distance)
 
     for _ in range(iters):
         for n, node in nodes.items():
-            fv[n, :node.deg] = node.messages(vf[n, :node.deg])
-        g = fv[user_res, slot]  # (J, K, M, B)
-        msg = g.sum(axis=1, keepdims=True) - g
-        msg -= _logsumexp(msg, axis=2)
-        vf[user_res, slot] = msg
+            edges = edge[n, :node.deg]
+            fv_edges[edges] = node.messages(vf_edges[edges])
+        np.subtract(fv.sum(axis=1, keepdims=True), fv, out=vf)
+        vf -= _logsumexp(vf, axis=2)
 
-    tot = fv[user_res, slot].sum(axis=1)  # (J, M, B)
+    tot = fv.sum(axis=1)  # (J, M, B)
     tot -= _logsumexp(tot, axis=1)
     return np.exp(tot, out=tot).transpose(2, 0, 1)
 
 
 def _logsumexp(x, axis):
+    """log sum exp(x) over ``axis``, an axis before the last, one slice at
+    a time: numpy sums over such an axis by adding its slices in order, so
+    this is bitwise that sum, with no temporary the size of x."""
     mx = np.max(x, axis=axis, keepdims=True)
-    e = x - mx
-    return mx + np.log(np.sum(np.exp(e, out=e), axis=axis, keepdims=True))
+    total = np.zeros(mx.shape)
+    e = np.empty(mx.shape)
+    for k in range(x.shape[axis]):
+        piece = x[(slice(None),) * axis + (slice(k, k + 1),)]
+        total += np.exp(np.subtract(piece, mx, out=e), out=e)
+    return mx + np.log(total)
 
 
 #: Smallest normal double; a slice sum below it has lost precision.

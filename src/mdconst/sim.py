@@ -8,6 +8,18 @@ vector (fast fading / ideal interleaving), and known at the receiver.
 
 Each SNR point runs on its own RNG substream seeded from (seed, point
 index), so points are independent and the sweep is reproducible.
+
+A simulation runs in chunks as a two-stage pipeline. The normal draws
+of chunk i + 1 (fading and noise) run on one worker thread, which lives
+for the call, while the calling thread detects chunk i; the sent symbols
+are drawn, and y built, on the calling thread. Every RNG call is made in
+the order of drawing and detecting one chunk after the other, so every
+draw, decision and CSV byte is that order's. A point that stops on its
+error count has drawn at most one chunk past its stop (~2.5 ms at K=2),
+which changes no result. The detection kernels, which ``mdbench``'s
+tracer wraps, run on the calling thread only, and
+``kernels.ml_detect_batch`` runs its product in row blocks that OpenBLAS
+keeps on that thread, so no BLAS thread competes with the two stages.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ P2P_CHUNK = 20_000
 #: most 16 MiB (``kernels._BLOCK_BYTES``), so its memory no longer grows with
 #: the chunk: a tracemalloc peak of ~23 MiB per 2,000-vector call at M=16,
 #: d_f=3 and 10 dB, ~44 MiB at 25 dB, where more rows move to the
-#: log-domain update, and ~9 MiB at M=4 (~15 MiB at 25 dB).
+#: log-domain update, and ~8 MiB at M=4 (~13 MiB at 25 dB).
 SCMA_CHUNK = 2_000
 
 
@@ -87,53 +99,108 @@ def _point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, point_index]))
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+#: Standard normals per generator call of a draw, which sizes its scratch;
+#: 16,384 ran as fast as whole-chunk calls, and 2,048 ~1.2x slower.
+DRAW_PIECE = 16384
 
 
-def _add_noise(rng: np.random.Generator, y: np.ndarray, n0: float) -> np.ndarray:
-    """Circular Gaussian noise of variance n0; n0 == 0 draws nothing."""
-    if n0 == 0.0:
-        return y
-    return y + math.sqrt(n0 / 2) * _complex_normal(rng, y.shape)
+def _draw_complex(rng: np.random.Generator, out: np.ndarray, scale: float,
+                  scratch: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with scale * (a + 1j * b), a then b drawn as standard normals.
+
+    a and b take the values of ``rng.standard_normal(out.shape)`` and of one
+    more such call: drawing them in pieces of whole rows, into ``scratch``
+    of max(DRAW_PIECE, row size) doubles, gives the same normals. Each part
+    is one exact product, so ``out`` is bitwise scale * (a + 1j * b), which
+    is (a + 1j * b) / d for scale = 1 / d: numpy divides by a real scalar as
+    a product with its reciprocal.
+    """
+    rows = max(1, DRAW_PIECE // (out.size // len(out)))
+    for part in (out.real, out.imag):
+        for r in range(0, len(out), rows):
+            piece = part[r:r + rows]
+            draw = scratch[:piece.size].reshape(piece.shape)
+            np.multiply(rng.standard_normal(out=draw), scale, out=piece)
+    return out
 
 
-def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, trial):
-    """Monte Carlo loop shared by the simulators.
+def _draws(rows, fading, received, rayleigh=True):
+    """The worker's ``draw`` over two sets of buffers for ``rows`` vectors.
 
-    ``trial(rng, B, n0)`` sends B vectors at noise variance n0 (0 when
-    noise-free) and returns sent and detected symbol indices, shape (B,)
-    or (B, users). Labeling is natural: a symbol's bits are its index in
-    binary, so the bit errors of a decision are the popcount of sent XOR
-    detected.
+    A set holds each vector's fading gains, shape ``fading`` (all ones
+    when not ``rayleigh``), and noise, shape ``received``; one set is
+    drawn while the caller reads the other.
+    """
+    scratch = np.empty(max(DRAW_PIECE, math.prod(fading), math.prod(received)))
+    noise = np.empty((2, rows, *received), dtype=np.complex128)
+    h = (np.empty((2, rows, *fading), dtype=np.complex128) if rayleigh
+         else [np.ones((rows, *fading), dtype=np.complex128)] * 2)
+
+    def draw(rng, B, n0, s):
+        if rayleigh:
+            _draw_complex(rng, h[s][:B], 1 / math.sqrt(2), scratch)
+        if n0 == 0.0:
+            return h[s][:B], None
+        return h[s][:B], _draw_complex(rng, noise[s][:B], math.sqrt(n0 / 2), scratch)
+
+    return draw
+
+
+def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, users, trial):
+    """Monte Carlo loop shared by the simulators; see the module docstring.
+
+    A chunk of B vectors sends ``rng.integers(0, M, size=(B, *users))``.
+    ``trial(rows)`` makes the call's buffers for chunks of up to ``rows``
+    vectors and returns ``(draw, detect)``. ``draw(rng, B, n0, s)``, run on
+    the worker, makes the chunk's normal draws at noise variance n0 (0 when
+    noise-free) into buffer set s (0 or 1); ``detect(tx, drawn, n0)``
+    returns the detected symbols for the sent ``tx``. Labeling is natural:
+    the bit errors of a decision are the popcount of sent XOR detected.
     """
     if max_vectors < 1 or min_bit_errors < 1:
         raise ValueError("max_vectors and min_bit_errors must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    # imported here: concurrent.futures brings in logging, ~0.7 MB that a
+    # process which only designs never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     nbits = bits_per_symbol(M)
     pop = _popcount_table(nbits)
+    draw, detect = trial(min(chunk, max_vectors))
     pts = []
-    for pi, ebn0 in enumerate(snr.ebn0_db_list):
-        n0 = 0.0 if noise_free else snr.noise_variance(M, ebn0)
-        rng = _point_rng(seed, pi)
-        errors = 0
-        bits = 0
-        vectors = 0
-        while vectors < max_vectors and errors < min_bit_errors:
-            B = min(chunk, max_vectors - vectors)
-            tx, rx = trial(rng, B, n0)
-            errors += int(pop[np.bitwise_xor(tx, rx)].sum())
-            bits += tx.size * nbits
-            vectors += B
-        pts.append({
-            "ebn0_db": ebn0,
-            "errors": errors,
-            "bits": bits,
-            "ber": errors / bits,
-            "vectors": vectors,
-            "seed": seed,
-        })
+    s = 0  # the buffer set of the latest draw
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for pi, ebn0 in enumerate(snr.ebn0_db_list):
+            n0 = 0.0 if noise_free else snr.noise_variance(M, ebn0)
+            rng = _point_rng(seed, pi)
+            errors = 0
+            bits = 0
+            vectors = 0
+            B = min(chunk, max_vectors)
+            tx = rng.integers(0, M, size=(B, *users))
+            ahead = worker.submit(draw, rng, B, n0, s)
+            while True:
+                drawn = ahead.result()
+                vectors += B
+                if vectors < max_vectors:  # the next chunk may be needed
+                    B = min(chunk, max_vectors - vectors)
+                    s ^= 1
+                    tx_next = rng.integers(0, M, size=(B, *users))
+                    ahead = worker.submit(draw, rng, B, n0, s)
+                errors += int(pop[np.bitwise_xor(tx, detect(tx, drawn, n0))].sum())
+                bits += tx.size * nbits
+                if vectors >= max_vectors or errors >= min_bit_errors:
+                    break
+                tx = tx_next
+            pts.append({
+                "ebn0_db": ebn0,
+                "errors": errors,
+                "bits": bits,
+                "ber": errors / bits,
+                "vectors": vectors,
+                "seed": seed,
+            })
     return BERCurve(points=pts)
 
 
@@ -156,16 +223,28 @@ def simulate_p2p(
             "Eb/N0 calibration assumes unit power"
         )
 
-    def trial(rng, B, n0):
-        tx = rng.integers(0, M, size=B)
-        if channel == "rayleigh_iid":
-            h = _complex_normal(rng, (B, K)) / math.sqrt(2)
-        else:
-            h = np.ones((B, K), dtype=np.complex128)
-        y = _add_noise(rng, h * C.points[:, tx].T, n0)
-        return tx, kernels.ml_detect_batch(y, h, C.points)
+    X = C.points
+    rayleigh = channel == "rayleigh_iid"
 
-    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, P2P_CHUNK, trial)
+    def trial(rows):
+        ybuf = np.empty((rows, K), dtype=np.complex128)
+
+        def detect(tx, drawn, n0):
+            hb, nb = drawn
+            # h times the sent points, in place and in that operand order:
+            # so it rounds as the serial h * X[:, tx].T does, where numpy's
+            # complex product into a third array or with the operands
+            # swapped rounds some parts differently
+            y = np.take(X.T, tx, axis=0, out=ybuf[:len(tx)])
+            np.multiply(hb, y, out=y)
+            if nb is not None:
+                y += nb
+            return kernels.ml_detect_batch(y, hb, X)
+
+        return _draws(rows, (K,), (K,), rayleigh), detect
+
+    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, P2P_CHUNK, (),
+                     trial)
 
 
 def simulate_scma_uplink(
@@ -183,12 +262,17 @@ def simulate_scma_uplink(
     bit errors are counted across all users.
     """
     J, N, M = cbs.J, cbs.N, cbs.M
+    users = np.arange(J)
 
-    def trial(rng, B, n0):
-        tx = rng.integers(0, M, size=(B, J))
-        H = _complex_normal(rng, (B, N, J)) / math.sqrt(2)
-        y = np.einsum("bnj,bjn->bn", H, cbs.codebooks[np.arange(J), :, tx])
-        y = _add_noise(rng, y, n0)
-        return tx, mpa_detect_batch(y, H, cbs, max(n0, 1e-9), mpa_iters)[1]
+    def trial(rows):
+        def detect(tx, drawn, n0):
+            Hb, nb = drawn
+            y = np.einsum("bnj,bjn->bn", Hb, cbs.codebooks[users, :, tx])
+            if nb is not None:
+                y += nb
+            return mpa_detect_batch(y, Hb, cbs, max(n0, 1e-9), mpa_iters)[1]
 
-    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, SCMA_CHUNK, trial)
+        return _draws(rows, (N, J), (N,)), detect
+
+    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, SCMA_CHUNK, (J,),
+                     trial)

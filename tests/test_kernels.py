@@ -204,9 +204,35 @@ class TestMLDetect:
             kernels.ml_detect_batch(y, h, pts), kernels._ml_detect_loops(y, h, pts)
         )
 
+    def test_row_blocks_match_whole_product_and_loops(self):
+        # 3 full blocks and a partial one; integer and half-integer values,
+        # with each point on an axis so that |x|^2 is exact, make every
+        # distance exact, so equal distances tie exactly, both between
+        # repeated points and between distinct ones
+        K, M = 2, 64
+        rows = kernels._ML_CELLS // (3 * K * M)
+        B = 3 * rows + rows // 3
+        rng = np.random.default_rng(15)
+        pts = rng.integers(-3, 4, (K, M)) * rng.choice([1, 1j], (K, M))
+        pts[:, 40], pts[:, 63] = pts[:, 3], pts[:, 0]
+        h = rng.integers(-2, 3, (B, K)) + 1j * rng.integers(-2, 3, (B, K))
+        y = h * pts[:, rng.integers(0, M, size=B)].T
+        y[::2] = (rng.integers(-8, 9, (B, K)) + 1j * rng.integers(-8, 9, (B, K)))[::2] / 2
+        g = y.conj() * h
+        F = np.hstack([h.real**2 + h.imag**2, g.real, g.imag])
+        W = np.vstack([np.abs(pts) ** 2, -2 * pts.real, 2 * pts.imag])
+        d = F @ W
+        got = kernels.ml_detect_batch(y, h, pts)
+        assert np.array_equal(got, np.argmin(d, axis=1))
+        assert np.array_equal(got, kernels._ml_detect_loops(y, h, pts))
+        # repeated points and ties between distinct points both occur
+        assert np.isin([3, 0], got).all() and not np.isin([40, 63], got).any()
+        assert (np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1).sum() > B // 10
+
     def test_peak_memory_has_no_residual_tensor(self):
-        # a (B, K, M) complex residual alone is 10 MiB here; the product
-        # needs the (B, 3K) features and the (B, M) metrics, ~4 MiB
+        # a (B, K, M) complex residual alone is 10 MiB here, and the whole
+        # (B, 3K) features and (B, M) metrics ~4 MiB; row blocks of at most
+        # 2**17 metric cells hold ~1.3 MiB with the (B,) result
         rng = np.random.default_rng(12)
         B, K = 20_000, 2
         pts = cn.cartesian_qpsk(K).points
@@ -218,7 +244,7 @@ class TestMLDetect:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
 
 
 class TestFunctionNode:

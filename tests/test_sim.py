@@ -1,9 +1,14 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mdconst import kernels, scma, sim
+from mdconst import cli, kernels, scma, sim
 from mdconst import constellation as cn
 
 
@@ -179,3 +184,148 @@ class TestCSV:
         row = lines[1].split(",")
         assert float(row[0]) == 0.0
         assert int(row[1]) == 0
+
+
+def _base24():
+    pts = cn.cartesian_qpsk(1).points
+    return cn.Constellation(points=np.vstack([pts, pts * np.exp(0.3j)]) / np.sqrt(2))
+
+
+def _golden_run(case, seed):
+    C = cn.cartesian_qpsk(2) if "m16" in case else _base24()
+    if case.startswith("scma"):
+        cbs = scma.build_codebooks(scma.default_indicator(), C)
+        return sim.simulate_scma_uplink(cbs, sim.SNRSpec((4.0, 10.0)), seed,
+                                        min_bit_errors=1_500, max_vectors=4_100)
+    channel = "awgn" if "awgn" in case else "rayleigh_iid"
+    if case.endswith("noise-free"):
+        return sim.simulate_p2p(C, channel, sim.SNRSpec((0.0,)), seed,
+                                max_vectors=25_000, noise_free=True)
+    return sim.simulate_p2p(C, channel, sim.SNRSpec((0.0, 6.0, 12.0)), seed,
+                            min_bit_errors=400, max_vectors=45_000)
+
+
+#: CSV rows of drawing and detecting one chunk after the other, recorded
+#: before the draws moved to a worker thread. The sweeps stop points on
+#: their error count after one chunk, with the next one drawn, and run
+#: partial last chunks; the SCMA sweep runs three chunks at 10 dB.
+GOLDEN = {
+    ("p2p-awgn-m4", 0): ("0,3168,40000,7.9200000000e-02,20000,0",
+                         "6,224,90000,2.4888888889e-03,45000,0",
+                         "12,0,90000,0.0000000000e+00,45000,0"),
+    ("p2p-awgn-m4", 1000): ("0,3186,40000,7.9650000000e-02,20000,1000",
+                            "6,218,90000,2.4222222222e-03,45000,1000",
+                            "12,0,90000,0.0000000000e+00,45000,1000"),
+    ("p2p-rayleigh-m4", 0): ("0,4668,40000,1.1670000000e-01,20000,0",
+                             "6,932,40000,2.3300000000e-02,20000,0",
+                             "12,241,90000,2.6777777778e-03,45000,0"),
+    ("p2p-rayleigh-m4", 1000): ("0,4617,40000,1.1542500000e-01,20000,1000",
+                                "6,943,40000,2.3575000000e-02,20000,1000",
+                                "12,191,90000,2.1222222222e-03,45000,1000"),
+    ("p2p-awgn-m16", 0): ("0,6235,80000,7.7937500000e-02,20000,0",
+                          "6,440,180000,2.4444444444e-03,45000,0",
+                          "12,0,180000,0.0000000000e+00,45000,0"),
+    ("p2p-awgn-m16", 1000): ("0,6248,80000,7.8100000000e-02,20000,1000",
+                             "6,408,180000,2.2666666667e-03,45000,1000",
+                             "12,0,180000,0.0000000000e+00,45000,1000"),
+    ("p2p-rayleigh-m16", 0): ("0,11848,80000,1.4810000000e-01,20000,0",
+                              "6,4179,80000,5.2237500000e-02,20000,0",
+                              "12,1234,80000,1.5425000000e-02,20000,0"),
+    ("p2p-rayleigh-m16", 1000): ("0,11729,80000,1.4661250000e-01,20000,1000",
+                                 "6,4179,80000,5.2237500000e-02,20000,1000",
+                                 "12,1165,80000,1.4562500000e-02,20000,1000"),
+    ("p2p-rayleigh-m16-noise-free", 0): ("0,0,100000,0.0000000000e+00,25000,0",),
+    ("p2p-rayleigh-m16-noise-free", 1000): ("0,0,100000,0.0000000000e+00,25000,1000",),
+    ("scma-m4", 0): ("4,2500,24000,1.0416666667e-01,2000,0",
+                     "10,592,49200,1.2032520325e-02,4100,0"),
+    ("scma-m4", 1000): ("4,2440,24000,1.0166666667e-01,2000,1000",
+                        "10,608,49200,1.2357723577e-02,4100,1000"),
+}
+
+
+@pytest.mark.parametrize("case, seed", GOLDEN, ids=[f"{c}-seed{s}" for c, s in GOLDEN])
+def test_csv_bytes_of_the_serial_draw_order(case, seed):
+    # any change to the draws, their order or the detectors' inputs moves
+    # some of these counts
+    want = "ebn0_db,errors,bits,ber,vectors,seed\n" + "".join(
+        row + "\n" for row in GOLDEN[case, seed])
+    assert _golden_run(case, seed).to_csv() == want
+
+
+class TestDrawAhead:
+    """The draw worker lives for one call and takes no failure with it."""
+
+    @pytest.fixture()
+    def threads(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    def test_detection_error_reaches_caller(self, monkeypatch, threads):
+        calls = []
+        ml = kernels.ml_detect_batch
+
+        def failing(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise FloatingPointError("third chunk")
+            return ml(*args)
+
+        monkeypatch.setattr(kernels, "ml_detect_batch", failing)
+        with pytest.raises(FloatingPointError, match="third chunk"):
+            sim.simulate_p2p(_base24(), "rayleigh_iid", sim.SNRSpec((0.0,)), seed=0,
+                             min_bit_errors=10**9, max_vectors=100_000)
+        assert calls == [threading.main_thread()] * 3
+
+    def test_draw_error_reaches_caller(self, monkeypatch, threads):
+        class FailingRNG:
+            """Draws as the point's generator does until its 6th normal fill."""
+
+            def __init__(self, rng):
+                self.rng, self.fills = rng, 0
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, out):
+                self.fills += 1
+                if self.fills == 6:
+                    raise MemoryError("sixth fill")
+                return self.rng.standard_normal(out=out)
+
+        point_rng = sim._point_rng
+        monkeypatch.setattr(sim, "_point_rng", lambda seed, i: FailingRNG(point_rng(seed, i)))
+        with pytest.raises(MemoryError, match="sixth fill"):
+            sim.simulate_p2p(_base24(), "rayleigh_iid", sim.SNRSpec((0.0,)), seed=0,
+                             min_bit_errors=10**9, max_vectors=100_000)
+
+    def test_import_starts_no_thread(self):
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import threading, mdconst.sim; print(threading.active_count())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "1"
+
+    def test_cli_failure_keeps_exit_code(self, monkeypatch, tmp_path, capsys, threads):
+        # the second chunk's detection fails while the third is drawn
+        calls = []
+        ml = kernels.ml_detect_batch
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("second chunk")
+            return ml(*args)
+
+        base = tmp_path / "base.json"
+        _base24().save(str(base))
+        out = tmp_path / "ber.csv"
+        monkeypatch.setattr(kernels, "ml_detect_batch", failing)
+        rc = cli.main(["simulate", "--constellation", str(base), "--ebn0", "0",
+                       "--seed", "0", "--min-errors", "1000000000",
+                       "--max-vectors", "100000", "--out", str(out)])
+        assert rc == 2
+        assert "second chunk" in capsys.readouterr().err
+        assert not out.exists()
