@@ -1,8 +1,8 @@
 """Convex-concave procedure for joint MED / element-wise distance design.
 
 The non-convex program (minimize constellation energy, keep every pairwise
-squared Euclidean distance above a threshold and every per-dimension
-squared gap above an auxiliary level that is itself maximized) is solved
+squared Euclidean distance at least 1 and every per-dimension squared
+gap above an auxiliary level that is itself maximized) is solved
 by repeatedly replacing each quadratic constraint with its affine tangent
 at the current iterate and solving the resulting convex subproblem,
 minimize ||z|| - lam * eta over the tangent rows, which ``linearize``
@@ -16,10 +16,14 @@ with eta = min_ew(z_q) is feasible for the q-th subproblem,
 the subproblem's optimal level. The energy ||z||^2 alone is not monotone:
 an iterate may spend energy when the element-wise level gains more.
 
+The MED threshold is 1 and lam the only scale: every design ends at unit
+power, and a threshold D_E scales the rows' gradients by D_E and bounds by
+D_E^2, so (lam, D_E, epsilon) designs as (lam * D_E, 1, epsilon / D_E).
+
 Every form is read through one cached pair-difference matrix D, whose row
 p*K + k takes x_{i,k} - x_{j,k} of the p-th pair (i, j): it gives the form
 values, the tangent rows and the start, one complex Gaussian draw rescaled
-to MED = INIT_MARGIN * D_E. A chain works on the realified z from that
+to MED = INIT_MARGIN. A chain works on the realified z from that
 draw to its design, the last iterate scaled once to unit average power, and
 ``optimize`` returns every chain with the winner's design. A chain steps
 only to an "optimal" solve, one certified to ``socp.TOL`` within
@@ -42,7 +46,14 @@ import numpy as np
 from . import constellation as cn
 from . import socp
 
-INIT_MARGIN = 1.05  # start MED as a multiple of d_e_threshold
+INIT_MARGIN = 1.05  # start MED, as a multiple of the unit threshold
+#: Largest row matrix, P(K+1) rows of 2KM+1 doubles, a config may ask for; a
+#: chain peaks at ~4-5x it (4.2x at (2, 64)). Admits M <= 256 at K = 1.
+MAX_ROW_BYTES = 256 << 20
+#: Largest lam: no measured chain outlived its first solve above ~3, and from
+#: 1e12 ((1, 4), seed 1) a diverging solve's Newton direction overflows
+#: before ``socp.MAX_SIZE`` stops it, a numpy warning; none did at 1e6-1e11.
+LAM_MAX = 1e6
 RESTART_KEYS = (
     "chain_index", "status", "iterations", "final_energy", "med", "mpd",
     "max_kkt", "failure", "ipm_iters",
@@ -54,7 +65,6 @@ class CCCPConfig:
     K: int
     M: int
     lam: float = 0.5
-    d_e_threshold: float = 1.0
     epsilon: float = 1e-4
     max_iters: int = 100
     restarts: int = 20
@@ -63,16 +73,15 @@ class CCCPConfig:
     def __post_init__(self):
         if self.K < 1 or self.M < 2:
             raise ValueError("need K >= 1 and M >= 2")
+        row_bytes = 4 * self.M * (self.M - 1) * (self.K + 1) * (2 * self.K * self.M + 1)
+        if row_bytes > MAX_ROW_BYTES:
+            raise ValueError(
+                f"K={self.K}, M={self.M} needs a {row_bytes / 2**20:,.1f} MiB subproblem "
+                f"row matrix, over the {MAX_ROW_BYTES >> 20} MiB bound")
         # a range test, not "<= 0": a NaN fails every comparison
-        positive = (self.lam, self.d_e_threshold, self.epsilon)
-        if not all(0 < v < math.inf for v in positive):
-            raise ValueError("lam, d_e_threshold and epsilon must be finite and > 0")
-        # linearize needs D_E^2 as a positive normal double, so that a pair
-        # row's bound D_E^2 + q(z_q) is positive; the product (** raises on
-        # overflow) is inf above the range and 0 or subnormal below it
-        if not np.finfo(np.float64).tiny <= self.d_e_threshold * self.d_e_threshold < math.inf:
-            raise ValueError("d_e_threshold squared must be a finite normal double, "
-                             f"got {self.d_e_threshold}")
+        if not (0 < self.lam <= LAM_MAX and 0 < self.epsilon < math.inf):
+            raise ValueError(f"need 0 < lam <= {LAM_MAX:g} and epsilon finite and > 0, "
+                             f"got lam={self.lam:g}, epsilon={self.epsilon:g}")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.seed < 0:
@@ -158,8 +167,8 @@ def realify(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c.real, c.imag])
 
 
-def init_feasible(K: int, M: int, d_e: float, rng: np.random.Generator) -> np.ndarray:
-    """Realified z of one complex Gaussian draw rescaled to MED = INIT_MARGIN * d_e.
+def init_feasible(K: int, M: int, rng: np.random.Generator) -> np.ndarray:
+    """Realified z of one complex Gaussian draw rescaled to MED = INIT_MARGIN.
 
     Its per-dimension gaps are nonzero almost surely; a draw with a zero gap
     fails ``socp.solve``'s strict-start check and so ends its chain.
@@ -167,7 +176,7 @@ def init_feasible(K: int, M: int, d_e: float, rng: np.random.Generator) -> np.nd
     c = (rng.standard_normal(K * M) + 1j * rng.standard_normal(K * M)) / math.sqrt(2)
     z = realify(c)
     med2 = float(_form_values(z, K, M)[0].min())
-    return z * (INIT_MARGIN * d_e / math.sqrt(med2))
+    return z * (INIT_MARGIN / math.sqrt(med2))
 
 
 def c_to_constellation(z: np.ndarray, K: int, M: int) -> cn.Constellation:
@@ -180,12 +189,12 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
     """Tangent subproblem at z_q, with the start (z_q, min_ew(z_q) * (1 - 1e-6)).
 
     The row of a form q(z) = z^T Q z has g = 2 Q z_q and h = q(z_q), plus
-    D_E^2 for a pair row, so that it reads q(z_q) + g^T (z - z_q) >= D_E^2
-    for a pair and >= eta for an element-wise form. A pair row's bound
-    D_E^2 + q(z_q) is positive, so z = 0 is infeasible, as ``socp.solve``
-    requires. The start's pair-row slacks are q(z_q) - D_E^2 and its least
-    element-wise slack 1e-6 * min_ew(z_q), so ``socp.solve``'s strict-start
-    check (``NotStrictlyFeasible``) is the check that z_q is strictly feasible.
+    1 for a pair row, so that it reads q(z_q) + g^T (z - z_q) >= 1 for a
+    pair and >= eta for an element-wise form. A pair row's bound 1 + q(z_q)
+    is positive, so z = 0 is infeasible, as ``socp.solve`` requires. The
+    start's pair-row slacks are q(z_q) - 1 and its least element-wise slack
+    1e-6 * min_ew(z_q), so ``socp.solve``'s strict-start check
+    (``NotStrictlyFeasible``) is the check that z_q is strictly feasible.
     """
     K, M = config.K, config.M
     D = _pair_differences(K, M)
@@ -204,7 +213,7 @@ def linearize(z_q: np.ndarray, config: CCCPConfig) -> socp.SubproblemSpec:
     return socp.SubproblemSpec(
         lam=config.lam,
         A=A,
-        b=np.concatenate([config.d_e_threshold**2 + med_vals, ew_vals], axis=None),
+        b=np.concatenate([1.0 + med_vals, ew_vals], axis=None),
         start=np.append(z_q, eta0),
     )
 
@@ -219,12 +228,11 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
     """
     K, M = config.K, config.M
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, chain_index]))
-    de2 = config.d_e_threshold**2
     trace = []
     status, failure = "max_iter", ""
 
     try:
-        z = init_feasible(K, M, config.d_e_threshold, rng)
+        z = init_feasible(K, M, rng)
         sol = None
         for _ in range(config.max_iters):
             # warm by keyword: a traced wrapper passes trace=True as one
@@ -239,7 +247,7 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
                     "objective": sol.objective,
                     "eta": sol.eta,
                     "step_norm": step,
-                    "min_med_slack": float(np.min(med_vals) - de2),
+                    "min_med_slack": float(np.min(med_vals) - 1.0),
                     "min_ew_margin": float(np.min(ew_vals) - sol.eta),
                     "kkt_residual": sol.kkt_residual,
                     "newton_iters": sol.newton_iters,
@@ -275,7 +283,6 @@ def optimize(config: CCCPConfig) -> OptimizeResult:
     best_chain = select_best(chains)
     meta = {
         "lambda": config.lam,
-        "d_e_threshold": config.d_e_threshold,
         "epsilon": config.epsilon,
         "max_iters": config.max_iters,
         "seed": config.seed,

@@ -119,22 +119,13 @@ def _parse_ebn0(text: str) -> list[float]:
 
 
 def cmd_optimize(args):
-    cfg = cccp.CCCPConfig(
-        K=args.K,
-        M=args.M,
-        lam=args.lam,
-        d_e_threshold=args.de,
-        epsilon=args.epsilon,
-        max_iters=args.max_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    # every CCCPConfig field is the optimize argument of the same name
+    fields = dataclasses.fields(cccp.CCCPConfig)
+    cfg = cccp.CCCPConfig(**{f.name: getattr(args, f.name) for f in fields})
     result = cccp.optimize(cfg)
     best, restarts = result.best, result.all_restarts
     d = best.to_json_dict()
-    d["meta"]["restarts"] = [
-        {k: v for k, v in s.items() if k != "failure"} for s in restarts
-    ]
+    d["meta"]["restarts"] = [{k: v for k, v in s.items() if k != "failure"} for s in restarts]
     writes = [(args.out, lambda p: write_json_atomic(p, d))]
     if args.trace:
         rows = ["q,energy,objective,eta,step_norm\n"] + [
@@ -221,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     defaults = cccp.CCCPConfig
     p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam)
-    p.add_argument("--de", type=float, default=defaults.d_e_threshold)
     p.add_argument("--epsilon", type=float, default=defaults.epsilon)
     p.add_argument("--max-iters", type=int, default=defaults.max_iters)
     p.add_argument("--restarts", type=int, default=defaults.restarts)

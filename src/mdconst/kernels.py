@@ -95,7 +95,8 @@ def ml_detect_batch(y, h, points):
     X = np.asarray(points, dtype=np.complex128)
     K, M = X.shape
     B = y.shape[0]
-    W = np.concatenate([np.abs(X) ** 2, -2.0 * X.real, 2.0 * X.imag])
+    # re^2 + im^2, not abs()**2, which rounds: abs(1+1j)**2 is 2.0000000000000004
+    W = np.concatenate([X.real**2 + X.imag**2, -2.0 * X.real, 2.0 * X.imag])
     rows = max(1, _ML_CELLS // (3 * K * M))
     # F and g are filled in place, once per block: stacking F's three
     # parts with np.hstack made the kernel ~1.5x slower at M=4
@@ -293,8 +294,8 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
 #: Bytes of E tensors (one (M, ..., M) tensor per resource and row) that one
 #: block of rows may hold. Measured at M=16 and 10 dB, 16 MiB blocks ran
 #: ~1.2x faster than one block at B=200 and ~1.6x at B=2,000; 4 MiB blocks
-#: (16 rows) lost to per-block Python overhead. At M=4 every chunk the
-#: simulator passes fits in one block.
+#: (32 rows of the default 4x6 graph, 128 KiB each) lost to per-block Python
+#: overhead. At M=4 every chunk the simulator passes fits in one block.
 _BLOCK_BYTES = 16 << 20
 
 

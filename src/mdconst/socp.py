@@ -6,7 +6,7 @@ subject to affine rows, held in ``SubproblemSpec`` as A x >= b:
     g^T z           >= h     (linearized pair-distance constraints)
     g^T z - eta     >= h     (linearized element-wise constraints)
 
-A pair row with h > 0, as every one CCCP builds has (h = D_E^2 + q(z_q)),
+A pair row with h > 0, as every one CCCP builds has (h = 1 + q(z_q)),
 keeps z = 0 infeasible, so f is smooth on the feasible set: its gradient
 is (u, -lam) and its Hessian (I - u u^T)/||z|| on the z block, u = z/||z||.
 The KKT conditions of this smooth convex program with linear rows are
@@ -26,9 +26,9 @@ max(|s^T y + z^T r_z|, ||r_z||, |r_eta|): the gap, with the z-part of the
 stationarity residual folded in, and the stationarity residual itself.
 The solver stops when it is at most ``TOL``, or as unbounded once the
 Newton direction d it has just computed certifies that f is unbounded
-below: f falls along d, ||d_z|| - lam*d_eta < 0, and A d >= 0 to ``TOL``
-times max(||d_z||, |d_eta|), so every point x + t d, t >= 0, is feasible
-and f(x + t d) <= f(x) + t (||d_z|| - lam*d_eta) has no lower bound
+below: f falls along d, ||dz|| - lam*deta < 0, and A d >= 0 to ``TOL``
+times max(||dz||, |deta|), so every point x + t d, t >= 0, is feasible
+and f(x + t d) <= f(x) + t (||dz|| - lam*deta) has no lower bound
 (a recession direction; Rockafellar 1970, section 8).
 """
 
@@ -53,7 +53,7 @@ STEP = 0.985
 #: Largest move of z per iteration, as a share of ||z||, since the Hessian
 #: models ||z|| only near z: without it 112 of 1,000 ``random_tiny_spec``
 #: instances (``default_rng(0)``) ended non-optimal, with it none, in at
-#: most 21 iterations. A direction with ||dz|| < lam*d_eta lowers f along
+#: most 21 iterations. A direction with ||dz|| < lam*deta lowers f along
 #: its whole length whatever the model and is not capped; capped, the four
 #: unbounded K=1 test subproblems took 15-32 iterations to reach a direction
 #: that certifies it, uncapped 3-7.
@@ -128,7 +128,7 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     "optimal" means it is at most ``TOL``; "max_iter" means ``MAX_ITER``
     iterations came first, and "unbounded" that the Newton direction d from
     the returned point is a recession direction as the module docstring
-    states it: A d >= 0 to ``TOL`` and ||d_z|| - lam*d_eta < 0, so the
+    states it: A d >= 0 to ``TOL`` and ||dz|| - lam*deta < 0, so the
     subproblem has no minimum. "numerical_failure" means the normal matrix
     could not be solved, a step was not finite, it would have put the
     iterate on the boundary of the orthant, or the iterate's size reached

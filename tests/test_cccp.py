@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,41 +28,40 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             cccp.CCCPConfig(K=2, M=4, seed=-1)
 
-    @pytest.mark.parametrize("field", ["lam", "d_e_threshold", "epsilon"])
+    @pytest.mark.parametrize("field", ["lam", "epsilon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         # NaN passed a "<= 0" check: a NaN epsilon switched off the
-        # step-norm stop and a NaN or infinite lam or threshold ended in a
-        # numerical failure
+        # step-norm stop and a NaN or infinite lam ended in a numerical failure
         with pytest.raises(ValueError, match="finite and > 0"):
             cccp.CCCPConfig(K=2, M=4, **{field: value})
 
-    @pytest.mark.parametrize("value", [1e160, 1.4e154])
-    def test_threshold_square_overflow_rejected(self, value):
-        # run_chain squares D_E before its try, and float ** raises OverflowError
-        with pytest.raises(ValueError, match="d_e_threshold squared"):
-            cccp.CCCPConfig(K=2, M=4, d_e_threshold=value)
+    def test_lam_bound(self):
+        cccp.CCCPConfig(K=2, M=4, lam=cccp.LAM_MAX)
+        with pytest.raises(ValueError, match="lam <= 1e"):
+            cccp.CCCPConfig(K=2, M=4, lam=float(np.nextafter(cccp.LAM_MAX, math.inf)))
 
-    @pytest.mark.parametrize("value", [1e-170, 1e-160])
-    def test_threshold_square_underflow_rejected(self, value):
-        # D_E^2 is 0 (1e-340) or subnormal (1e-320): a pair row's bound
-        # D_E^2 + q(z_q) must be a positive normal double
-        with pytest.raises(ValueError, match="d_e_threshold squared"):
-            cccp.CCCPConfig(K=2, M=4, d_e_threshold=value)
+    def test_row_matrix_bound(self):
+        # 255.5 MiB of rows at (1, 256); (2, 3000) asked numpy for 101 GiB
+        # in _pair_differences and raised its MemoryError
+        cccp.CCCPConfig(K=1, M=256)
+        for K, M, size in [(2, 178, "257.1"), (2, 3000, "1,235,652.9")]:
+            with pytest.raises(ValueError, match=f"{size} MiB"):
+                cccp.CCCPConfig(K=K, M=M)
 
     def test_defaults(self):
         cfg = cccp.CCCPConfig(K=2, M=4)
         assert cfg.lam == 0.5
-        assert cfg.d_e_threshold == 1.0
         assert cfg.epsilon == 1e-4
         assert cfg.max_iters == 100
         assert cfg.restarts == 20
+        assert len(dataclasses.fields(cccp.CCCPConfig)) == 7
 
 
 class TestInit:
     def test_init_feasible_margins(self):
         rng = np.random.default_rng(0)
-        z0 = cccp.init_feasible(2, 4, 1.0, rng)
+        z0 = cccp.init_feasible(2, 4, rng)
         C = cccp.c_to_constellation(z0, 2, 4)
         assert cn.med(C) == pytest.approx(cccp.INIT_MARGIN, rel=1e-9)
         assert cn.min_elementwise(C) > 1e-9
@@ -84,7 +84,7 @@ class TestLinearize:
         K, M = 2, 4
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(1)
-        z = cccp.init_feasible(K, M, 1.0, rng)
+        z = cccp.init_feasible(K, M, rng)
         spec = cccp.linearize(z, cfg)
         P = M * (M - 1) // 2
         assert spec.A.shape == (P + K * P, 2 * K * M + 1)
@@ -99,12 +99,12 @@ class TestLinearize:
         K, M = 2, 3
         cfg = cccp.CCCPConfig(K=K, M=M)
         rng = np.random.default_rng(2)
-        z = cccp.init_feasible(K, M, 1.0, rng)
+        z = cccp.init_feasible(K, M, rng)
         spec = cccp.linearize(z, cfg)
         med_idx, _ = pair_forms(K, M)
         for g, h, idx in zip(spec.A[:, :-1], spec.b, med_idx):
-            # g = 2 A z_q and h = D_E^2 + z_q^T A z_q, so g.z_q - h =
-            # z_q^T A z_q - D_E^2 (the current slack of the quadratic)
+            # g = 2 A z_q and h = 1 + z_q^T A z_q, so g.z_q - h =
+            # z_q^T A z_q - 1 (the current slack of the quadratic)
             assert float(g @ z) - h == pytest.approx(
                 qforms.qf_value(idx, z) - 1.0, rel=1e-9
             )
@@ -119,7 +119,7 @@ class TestLinearize:
         P, n = len(med_idx), 2 * K * M
         assert len(ew_idx) == P * K
         for _ in range(5):
-            z = cccp.init_feasible(K, M, 1.0, rng)
+            z = cccp.init_feasible(K, M, rng)
             spec = cccp.linearize(z, cfg)
             A_ref = np.zeros((P + len(ew_idx), n + 1))
             b_ref = np.empty(len(A_ref))
@@ -127,7 +127,7 @@ class TestLinearize:
                 A_ref[r, :n] = qforms.qf_gradient(idx, z)
                 b_ref[r] = qforms.qf_value(idx, z)
             A_ref[P:, n] = -1.0
-            b_ref[:P] += cfg.d_e_threshold**2
+            b_ref[:P] += 1.0
             assert spec.A.shape == A_ref.shape and spec.b.shape == b_ref.shape
             assert np.array_equal(spec.A, A_ref)
             assert np.max(np.abs(spec.b - b_ref)) <= 1e-12
@@ -135,7 +135,7 @@ class TestLinearize:
             assert np.array_equal(spec.A[P:, -1], -np.ones(P * K))
 
     # K=2, M=3 iterates [x_0, x_1, x_2] with dyadic entries, so every form
-    # value and row slack is exact: z = 0, a closest pair at exactly D_E = 1,
+    # value and row slack is exact: z = 0, a closest pair at exactly MED 1,
     # and MED 2 with a zero element-wise gap between x_1 and x_2
     BOUNDARY_ITERATES = {
         "zero": [0, 0, 0, 0, 0, 0],
@@ -169,9 +169,8 @@ class TestChains:
         ch = cccp.run_chain(cfg, 0)
         assert ch.status in ("converged", "max_iter")
         assert ch.iterations >= 1
-        de2 = cfg.d_e_threshold**2
         for rec in ch.trace:
-            assert rec["min_med_slack"] >= -1e-9 * de2
+            assert rec["min_med_slack"] >= -1e-9
             assert rec["min_ew_margin"] >= -1e-9
 
     def test_chain_determinism(self):
@@ -256,12 +255,10 @@ class TestOptimize:
         assert cn.average_power(res.best) == pytest.approx(1.0, abs=1e-9)
         assert len(res.all_restarts) == 2
         assert res.best.meta["seed"] == cfg.seed
-        # scaling arithmetic: raw MED >= D_E, so normalized MED >=
-        # D_E / sqrt(raw average power)
+        # scaling arithmetic: raw MED >= 1, so normalized MED >=
+        # 1 / sqrt(raw average power)
         raw_power = res.best.meta["final_energy"] / cfg.M
-        assert cn.med(res.best) >= cfg.d_e_threshold / math.sqrt(raw_power) * (
-            1 - 1e-9
-        )
+        assert cn.med(res.best) >= 1.0 / math.sqrt(raw_power) * (1 - 1e-9)
 
     def test_best_is_the_winning_chains_design(self):
         cfg = small_config(restarts=3, max_iters=30, seed=2)

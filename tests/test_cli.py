@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import warnings
@@ -45,9 +47,8 @@ class TestOptimize:
         args = cli.build_parser().parse_args(
             ["optimize", "--K", "2", "--M", "4", "--seed", "0", "--out", "c.json"])
         defaults = {f.name: f.default for f in dataclasses.fields(cccp.CCCPConfig)}
-        for dest, name in [("lam", "lam"), ("de", "d_e_threshold"),
-                           ("epsilon", "epsilon"), ("max_iters", "max_iters"),
-                           ("restarts", "restarts")]:
+        for dest, name in [("lam", "lam"), ("epsilon", "epsilon"),
+                           ("max_iters", "max_iters"), ("restarts", "restarts")]:
             assert getattr(args, dest) == defaults[name], dest
 
     def test_manifest_lists_restart_rows(self, tmp_path):
@@ -77,7 +78,7 @@ class TestOptimize:
                   "--out", str(tmp_path / "x.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("flag", ["--lambda", "--de", "--epsilon"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--epsilon"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_parameter_exit_2(self, tmp_path, flag, value):
         out = tmp_path / "x.json"
@@ -86,19 +87,31 @@ class TestOptimize:
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_threshold_square_overflow_exit_2(self, tmp_path, capsys):
-        rc = run(["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--seed", "0",
-                  "--de", "1e160", "--out", str(tmp_path / "x.json")])
-        assert rc == 2
-        assert "d_e_threshold" in capsys.readouterr().err
+    def test_threshold_flag_is_gone(self, tmp_path, capsys):
+        # every design is at unit MED threshold; lam is the one scale
+        with pytest.raises(SystemExit) as exc:
+            run(["optimize", "--K", "2", "--M", "4", "--seed", "0", "--de", "1",
+                 "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        assert "--de" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_threshold_square_underflow_exit_2(self, tmp_path, capsys):
-        # D_E^2 is 0 at 1e-170, which left no pair row with a positive bound
+    @pytest.mark.parametrize("value", ["1e55", "1e154", "1e300"])
+    def test_lambda_over_bound_exit_2(self, tmp_path, capsys, value):
+        # a solve's products that carry lam overflowed at these values, a
+        # numpy warning (an error here, as under -W error)
         rc = run(["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--seed", "0",
-                  "--de", "1e-170", "--out", str(tmp_path / "x.json")])
+                  "--lambda", value, "--out", str(tmp_path / "x.json")])
         assert rc == 2
-        assert "d_e_threshold" in capsys.readouterr().err
+        assert "lam <= 1e+06" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_row_matrix_over_bound_exit_2(self, tmp_path, capsys):
+        # _pair_differences asked numpy for 101 GiB and raised MemoryError
+        rc = run(["optimize", "--K", "2", "--M", "3000", "--seed", "0",
+                  "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "MiB bound" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_diverging_subproblems_exit_3(self, tmp_path, capsys):
@@ -293,6 +306,20 @@ def test_one_file_for_two_roles_exit_2(run_dir, capsys, argv, names):
     err = capsys.readouterr().err
     assert err.startswith("error:") and all(n in err for n in names)
     assert _tree(run_dir) == before
+
+
+def test_readme_command_lines_parse():
+    # README's examples cannot drift from the CLI, by keeping a removed flag say
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Command line")[1].split("```bash\n")[1].split("```")[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("mdconst ")]
+    assert len(lines) == 5
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_module_entry_point(tmp_path):

@@ -229,6 +229,20 @@ class TestMLDetect:
         assert np.isin([3, 0], got).all() and not np.isin([40, 63], got).any()
         assert (np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1).sum() > B // 10
 
+    def test_off_axis_lattice_ties_match_loops(self):
+        # integer points off the axes, integer h and half-integer y make
+        # every distance and |x|^2 exact, so ties are exact; |x|^2 taken as
+        # abs(x)**2 rounds (2.0000000000000004 at 1+1j), which broke 69 of
+        # these 4,000 ties differently from the loops
+        K, M, B = 2, 16, 4000
+        rng = np.random.default_rng(0)
+        pts = rng.integers(-3, 4, (K, M)) + 1j * rng.integers(-3, 4, (K, M))
+        h = rng.integers(-2, 3, (B, K)) + 1j * rng.integers(-2, 3, (B, K))
+        y = (rng.integers(-8, 9, (B, K)) + 1j * rng.integers(-8, 9, (B, K))) / 2
+        assert np.array_equal(
+            kernels.ml_detect_batch(y, h, pts), kernels._ml_detect_loops(y, h, pts)
+        )
+
     def test_peak_memory_has_no_residual_tensor(self):
         # a (B, K, M) complex residual alone is 10 MiB here, and the whole
         # (B, 3K) features and (B, M) metrics ~4 MiB; row blocks of at most

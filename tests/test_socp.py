@@ -125,7 +125,7 @@ def captured_28_spec(step=4):
     """The linearization a (2,8) chain solves at its ``step``-th CCCP step."""
     cfg = cccp.CCCPConfig(K=2, M=8)
     rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
-    z = cccp.init_feasible(2, 8, 1.0, rng)
+    z = cccp.init_feasible(2, 8, rng)
     for _ in range(step - 1):
         z = socp.solve(cccp.linearize(z, cfg)).z
     return cccp.linearize(z, cfg)
@@ -215,7 +215,7 @@ class TestWarmStart:
 def first_subproblem(K, M, chain):
     """The linearization at the start of a seed-0 chain."""
     rng = np.random.default_rng(np.random.SeedSequence([0, chain]))
-    z = cccp.init_feasible(K, M, 1.0, rng)
+    z = cccp.init_feasible(K, M, rng)
     return cccp.linearize(z, cccp.CCCPConfig(K=K, M=M))
 
 
