@@ -51,8 +51,8 @@ INIT_MARGIN = 1.05  # start MED, as a multiple of the unit threshold
 #: chain peaks at ~4-5x it (4.2x at (2, 64)). Admits M <= 256 at K = 1.
 MAX_ROW_BYTES = 256 << 20
 #: Largest lam: no measured chain outlived its first solve above ~3, and from
-#: 1e12 ((1, 4), seed 1) a diverging solve's Newton direction overflows
-#: before ``socp.MAX_SIZE`` stops it, a numpy warning; none did at 1e6-1e11.
+#: 1e12 ((1, 4), seed 1) a diverging solve's Newton direction overflows,
+#: ending it "numerical_failure" before ``socp.MAX_SIZE``; none did at 1e6-1e11.
 LAM_MAX = 1e6
 RESTART_KEYS = (
     "chain_index", "status", "iterations", "final_energy", "med", "mpd",

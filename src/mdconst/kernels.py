@@ -8,9 +8,10 @@ the vectorized kernels against. RNG always lives outside the kernels.
 Layouts:
   ML detection: y (B, K), h (B, K), points (K, M) -> (B,) symbol indices.
   MPA detection: y (B, N), H (B, N, J), codebooks (J, N, M),
-    res_users (N, dmax) padded with -1, res_deg (N,), user_res (J, K)
-    -> posteriors (B, J, M), hard decisions (B, J). The three graph
-    arrays are those ``scma.IndicatorMatrix`` builds once per indicator.
+    res_edges (N, dmax) padded with -1, res_deg (N,), user_res (J, K)
+    -> posteriors (B, J, M), hard decisions (B, J). Edge j * K + k joins
+    user j to its k-th resource user_res[j, k]; the three graph arrays are
+    those ``scma.IndicatorMatrix`` builds once per indicator.
 
 ML detection. Expanding the squared norm,
 
@@ -57,9 +58,9 @@ range. Such rows run the exact log-domain update instead
 shifted by that edge's own slice maxima, so every message stays finite.
 The fallback rebuilds dist for the rows it takes over.
 
-The messages of every edge, user j's k-th, are kept as (J, K, M, B)
-arrays fv (function to variable) and vf; each function node reads and
-writes its own edges' rows. Rows are independent, so the kernel runs
+The messages of every edge are kept as (J, K, M, B) arrays fv (function
+to variable) and vf; each function node reads and writes its resource's
+``res_edges`` rows of their (J * K, M, B) views. Rows are independent, so the kernel runs
 them in blocks whose E tensors fit in ``_BLOCK_BYTES``, built, with the
 messages, in buffers that every block of the call reuses.
 """
@@ -148,11 +149,11 @@ def _maxstar(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _mpa_detect_loops(y, H, cb, res_users, res_deg, user_res, n0, iters):
+def _mpa_detect_loops(y, H, cb, res_edges, res_deg, user_res, n0, iters):
     B, N = y.shape
     J, _, M = cb.shape
     K = user_res.shape[1]
-    dmax = res_users.shape[1]
+    dmax = res_edges.shape[1]
     NEG = -1e30
 
     post = np.zeros((B, J, M))
@@ -170,7 +171,7 @@ def _mpa_detect_loops(y, H, cb, res_users, res_deg, user_res, n0, iters):
             for n in range(N):
                 deg = res_deg[n]
                 for p in range(deg):
-                    u = res_users[n, p]
+                    u = res_edges[n, p] // K
                     for m in range(M):
                         vals[p, m] = H[b, n, u] * cb[u, n, m]
                 for p in range(deg):
@@ -197,7 +198,7 @@ def _mpa_detect_loops(y, H, cb, res_users, res_deg, user_res, n0, iters):
                 for ki in range(K):
                     n = user_res[j, ki]
                     p = 0
-                    while res_users[n, p] != j:
+                    while res_edges[n, p] != j * K + ki:
                         p += 1
                     for m in range(M):
                         tot = 0.0
@@ -206,7 +207,7 @@ def _mpa_detect_loops(y, H, cb, res_users, res_deg, user_res, n0, iters):
                                 continue
                             n2 = user_res[j, ki2]
                             p2 = 0
-                            while res_users[n2, p2] != j:
+                            while res_edges[n2, p2] != j * K + ki2:
                                 p2 += 1
                             tot += fv[n2, p2, m]
                         vf[n, p, m] = tot
@@ -230,7 +231,7 @@ def _mpa_detect_loops(y, H, cb, res_users, res_deg, user_res, n0, iters):
                 for ki in range(K):
                     n = user_res[j, ki]
                     p = 0
-                    while res_users[n, p] != j:
+                    while res_edges[n, p] != j * K + ki:
                         p += 1
                     tot += fv[n, p, m]
                 post[b, j, m] = tot
@@ -248,7 +249,7 @@ def _mpa_detect_loops(y, H, cb, res_users, res_deg, user_res, n0, iters):
     return post, hard
 
 
-def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
+def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
     """Sum-product MPA over the indicator factor graph, exact in double.
 
     Same message schedule as ``_mpa_detect_loops``, vectorized over B.
@@ -264,11 +265,6 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
     B = y.shape[0]
     J, _, M = cb.shape
     K = user_res.shape[1]
-    # edge[n, p]: the message index j * K + k of the edge whose user j
-    # sits in slot p of its k-th resource n = user_res[j, k]
-    slot = np.argmax(res_users[user_res] == np.arange(J)[:, None, None], axis=2)
-    edge = np.zeros(res_users.shape, dtype=np.intp)
-    edge[user_res, slot] = np.arange(J * K).reshape(J, K)
     # Python ints: M**d wraps around in int64 (16**16 is 0)
     cells = sum(M ** int(d) for d in res_deg)
     if 8 * cells > _BLOCK_BYTES:
@@ -285,7 +281,7 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
     for b in range(0, B, block):
         rows = slice(b, b + block)
         post[rows] = _mpa_rows(
-            y[rows], H[rows], cb, res_users, res_deg, user_res, edge, n0, iters, work
+            y[rows], H[rows], cb, res_edges, res_deg, user_res, n0, iters, work
         )
     hard = np.argmax(post, axis=2).astype(np.int64)
     return post, hard
@@ -299,15 +295,13 @@ def mpa_detect_batch(y, H, cb, res_users, res_deg, user_res, n0, iters):
 _BLOCK_BYTES = 16 << 20
 
 
-def _mpa_rows(y, H, cb, res_users, res_deg, user_res, edge, n0, iters, work):
+def _mpa_rows(y, H, cb, res_edges, res_deg, user_res, n0, iters, work):
     """Posteriors (B, J, M) of ``mpa_detect_batch`` for one block of rows.
 
-    ``edge`` (N, dmax) holds the message index of each resource slot.
     The buffers ``work`` = (E, fv, vf) are overwritten: E holds at least
     B * sum_n M**d_n doubles, fv and vf B * J * K * M each.
     """
-    B, N = y.shape
-    M = cb.shape[2]
+    B, K, M = y.shape[0], user_res.shape[1], cb.shape[2]
     # the batch last, so every reduction below runs over outer axes; each
     # fv is written before it is read
     E, fv, vf = work
@@ -318,18 +312,18 @@ def _mpa_rows(y, H, cb, res_users, res_deg, user_res, edge, n0, iters, work):
     fv_edges, vf_edges = fv.reshape(-1, M, B), vf.reshape(-1, M, B)
 
     # a resource no user occupies sends no message
-    nodes = {}
+    nodes = []
     for n in np.flatnonzero(res_deg):
-        users = res_users[n, :res_deg[n]]
+        edges = res_edges[n, :res_deg[n]]
+        users = edges // K
         size = M ** len(users) * B
         out = E[:size].reshape((M,) * len(users) + (B,))
         E = E[size:]
         distance = partial(_distance, y[:, n], H[:, n, users], cb[users, n], n0)
-        nodes[n] = _FunctionNode(distance(slice(None), out), distance)
+        nodes.append((edges, _FunctionNode(distance(slice(None), out), distance)))
 
     for _ in range(iters):
-        for n, node in nodes.items():
-            edges = edge[n, :node.deg]
+        for edges, node in nodes:
             fv_edges[edges] = node.messages(vf_edges[edges])
         np.subtract(fv.sum(axis=1, keepdims=True), fv, out=vf)
         vf -= _logsumexp(vf, axis=2)

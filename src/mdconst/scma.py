@@ -29,9 +29,10 @@ DEFAULT_INDICATOR_ROWS = (
 @dataclass(frozen=True)
 class IndicatorMatrix(JsonFile):
     rows: np.ndarray  # (N, J) binary
-    # the factor graph, read-only like rows; indices ascend, -1 pads res_users
+    # the factor graph, read-only like rows; -1 pads res_edges, whose entry
+    # j * K + k is the edge from user j to its k-th resource user_res[j, k]
     user_res: np.ndarray = field(init=False, repr=False, compare=False)  # (J, K)
-    res_users: np.ndarray = field(init=False, repr=False, compare=False)  # (N, dmax)
+    res_edges: np.ndarray = field(init=False, repr=False, compare=False)  # (N, dmax)
     res_deg: np.ndarray = field(init=False, repr=False, compare=False)  # (N,)
 
     def __post_init__(self):
@@ -48,14 +49,16 @@ class IndicatorMatrix(JsonFile):
             raise ValueError("every user must occupy at least one resource")
         if np.any(w != w[0]):
             raise ValueError("all indicator columns must have equal weight")
-        # The factor graph, built once. A stable argsort of 1 - F puts the
-        # occupied entries of each row first, in increasing order.
-        res_deg = F.sum(axis=1)
-        res_users = np.argsort(1 - F, axis=1, kind="stable")[:, : res_deg.max()]
-        res_users[np.arange(res_users.shape[1]) >= res_deg[:, None]] = -1
+        # The factor graph, built once. A stable argsort of 1 - F.T lists each
+        # user's resources in increasing order, and one of those resources
+        # lists each resource's edges, users ascending.
         user_res = np.argsort(1 - F.T, axis=1, kind="stable")[:, : w[0]]
+        res_deg = F.sum(axis=1)
+        res_edges = np.full((F.shape[0], res_deg.max()), -1)
+        res_edges[np.arange(res_deg.max()) < res_deg[:, None]] = np.argsort(
+            user_res.ravel(), kind="stable")
         for name, arr in (("rows", F), ("user_res", user_res),
-                          ("res_users", res_users), ("res_deg", res_deg)):
+                          ("res_edges", res_edges), ("res_deg", res_deg)):
             arr = np.ascontiguousarray(arr, dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -127,22 +130,36 @@ def default_operators(F: IndicatorMatrix, M: int) -> OperatorSet:
     phases = np.zeros((F.J, F.column_weight))
     for n in range(F.N):
         d_f = int(F.res_deg[n])
-        for rank, j in enumerate(F.res_users[n, :d_f]):
-            phases[j, F.user_res[j] == n] = 2.0 * math.pi * rank / (d_f * M)
+        for rank, e in enumerate(F.res_edges[n, :d_f]):
+            phases[divmod(int(e), F.column_weight)] = 2.0 * math.pi * rank / (d_f * M)
     return OperatorSet(phases=phases)
 
 
 @dataclass(frozen=True)
 class SCMACodebookSet(JsonFile):
-    """J sparse codebooks; codebooks[j] is N x M, column m a codeword."""
+    """J sparse codebooks; codebooks[j] (N x M, column m a codeword) is
+    V_j diag(e^{i phi_j}) (base), the rotated base written into rows
+    ``user_res[j]``, built from the other fields and read-only."""
 
-    codebooks: np.ndarray  # (J, N, M) complex
     indicator: IndicatorMatrix
     operators: OperatorSet
     base: Constellation
+    codebooks: np.ndarray = field(init=False, repr=False, compare=False)  # (J, N, M)
 
     def __post_init__(self):
-        cb = np.ascontiguousarray(np.asarray(self.codebooks, dtype=np.complex128))
+        F, base, phases = self.indicator, self.base, self.operators.phases
+        K = F.column_weight
+        if base.K != K:
+            raise ValueError(
+                f"base constellation has K={base.K} but indicator column weight is {K}"
+            )
+        if phases.shape != (F.J, K):
+            raise ValueError(
+                f"operator set shape {phases.shape} does not match (J, K)=({F.J}, {K})"
+            )
+        cb = np.zeros((F.J, F.N, base.M), dtype=np.complex128)
+        rotated = np.exp(1j * phases)[:, :, None] * base.points  # (J, K, M)
+        cb[np.arange(F.J)[:, None], F.user_res] = rotated
         cb.flags.writeable = False
         object.__setattr__(self, "codebooks", cb)
 
@@ -178,32 +195,20 @@ class SCMACodebookSet(JsonFile):
     def from_json_dict(cls, d: dict) -> "SCMACodebookSet":
         """Rebuilt from indicator, operators and base; "codebooks" is not read."""
         require_keys(d, "indicator", "operators", "base")
-        F = IndicatorMatrix.from_json_dict(d["indicator"])
-        ops = OperatorSet.from_json_dict(d["operators"])
-        base = Constellation.from_json_dict(d["base"])
-        return build_codebooks(F, base, ops)
+        return cls(
+            IndicatorMatrix.from_json_dict(d["indicator"]),
+            OperatorSet.from_json_dict(d["operators"]),
+            Constellation.from_json_dict(d["base"]),
+        )
 
 
 def build_codebooks(
     F: IndicatorMatrix, base: Constellation, ops: OperatorSet | None = None
 ) -> SCMACodebookSet:
-    """Codebook of user j = V_j diag(e^{i phi_j}) (base), i.e. the rotated
-    base written into rows ``user_res[j]``."""
-    K = F.column_weight
-    if base.K != K:
-        raise ValueError(
-            f"base constellation has K={base.K} but indicator column weight is {K}"
-        )
+    """``SCMACodebookSet(F, ops, base)``, ``ops`` by ``default_operators`` if None."""
     if ops is None:
         ops = default_operators(F, base.M)
-    if ops.phases.shape != (F.J, K):
-        raise ValueError(
-            f"operator set shape {ops.phases.shape} does not match (J, K)=({F.J}, {K})"
-        )
-    cb = np.zeros((F.J, F.N, base.M), dtype=np.complex128)
-    rotated = np.exp(1j * ops.phases)[:, :, None] * base.points  # (J, K, M)
-    cb[np.arange(F.J)[:, None], F.user_res] = rotated
-    return SCMACodebookSet(codebooks=cb, indicator=F, operators=ops, base=base)
+    return SCMACodebookSet(F, ops, base)
 
 
 def mpa_detect_batch(
@@ -238,7 +243,7 @@ def mpa_detect_batch(
         )
     F = cbs.indicator
     return kernels.mpa_detect_batch(
-        y, H, cbs.codebooks, F.res_users, F.res_deg, F.user_res, n0, iters
+        y, H, cbs.codebooks, F.res_edges, F.res_deg, F.user_res, n0, iters
     )
 
 

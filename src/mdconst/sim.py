@@ -99,28 +99,19 @@ def _point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, point_index]))
 
 
-#: Standard normals per generator call of a draw, which sizes its scratch;
-#: 16,384 ran as fast as whole-chunk calls, and 2,048 ~1.2x slower.
-DRAW_PIECE = 16384
-
-
 def _draw_complex(rng: np.random.Generator, out: np.ndarray, scale: float,
                   scratch: np.ndarray) -> np.ndarray:
     """Fill ``out`` with scale * (a + 1j * b), a then b drawn as standard normals.
 
     a and b take the values of ``rng.standard_normal(out.shape)`` and of one
-    more such call: drawing them in pieces of whole rows, into ``scratch``
-    of max(DRAW_PIECE, row size) doubles, gives the same normals. Each part
-    is one exact product, so ``out`` is bitwise scale * (a + 1j * b), which
-    is (a + 1j * b) / d for scale = 1 / d: numpy divides by a real scalar as
-    a product with its reciprocal.
+    more such call, each drawn into ``scratch`` (at least ``out.size``
+    doubles). Each part is one exact product, so ``out`` is bitwise
+    scale * (a + 1j * b), which is (a + 1j * b) / d for scale = 1 / d: numpy
+    divides by a real scalar as a product with its reciprocal.
     """
-    rows = max(1, DRAW_PIECE // (out.size // len(out)))
+    draw = scratch[:out.size].reshape(out.shape)
     for part in (out.real, out.imag):
-        for r in range(0, len(out), rows):
-            piece = part[r:r + rows]
-            draw = scratch[:piece.size].reshape(piece.shape)
-            np.multiply(rng.standard_normal(out=draw), scale, out=piece)
+        np.multiply(rng.standard_normal(out=draw), scale, out=part)
     return out
 
 
@@ -131,7 +122,7 @@ def _draws(rows, fading, received, rayleigh=True):
     when not ``rayleigh``), and noise, shape ``received``; one set is
     drawn while the caller reads the other.
     """
-    scratch = np.empty(max(DRAW_PIECE, math.prod(fading), math.prod(received)))
+    scratch = np.empty(rows * max(math.prod(fading), math.prod(received)))
     noise = np.empty((2, rows, *received), dtype=np.complex128)
     h = (np.empty((2, rows, *fading), dtype=np.complex128) if rayleigh
          else [np.ones((rows, *fading), dtype=np.complex128)] * 2)

@@ -108,6 +108,14 @@ def _boundary_step(X, dX) -> float:
     return 1.0 / shrink if shrink > 0.0 else math.inf
 
 
+def _newton(N, rhs) -> np.ndarray:
+    """``np.linalg.solve(N, rhs)``, raising ``LinAlgError`` if it is not finite."""
+    dx = np.linalg.solve(N, rhs)
+    if not np.isfinite(dx).all():
+        raise np.linalg.LinAlgError("Newton direction is not finite")
+    return dx
+
+
 def solve(spec: SubproblemSpec, trace: bool = False,
           warm: SubproblemSolution | None = None) -> SubproblemSolution:
     """Minimize ||z|| - lam*eta subject to the affine rows A x >= b.
@@ -130,14 +138,14 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     the returned point is a recession direction as the module docstring
     states it: A d >= 0 to ``TOL`` and ||dz|| - lam*deta < 0, so the
     subproblem has no minimum. "numerical_failure" means the normal matrix
-    could not be solved, a step was not finite, it would have put the
-    iterate on the boundary of the orthant, or the iterate's size reached
-    ``MAX_SIZE``. Whatever the status, the point returned is the last
-    iterate, and ``objective`` is ||z|| - lam*eta there. Its tracked
-    slacks are positive, but A x - b recomputed there can be negative by
-    rounding (about 1e-14 has been seen). For a CCCP iterate the
-    feasibility check is the next subproblem's strict-start test, which
-    recomputes the slacks of its own rows at that point.
+    could not be solved, a Newton direction or a step was not finite, it
+    would have put the iterate on the boundary of the orthant, or the
+    iterate's size reached ``MAX_SIZE``. Whatever the status, the point
+    returned is the last iterate, and ``objective`` is ||z|| - lam*eta
+    there. Its tracked slacks are positive, but A x - b recomputed there
+    can be negative by rounding (about 1e-14 has been seen). For a CCCP
+    iterate the feasibility check is the next subproblem's strict-start
+    test, which recomputes the slacks of its own rows at that point.
     """
     A, b = spec.A, spec.b
     x0 = np.asarray(spec.start, dtype=np.float64)
@@ -200,7 +208,7 @@ def solve(spec: SubproblemSpec, trace: bool = False,
         N_diag += 1.0 / nz  # the Hessian's I/||z||
         try:
             # Predictor: affine-scaling direction, target s o y -> 0.
-            dx = np.linalg.solve(N, -grad)
+            dx = _newton(N, -grad)
             np.matmul(A, dx, out=ds)
             np.subtract(-y, d_row * ds, out=dy)
             alpha = min(1.0, _boundary_step(X, dX))
@@ -210,7 +218,7 @@ def solve(spec: SubproblemSpec, trace: bool = False,
             # Corrector: centring to sigma * mu, mu = gap / m, plus the
             # second-order term of the predictor.
             w = (sigma * gap / m - ds * dy) / s
-            dx = np.linalg.solve(N, AT @ w - grad)
+            dx = _newton(N, AT @ w - grad)
         except np.linalg.LinAlgError:
             status = "numerical_failure"
             break

@@ -14,6 +14,10 @@ The same walk guards against dead fields: every field of a ``@dataclass``
 under src/mdconst must be read somewhere under src/ or mdbench/, outside
 the tests, as an attribute or as a string such as a ``getattr`` key.
 
+Every top-level function and class under src/mdconst must also be read
+outside the tests, somewhere under src/ or mdbench/, except the exact set
+``TEST_ONLY``, so a new test-only helper cannot join the package unnoticed.
+
 Last, the command line must not import ``qforms``, the tests' oracle.
 """
 
@@ -105,6 +109,27 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(), refs) == []
 
 
+#: Top-level names that only the tests read: the loop and brute-force
+#: oracles and ``qf_matrix``. Item 12 of ROADMAP.md moves them under tests/,
+#: and this set shrinks with each move.
+TEST_ONLY = {"kernels._ml_detect_loops", "kernels._mpa_detect_loops",
+             "scma.joint_ml_marginals", "qforms.qf_matrix"}
+
+
+def runtime_files() -> list[pathlib.Path]:
+    """The .py files under src/ and mdbench/, less the tests."""
+    return [p for d in ("src", "mdbench") for p in (ROOT / d).rglob("*.py")
+            if not p.name.startswith("test_")]
+
+
+def test_every_function_and_class_is_read_outside_the_tests():
+    refs = set().union(*(file_references(p) for p in runtime_files()))
+    unread = {f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in refs}
+    assert unread == TEST_ONLY
+
+
 def dataclass_fields(tree: ast.Module) -> list[str]:
     """"Class.field" for every annotated field of a top-level @dataclass."""
     fields = []
@@ -154,9 +179,7 @@ def file_field_reads(path: pathlib.Path) -> frozenset[str]:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_dataclass_fields(path):
-    files = [p for d in ("src", "mdbench") for p in (ROOT / d).rglob("*.py")
-             if not p.name.startswith("test_")]
-    reads = set().union(*(file_field_reads(p) for p in files))
+    reads = set().union(*(file_field_reads(p) for p in runtime_files()))
     assert unread_fields(path.read_text(), reads) == []
 
 

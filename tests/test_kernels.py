@@ -66,7 +66,7 @@ def lse_paths(monkeypatch):
 
 def _assert_matches_loops(cbs, y, H, n0, iters):
     F = cbs.indicator
-    args = (F.res_users, F.res_deg, F.user_res)
+    args = (F.res_edges, F.res_deg, F.user_res)
     pa, ha = kernels.mpa_detect_batch(y, H, cbs.codebooks, *args, n0, iters)
     pb, hb = kernels._mpa_detect_loops(y, H, cbs.codebooks, *args, n0, iters)
     assert np.all(np.isfinite(pa))
@@ -341,7 +341,7 @@ class TestMPAMemory:
         tracemalloc.start()
         try:
             kernels.mpa_detect_batch(
-                y, H, cbs.codebooks, F.res_users, F.res_deg, F.user_res, n0, 10
+                y, H, cbs.codebooks, F.res_edges, F.res_deg, F.user_res, n0, 10
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -360,7 +360,7 @@ class TestMPAMemory:
         H = np.ones((1, 2, J), dtype=complex)
         with pytest.raises(ValueError, match="bytes of tensors per received vector"):
             kernels.mpa_detect_batch(
-                y, H, cbs.codebooks, F.res_users, F.res_deg, F.user_res, 0.1, 1
+                y, H, cbs.codebooks, F.res_edges, F.res_deg, F.user_res, 0.1, 1
             )
 
 

@@ -69,13 +69,17 @@ class TestIndicator:
 
 
 def _graph_by_loops(rows):
-    """user_res, res_users (padded with -1) and res_deg, read off the rows."""
+    """user_res, res_edges (padded with -1) and res_deg, read off the rows.
+
+    Edge j * K + k joins user j to its k-th resource."""
     N, J = rows.shape
     user_res = [[n for n in range(N) if rows[n, j]] for j in range(J)]
-    res_users = [[j for j in range(J) if rows[n, j]] for n in range(N)]
-    dmax = max(len(u) for u in res_users)
-    padded = [u + [-1] * (dmax - len(u)) for u in res_users]
-    return user_res, padded, [len(u) for u in res_users]
+    K = len(user_res[0])
+    res_edges = [[j * K + k for j in range(J) for k in range(K) if user_res[j][k] == n]
+                 for n in range(N)]
+    dmax = max(len(e) for e in res_edges)
+    padded = [e + [-1] * (dmax - len(e)) for e in res_edges]
+    return user_res, padded, [len(e) for e in res_edges]
 
 
 GRAPH_INDICATORS = {
@@ -91,16 +95,16 @@ class TestFactorGraph:
     def test_arrays_match_loops(self, name):
         rows = GRAPH_INDICATORS[name]
         F = scma.IndicatorMatrix(rows=rows)
-        user_res, res_users, res_deg = _graph_by_loops(rows)
+        user_res, res_edges, res_deg = _graph_by_loops(rows)
         assert F.user_res.tolist() == user_res
-        assert F.res_users.tolist() == res_users
+        assert F.res_edges.tolist() == res_edges
         assert F.res_deg.tolist() == res_deg
         assert F.column_weight == len(user_res[0])
 
     @pytest.mark.parametrize("name", list(GRAPH_INDICATORS))
     def test_arrays_read_only(self, name):
         F = scma.IndicatorMatrix(rows=GRAPH_INDICATORS[name])
-        for arr in (F.rows, F.user_res, F.res_users, F.res_deg):
+        for arr in (F.rows, F.user_res, F.res_edges, F.res_deg):
             assert arr.dtype == np.int64
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0

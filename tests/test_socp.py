@@ -181,6 +181,17 @@ class TestKKT:
             x = np.append(sol.z, sol.eta)
             assert np.min(spec.A @ x - spec.b) > 0.0
 
+    def test_non_finite_newton_direction_is_numerical_failure(self):
+        # At this lam the corrector's direction overflows at iteration 426,
+        # while the iterate is still below MAX_SIZE; using it warned
+        # "invalid value" (an error under pytest's filterwarnings)
+        config = cccp.CCCPConfig(K=1, M=4, seed=1)
+        z = cccp.init_feasible(1, 4, np.random.default_rng(np.random.SeedSequence([1, 0])))
+        spec = dataclasses.replace(cccp.linearize(z, config), lam=1e12)
+        sol = socp.solve(spec)
+        assert sol.status == "numerical_failure"
+        assert max(np.abs(sol.z).max(), abs(sol.eta)) < socp.MAX_SIZE
+
 
 class TestWarmStart:
     def test_warm_from_previous_linearization(self):
