@@ -50,8 +50,8 @@ class IndicatorMatrix(JsonFile):
         if np.any(w != w[0]):
             raise ValueError("all indicator columns must have equal weight")
         # The factor graph, built once. A stable argsort of 1 - F.T lists each
-        # user's resources in increasing order, and one of those resources
-        # lists each resource's edges, users ascending.
+        # user's resources in increasing order, and a stable argsort of the
+        # edges' resources lists each resource's edges, users ascending.
         user_res = np.argsort(1 - F.T, axis=1, kind="stable")[:, : w[0]]
         res_deg = F.sum(axis=1)
         res_edges = np.full((F.shape[0], res_deg.max()), -1)
