@@ -3,10 +3,10 @@ SCMA codebooks, and run BER simulations.
 
 Exit codes: 0 success; 2 validation error (bad input, an input or output
 path that cannot be read or written, or two of a run's files that are
-one file); 3 numerical failure, every ``optimize`` restart failing among
-them. Every output file gets a sibling <name>.manifest.json recording the
-command, resolved configuration, seed, input/output digests and wall
-clock, so runs can be reproduced exactly.
+one file); 3 every ``optimize`` restart failed, its only cause. Every
+output file gets a sibling <name>.manifest.json recording the command,
+resolved configuration, seed, input/output digests and wall clock, so
+runs can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import __version__, cccp, scma, sim
 from . import constellation as cn
@@ -257,9 +255,6 @@ def main(argv=None) -> int:
             _write_outputs(args, writes, extra, t0)
     except RuntimeError as exc:  # cccp.optimize's: every restart failed
         print(f"optimization failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         # JSONDecodeError is a ValueError; FileNotFoundError and an

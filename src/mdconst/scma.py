@@ -245,27 +245,3 @@ def mpa_detect_batch(
     return kernels.mpa_detect_batch(
         y, H, cbs.codebooks, F.res_edges, F.res_deg, F.user_res, n0, iters
     )
-
-
-def joint_ml_marginals(
-    y: np.ndarray, H: np.ndarray, cbs: SCMACodebookSet, n0: float
-) -> np.ndarray:
-    """Exact per-user posteriors by enumerating all M^J transmit tuples.
-
-    Brute-force oracle for MPA; only feasible for tiny systems.
-    """
-    J, N, M = cbs.J, cbs.N, cbs.M
-    w = np.zeros((M,) * J)
-    for tup in np.ndindex(*(M,) * J):
-        s = np.zeros(N, dtype=np.complex128)
-        for j in range(J):
-            s += H[:, j] * cbs.codebooks[j, :, tup[j]]
-        w[tup] = -float(np.sum(np.abs(y - s) ** 2)) / n0
-    w -= np.max(w)
-    p = np.exp(w)
-    post = np.empty((J, M))
-    for j in range(J):
-        axes = tuple(a for a in range(J) if a != j)
-        post[j] = p.sum(axis=axes)
-        post[j] /= post[j].sum()
-    return post

@@ -9,6 +9,13 @@ vector (fast fading / ideal interleaving), and known at the receiver.
 Each SNR point runs on its own RNG substream seeded from (seed, point
 index), so points are independent and the sweep is reproducible.
 
+One Monte Carlo driver, ``_simulate``, runs both simulators. It owns
+every buffer of a call (the draw scratch, two sets of fading gains and
+noise, and the received vectors y) and adds the noise, once per chunk.
+A simulator is only a channel and a detector: ``transmit(tx, h, y)``
+writes the noiseless received vectors of the sent symbols into y, and
+``detect(y, h, n0)`` returns the detected symbols.
+
 A simulation runs in chunks as a two-stage pipeline. The normal draws
 of chunk i + 1 (fading and noise) run on one worker thread, which lives
 for the call, while the calling thread detects chunk i; the sent symbols
@@ -115,37 +122,20 @@ def _draw_complex(rng: np.random.Generator, out: np.ndarray, scale: float,
     return out
 
 
-def _draws(rows, fading, received, rayleigh=True):
-    """The worker's ``draw`` over two sets of buffers for ``rows`` vectors.
-
-    A set holds each vector's fading gains, shape ``fading`` (all ones
-    when not ``rayleigh``), and noise, shape ``received``; one set is
-    drawn while the caller reads the other.
-    """
-    scratch = np.empty(rows * max(math.prod(fading), math.prod(received)))
-    noise = np.empty((2, rows, *received), dtype=np.complex128)
-    h = (np.empty((2, rows, *fading), dtype=np.complex128) if rayleigh
-         else [np.ones((rows, *fading), dtype=np.complex128)] * 2)
-
-    def draw(rng, B, n0, s):
-        if rayleigh:
-            _draw_complex(rng, h[s][:B], 1 / math.sqrt(2), scratch)
-        if n0 == 0.0:
-            return h[s][:B], None
-        return h[s][:B], _draw_complex(rng, noise[s][:B], math.sqrt(n0 / 2), scratch)
-
-    return draw
-
-
-def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, users, trial):
+def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, shapes,
+              transmit, detect, rayleigh=True):
     """Monte Carlo loop shared by the simulators; see the module docstring.
 
-    A chunk of B vectors sends ``rng.integers(0, M, size=(B, *users))``.
-    ``trial(rows)`` makes the call's buffers for chunks of up to ``rows``
-    vectors and returns ``(draw, detect)``. ``draw(rng, B, n0, s)``, run on
-    the worker, makes the chunk's normal draws at noise variance n0 (0 when
-    noise-free) into buffer set s (0 or 1); ``detect(tx, drawn, n0)``
-    returns the detected symbols for the sent ``tx``. Labeling is natural:
+    ``shapes`` is (users, fading, received): a chunk of B vectors sends
+    ``rng.integers(0, M, size=(B, *users))`` over gains h (B, *fading), all
+    ones unless ``rayleigh``, and is received as y (B, *received). This
+    loop allocates every buffer of the call: the normal-draw scratch, two
+    sets of gains and noise (the worker draws one while the caller reads
+    the other) and y. It adds the noise itself, once per chunk. A simulator
+    gives two functions, both run on the calling thread:
+    ``transmit(tx, h, y)`` writes the noiseless received vectors of the
+    sent ``tx`` into y, and ``detect(y, h, n0)`` returns the detected
+    symbols at noise variance n0 (0 when noise-free). Labeling is natural:
     the bit errors of a decision are the popcount of sent XOR detected.
     """
     if max_vectors < 1 or min_bit_errors < 1:
@@ -158,28 +148,45 @@ def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, user
 
     nbits = bits_per_symbol(M)
     pop = _popcount_table(nbits)
-    draw, detect = trial(min(chunk, max_vectors))
+    users, fading, received = shapes
+    rows = min(chunk, max_vectors)
+    scratch = np.empty(rows * max(math.prod(fading), math.prod(received)))
+    noise = np.empty((2, rows, *received), dtype=np.complex128)
+    h = (np.empty((2, rows, *fading), dtype=np.complex128) if rayleigh
+         else [np.ones((rows, *fading), dtype=np.complex128)] * 2)
+    y = np.empty((rows, *received), dtype=np.complex128)
+
+    def draw(rng, B, n0, s):
+        """The worker's normal draws of a B-vector chunk into buffer set s."""
+        if rayleigh:
+            _draw_complex(rng, h[s][:B], 1 / math.sqrt(2), scratch)
+        if n0:
+            _draw_complex(rng, noise[s][:B], math.sqrt(n0 / 2), scratch)
+        return h[s][:B], noise[s][:B]
+
     pts = []
     s = 0  # the buffer set of the latest draw
     with ThreadPoolExecutor(max_workers=1) as worker:
         for pi, ebn0 in enumerate(snr.ebn0_db_list):
             n0 = 0.0 if noise_free else snr.noise_variance(M, ebn0)
             rng = _point_rng(seed, pi)
-            errors = 0
-            bits = 0
-            vectors = 0
-            B = min(chunk, max_vectors)
+            errors = bits = vectors = 0
+            B = rows
             tx = rng.integers(0, M, size=(B, *users))
             ahead = worker.submit(draw, rng, B, n0, s)
             while True:
-                drawn = ahead.result()
+                hb, nb = ahead.result()
                 vectors += B
                 if vectors < max_vectors:  # the next chunk may be needed
                     B = min(chunk, max_vectors - vectors)
                     s ^= 1
                     tx_next = rng.integers(0, M, size=(B, *users))
                     ahead = worker.submit(draw, rng, B, n0, s)
-                errors += int(pop[np.bitwise_xor(tx, detect(tx, drawn, n0))].sum())
+                yb = y[:len(tx)]
+                transmit(tx, hb, yb)
+                if n0:
+                    yb += nb
+                errors += int(pop[np.bitwise_xor(tx, detect(yb, hb, n0))].sum())
                 bits += tx.size * nbits
                 if vectors >= max_vectors or errors >= min_bit_errors:
                     break
@@ -215,27 +222,19 @@ def simulate_p2p(
         )
 
     X = C.points
-    rayleigh = channel == "rayleigh_iid"
 
-    def trial(rows):
-        ybuf = np.empty((rows, K), dtype=np.complex128)
+    def transmit(tx, h, y):
+        # h times the sent points, in place and in that operand order: so
+        # it rounds as the serial h * X[:, tx].T does, where numpy's complex
+        # product into a third array or with the operands swapped rounds
+        # some parts differently
+        np.take(X.T, tx, axis=0, out=y)
+        np.multiply(h, y, out=y)
 
-        def detect(tx, drawn, n0):
-            hb, nb = drawn
-            # h times the sent points, in place and in that operand order:
-            # so it rounds as the serial h * X[:, tx].T does, where numpy's
-            # complex product into a third array or with the operands
-            # swapped rounds some parts differently
-            y = np.take(X.T, tx, axis=0, out=ybuf[:len(tx)])
-            np.multiply(hb, y, out=y)
-            if nb is not None:
-                y += nb
-            return kernels.ml_detect_batch(y, hb, X)
-
-        return _draws(rows, (K,), (K,), rayleigh), detect
-
-    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, P2P_CHUNK, (),
-                     trial)
+    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, P2P_CHUNK,
+                     ((), (K,), (K,)), transmit,
+                     lambda y, h, n0: kernels.ml_detect_batch(y, h, X),
+                     channel == "rayleigh_iid")
 
 
 def simulate_scma_uplink(
@@ -255,15 +254,9 @@ def simulate_scma_uplink(
     J, N, M = cbs.J, cbs.N, cbs.M
     users = np.arange(J)
 
-    def trial(rows):
-        def detect(tx, drawn, n0):
-            Hb, nb = drawn
-            y = np.einsum("bnj,bjn->bn", Hb, cbs.codebooks[users, :, tx])
-            if nb is not None:
-                y += nb
-            return mpa_detect_batch(y, Hb, cbs, max(n0, 1e-9), mpa_iters)[1]
+    def transmit(tx, H, y):
+        np.einsum("bnj,bjn->bn", H, cbs.codebooks[users, :, tx], out=y)
 
-        return _draws(rows, (N, J), (N,)), detect
-
-    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, SCMA_CHUNK, (J,),
-                     trial)
+    return _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, SCMA_CHUNK,
+                     ((J,), (N, J), (N,)), transmit,
+                     lambda y, H, n0: mpa_detect_batch(y, H, cbs, max(n0, 1e-9), mpa_iters)[1])

@@ -73,6 +73,12 @@ WARM_SHIFT = 0.003
 #: (2,4) solve drives eta down past it in ~500 iterations, where it used
 #: to overflow after ~750.
 MAX_SIZE = 1e150
+#: Largest lam ``solve`` takes. Re-posed at lam from 1e6 to 1e24, the first
+#: subproblems of (K, M) = (1,2), (1,4), (2,4), (1,16), (2,8) and (3,4),
+#: seeds 0-2, chain 0, each ended with a status and no numpy warning; from
+#: 1e26 some overflowed a product (lam * dx[n], ds * dy), and from 1e200
+#: all did. ``cccp.LAM_MAX`` is the design bound, far below this.
+MAX_LAM = 1e15
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,8 @@ def solve(spec: SubproblemSpec, trace: bool = False,
 
     The rows must include an element-wise row and a pair row with a
     positive bound; without either the subproblem is not the smooth one
-    this solver handles, and ``ValueError`` is raised. Returns the primal
+    this solver handles, and ``ValueError`` is raised, as it is for a lam
+    that is not at most ``MAX_LAM`` (NaN included). Returns the primal
     point, its row multipliers ``y`` and the residual of the pair.
 
     The dual starts at y = 1 without ``warm``. ``warm`` is the previous
@@ -152,6 +159,8 @@ def solve(spec: SubproblemSpec, trace: bool = False,
     m, n = A.shape[0], A.shape[1] - 1  # z has n entries; x = (z, eta) has n + 1
     if b.shape != (m,) or x0.shape != (n + 1,):
         raise ValueError("spec dimension mismatch: need A (m, n+1), b (m,), start (n+1,)")
+    if not spec.lam <= MAX_LAM:
+        raise ValueError(f"need lam <= {MAX_LAM:g}, got {spec.lam:g}")
     if not np.any(A[:, n] < 0.0):
         raise ValueError("need an element-wise row: without one eta is unbounded")
     if not np.any((A[:, n] == 0.0) & (b > 0.0)):

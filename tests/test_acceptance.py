@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import conftest
+import oracles
 from conftest import oracle_objective, random_constellation, random_tiny_spec
 from mdconst import cccp, qforms, scma, sim, socp
 from mdconst import constellation as cn
@@ -286,7 +287,7 @@ def test_criterion_7_scma_correctness(best24):
         y1 = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         H1 = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
         post, _ = scma.mpa_detect_batch(y1[None], H1[None], cbs1, n0=0.5, iters=1)
-        exact = scma.joint_ml_marginals(y1, H1, cbs1, n0=0.5)
+        exact = oracles.joint_ml_marginals(y1, H1, cbs1, n0=0.5)
         worst_post = max(worst_post, float(np.max(np.abs(post[0] - exact))))
 
     _report("7", n_bad == 0 and of == 1.5 and worst_post <= 1e-8,

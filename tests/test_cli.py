@@ -179,14 +179,6 @@ class TestMetrics:
         assert run(["metrics", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_linalg_error_exit_3(self, base_file, monkeypatch, capsys):
-        def fail(C):
-            raise np.linalg.LinAlgError("singular")
-
-        monkeypatch.setattr(cn, "distance_profile", fail)
-        assert run(["metrics", base_file]) == 3
-        assert capsys.readouterr().err.startswith("numerical failure:")
-
 
 OPTIMIZE_TINY = ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
                  "--max-iters", "5", "--seed", "0"]

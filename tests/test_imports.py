@@ -109,11 +109,10 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(), refs) == []
 
 
-#: Top-level names that only the tests read: the loop and brute-force
-#: oracles and ``qf_matrix``. Item 12 of ROADMAP.md moves them under tests/,
-#: and this set shrinks with each move.
-TEST_ONLY = {"kernels._ml_detect_loops", "kernels._mpa_detect_loops",
-             "scma.joint_ml_marginals", "qforms.qf_matrix"}
+#: Top-level names that only the tests read. The detection oracles live in
+#: tests/oracles.py; ``qf_matrix`` joins them when ``qforms`` moves there
+#: (item 12 of ROADMAP.md), and this set empties.
+TEST_ONLY = {"qforms.qf_matrix"}
 
 
 def runtime_files() -> list[pathlib.Path]:

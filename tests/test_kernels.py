@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from mdconst import kernels, scma
 from mdconst import constellation as cn
 
@@ -68,7 +69,7 @@ def _assert_matches_loops(cbs, y, H, n0, iters):
     F = cbs.indicator
     args = (F.res_edges, F.res_deg, F.user_res)
     pa, ha = kernels.mpa_detect_batch(y, H, cbs.codebooks, *args, n0, iters)
-    pb, hb = kernels._mpa_detect_loops(y, H, cbs.codebooks, *args, n0, iters)
+    pb, hb = oracles.mpa_detect_loops(y, H, cbs.codebooks, *args, n0, iters)
     assert np.all(np.isfinite(pa))
     assert pa == pytest.approx(pb, abs=1e-10)
     assert np.array_equal(ha, hb)
@@ -82,7 +83,7 @@ class TestLoopOracles:
         rng = np.random.default_rng(0)
         y, h, pts = _rand_p2p(rng, B=200)
         assert np.array_equal(
-            kernels.ml_detect_batch(y, h, pts), kernels._ml_detect_loops(y, h, pts)
+            kernels.ml_detect_batch(y, h, pts), oracles.ml_detect_loops(y, h, pts)
         )
 
     def test_mpa_posteriors_close_hard_equal(self):
@@ -201,7 +202,7 @@ class TestMLDetect:
         noise = rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))
         y = h * pts[:, rng.integers(0, M, size=B)].T + math.sqrt(n0 / 2) * noise
         assert np.array_equal(
-            kernels.ml_detect_batch(y, h, pts), kernels._ml_detect_loops(y, h, pts)
+            kernels.ml_detect_batch(y, h, pts), oracles.ml_detect_loops(y, h, pts)
         )
 
     def test_row_blocks_match_whole_product_and_loops(self):
@@ -224,7 +225,7 @@ class TestMLDetect:
         d = F @ W
         got = kernels.ml_detect_batch(y, h, pts)
         assert np.array_equal(got, np.argmin(d, axis=1))
-        assert np.array_equal(got, kernels._ml_detect_loops(y, h, pts))
+        assert np.array_equal(got, oracles.ml_detect_loops(y, h, pts))
         # repeated points and ties between distinct points both occur
         assert np.isin([3, 0], got).all() and not np.isin([40, 63], got).any()
         assert (np.sum(d == d.min(axis=1, keepdims=True), axis=1) > 1).sum() > B // 10
@@ -240,7 +241,7 @@ class TestMLDetect:
         h = rng.integers(-2, 3, (B, K)) + 1j * rng.integers(-2, 3, (B, K))
         y = (rng.integers(-8, 9, (B, K)) + 1j * rng.integers(-8, 9, (B, K))) / 2
         assert np.array_equal(
-            kernels.ml_detect_batch(y, h, pts), kernels._ml_detect_loops(y, h, pts)
+            kernels.ml_detect_batch(y, h, pts), oracles.ml_detect_loops(y, h, pts)
         )
 
     def test_peak_memory_has_no_residual_tensor(self):

@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import oracles
 from mdconst import scma
 from mdconst import constellation as cn
 from mdconst.cccp import CCCPConfig, optimize
@@ -212,7 +213,7 @@ class TestDetection:
             H = rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))
             post, hard = scma.mpa_detect_batch(y[None], H[None], cbs, n0=0.5, iters=1)
             post, hard = post[0], hard[0]
-            exact = scma.joint_ml_marginals(y, H, cbs, n0=0.5)
+            exact = oracles.joint_ml_marginals(y, H, cbs, n0=0.5)
             assert post == pytest.approx(exact, abs=1e-10)
             assert np.array_equal(hard, np.argmax(exact, axis=1))
 
@@ -222,7 +223,7 @@ class TestDetection:
         H = (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))) / np.sqrt(2)
         post, hard = scma.mpa_detect_batch(y[None], H[None], cbs24, n0=1.0, iters=30)
         post, hard = post[0], hard[0]
-        exact = scma.joint_ml_marginals(y, H, cbs24, n0=1.0)
+        exact = oracles.joint_ml_marginals(y, H, cbs24, n0=1.0)
         assert np.array_equal(hard, np.argmax(post, axis=1))
         # loopy but typically accurate; hard decisions should agree here
         assert np.array_equal(hard, np.argmax(exact, axis=1))

@@ -195,8 +195,8 @@ def _golden_run(case, seed):
     C = cn.cartesian_qpsk(2) if "m16" in case else _base24()
     if case.startswith("scma"):
         cbs = scma.build_codebooks(scma.default_indicator(), C)
-        return sim.simulate_scma_uplink(cbs, sim.SNRSpec((4.0, 10.0)), seed,
-                                        min_bit_errors=1_500, max_vectors=4_100)
+        return sim.simulate_scma_uplink(cbs, sim.SNRSpec((4.0, 10.0)), seed, min_bit_errors=1_500,
+                                        max_vectors=300 if "m16" in case else 4_100)
     channel = "awgn" if "awgn" in case else "rayleigh_iid"
     if case.endswith("noise-free"):
         return sim.simulate_p2p(C, channel, sim.SNRSpec((0.0,)), seed,
@@ -208,7 +208,9 @@ def _golden_run(case, seed):
 #: CSV rows of drawing and detecting one chunk after the other, recorded
 #: before the draws moved to a worker thread. The sweeps stop points on
 #: their error count after one chunk, with the next one drawn, and run
-#: partial last chunks; the SCMA sweep runs three chunks at 10 dB.
+#: partial last chunks; the M=4 SCMA sweep runs three chunks at 10 dB. The
+#: M=16 SCMA rows, one partial chunk per point, were recorded later from
+#: the pipelined simulator, itself byte-identical to the serial order.
 GOLDEN = {
     ("p2p-awgn-m4", 0): ("0,3168,40000,7.9200000000e-02,20000,0",
                          "6,224,90000,2.4888888889e-03,45000,0",
@@ -240,6 +242,10 @@ GOLDEN = {
                      "10,592,49200,1.2032520325e-02,4100,0"),
     ("scma-m4", 1000): ("4,2440,24000,1.0166666667e-01,2000,1000",
                         "10,608,49200,1.2357723577e-02,4100,1000"),
+    ("scma-m16", 0): ("4,1654,7200,2.2972222222e-01,300,0",
+                      "10,975,7200,1.3541666667e-01,300,0"),
+    ("scma-m16", 1000): ("4,1711,7200,2.3763888889e-01,300,1000",
+                         "10,899,7200,1.2486111111e-01,300,1000"),
 }
 
 

@@ -192,6 +192,14 @@ class TestKKT:
         assert sol.status == "numerical_failure"
         assert max(np.abs(sol.z).max(), abs(sol.eta)) < socp.MAX_SIZE
 
+    @pytest.mark.parametrize("lam", [1e40, 1e60, 1e100, 1e200, 1e300, math.nan])
+    def test_lam_above_the_solver_bound_rejected(self, lam):
+        # from about 1e26 a solve overflowed a product (lam * dx[n] at 1e60,
+        # ds * dy from 1e200), a RuntimeWarning and so an error here
+        spec = dataclasses.replace(first_subproblem(2, 4, 0), lam=lam)
+        with pytest.raises(ValueError, match="lam <="):
+            socp.solve(spec)
+
 
 class TestWarmStart:
     def test_warm_from_previous_linearization(self):
