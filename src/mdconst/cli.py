@@ -123,7 +123,10 @@ def cmd_optimize(args):
     result = cccp.optimize(cfg)
     best, restarts = result.best, result.all_restarts
     d = best.to_json_dict()
-    d["meta"]["restarts"] = [{k: v for k, v in s.items() if k != "failure"} for s in restarts]
+    # only the manifest keeps each chain's failure and seconds, so that
+    # reruns write the same bytes
+    dropped = ("failure", "chain_s", "solve_s")
+    d["meta"]["restarts"] = [{k: v for k, v in s.items() if k not in dropped} for s in restarts]
     writes = [(args.out, lambda p: write_json_atomic(p, d))]
     if args.trace:
         rows = ["q,energy,objective,eta,step_norm\n"] + [

@@ -1,10 +1,13 @@
-"""Shared test helpers: random inputs and brute-force oracles."""
+"""Shared test helpers: random inputs, brute-force oracles and a check that
+no test leaves a child process behind."""
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
+import pytest
 
 from mdconst import constellation as cn
 from mdconst import qforms, socp
@@ -136,6 +139,14 @@ def oracle_objective(spec: socp.SubproblemSpec, iters: int = 4000) -> float:
         x = x - gtil / (n + 1)
         P = (n * n / (n * n - 1.0)) * (P - (2.0 / (n + 1)) * np.outer(gtil, gtil))
     return best
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -- acceptance reporting ---------------------------------------------------

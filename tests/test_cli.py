@@ -64,6 +64,11 @@ class TestOptimize:
         assert all(r["ipm_iters"] >= r["iterations"] >= 1 for r in restarts)
         rows = json.loads(out.read_text())["meta"]["restarts"]
         assert [r["ipm_iters"] for r in rows] == [r["ipm_iters"] for r in restarts]
+        # seconds, taken in the process that ran the chain, stay out of the
+        # design file so that reruns are byte-identical
+        assert all(0 < r["solve_s"] <= r["chain_s"] for r in restarts)
+        assert all(k in restarts[0] and k not in rows[0]
+                   for k in ("failure", "chain_s", "solve_s"))
 
     def test_determinism_bytes(self, tmp_path):
         argv = lambda o: ["optimize", "--K", "2", "--M", "3", "--restarts", "1",
