@@ -292,11 +292,18 @@ def run_chain(config: CCCPConfig, chain_index: int) -> ChainResult:
                        time.perf_counter() - t0, solve_s)
 
 
+class RestartsFailed(RuntimeError):
+    """Every restart chain ended ``failed``; the message names each one's failure."""
+
+
 def select_best(chains: list[ChainResult]) -> ChainResult:
-    """Lexicographic pick: MED rounded to 3 decimals first, then MPD."""
+    """Lexicographic pick: MED rounded to 3 decimals first, then MPD.
+
+    Raises ``RestartsFailed`` when no chain is left to pick.
+    """
     ok = [ch for ch in chains if ch.status != "failed"]
     if not ok:
-        raise RuntimeError(
+        raise RestartsFailed(
             "all CCCP restarts failed: "
             + "; ".join(f"chain {ch.chain_index}: {ch.failure}" for ch in chains)
         )

@@ -1,9 +1,13 @@
 """Command-line driver: optimize constellations, inspect metrics, build
 SCMA codebooks, and run BER simulations.
 
-Exit codes: 0 success; 2 validation error (bad input, an input or output
-path that cannot be read or written, or two of a run's files that are
-one file); 3 every ``optimize`` restart failed, its only cause. Every
+Exit codes: 0 success; 1 a restart process of ``optimize`` that died or
+sent back an exception that does not pickle (``error: ...``, one line),
+or a bug, any other uncaught exception, which Python reports with its
+traceback; 2 validation error (bad input, an input or output path that
+cannot be read or written, or two of a run's files that are one file);
+3 every ``optimize`` restart failed (``cccp.RestartsFailed``), its only
+cause. Every
 output file gets a sibling <name>.manifest.json recording the command,
 resolved configuration, seed, input/output digests and wall clock, so
 runs can be reproduced exactly.
@@ -25,6 +29,7 @@ from . import constellation as cn
 from .constellation import write_json_atomic, write_text_atomic
 
 EXIT_OK = 0
+EXIT_PROCESS = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 #: Most points an Eb/N0 sweep may ask for; each one is a simulation.
@@ -256,9 +261,12 @@ def main(argv=None) -> int:
         writes, extra, lines = args.func(args)
         if writes:
             _write_outputs(args, writes, extra, t0)
-    except RuntimeError as exc:  # cccp.optimize's: every restart failed
+    except cccp.RestartsFailed as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ChildProcessError as exc:  # an OSError, but no path's or input's fault
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROCESS
     except (ValueError, OSError) as exc:
         # JSONDecodeError is a ValueError; FileNotFoundError and an
         # unwritable output path are OSErrors

@@ -60,14 +60,25 @@ The fallback rebuilds dist for the rows it takes over.
 
 The messages of every edge are kept as (J, K, M, B) arrays fv (function
 to variable) and vf; each function node reads and writes its resource's
-``res_edges`` rows of their (J * K, M, B) views. Rows are independent, so the kernel runs
-them in blocks whose E tensors fit in ``_BLOCK_BYTES``, built, with the
-messages, in buffers that every block of the call reuses.
+``res_edges`` rows of their (J * K, M, B) views. Rows are independent in
+exact arithmetic, so the kernel runs them in blocks whose E tensors fit
+in ``_BLOCK_BYTES``. The call allocates the E, fv and vf buffers once,
+and one loop over the blocks builds each block's function nodes in them,
+runs its iterations and writes its posteriors. The schedule of a block:
+
+  - ``iters`` function-node passes, each writing every fv entry from vf
+    (all zeros before the first pass);
+  - ``iters - 1`` variable updates, one between each two passes: vf from
+    fv, normalized by a log-sum-exp whose exp pass uses fv as its
+    scratch, since the next pass rewrites every fv entry (edge j * K + k
+    belongs to exactly one occupied resource). No update follows the
+    last pass: nothing would read it;
+  - the posteriors, the sum over k of fv normalized over m, built in
+    vf[:, 0] with fv's memory as the scratch: neither is read again.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -146,14 +157,35 @@ def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
     block = _BLOCK_BYTES // (8 * cells)
     # every block builds its E tensors and its messages in these buffers:
     # fresh pages for each block's tensors cost ~15% of the kernel at M=16
-    rows = min(block, B)
-    work = np.empty(rows * cells), np.empty(rows * J * K * M), np.empty(rows * J * K * M)
+    n = min(block, B)
+    E, fv_buf, vf_buf = np.empty(n * cells), np.empty(n * J * K * M), np.empty(n * J * K * M)
     post = np.empty((B, J, M))
     for b in range(0, B, block):
-        rows = slice(b, b + block)
-        post[rows] = _mpa_rows(
-            y[rows], H[rows], cb, res_edges, res_deg, user_res, n0, iters, work
-        )
+        n = min(block, B - b)
+        # the batch last, so every reduction below runs over outer axes
+        fv = fv_buf[:J * K * M * n].reshape(J, K, M, n)
+        vf = vf_buf[:fv.size].reshape(fv.shape)
+        vf[...] = 0.0
+        fv_edges, vf_edges = fv.reshape(-1, M, n), vf.reshape(-1, M, n)
+        # a resource no user occupies sends no message
+        nodes, free = [], E
+        for r in np.flatnonzero(res_deg):
+            edges = res_edges[r, :res_deg[r]]
+            users = edges // K
+            dist = free[:M ** len(users) * n].reshape((M,) * len(users) + (n,))
+            free = free[dist.size:]
+            distance = partial(_distance, y[b:b + n, r], H[b:b + n, r, users], cb[users, r], n0)
+            nodes.append((edges, _FunctionNode(distance(slice(None), dist), distance)))
+        for it in range(iters):
+            if it:  # fv is the scratch: the pass below rewrites all of it
+                np.subtract(fv.sum(axis=1, keepdims=True), fv, out=vf)
+                vf -= _logsumexp(vf, 2, fv_buf)
+            for edges, node in nodes:
+                fv_edges[edges] = node.messages(vf_edges[edges])
+        # vf is not read again: its k = 0 slice holds the posteriors
+        tot = np.sum(fv, axis=1, out=vf[:, 0])  # (J, M, n)
+        tot -= _logsumexp(tot, 1, fv_buf)
+        post[b:b + n] = np.exp(tot, out=tot).transpose(2, 0, 1)
     hard = np.argmax(post, axis=2).astype(np.int64)
     return post, hard
 
@@ -163,58 +195,25 @@ def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
 #: ~1.2x faster than one block at B=200 and ~1.6x at B=2,000; 4 MiB blocks
 #: (32 rows of the default 4x6 graph, 128 KiB each) lost to per-block Python
 #: overhead. At M=4 every chunk the simulator passes fits in one block.
+#: A block of one row can round differently from the same row in a larger
+#: block: with the batch axis of length 1, einsum runs ``_sum_product``'s
+#: contraction over k (``"xkb,kb->xb"``) as its inner loop and adds in
+#: another order (posteriors moved by up to 7.8e-16 at M=16; blocks of two
+#: or more rows kept one block's bits). So SCMA CSV bytes are reproducible
+#: only at a fixed ``_BLOCK_BYTES`` and ``sim.SCMA_CHUNK``.
 _BLOCK_BYTES = 16 << 20
 
 
-def _mpa_rows(y, H, cb, res_edges, res_deg, user_res, n0, iters, work):
-    """Posteriors (B, J, M) of ``mpa_detect_batch`` for one block of rows.
-
-    The buffers ``work`` = (E, fv, vf) are overwritten: E holds at least
-    B * sum_n M**d_n doubles, fv and vf B * J * K * M each.
-    """
-    B, K, M = y.shape[0], user_res.shape[1], cb.shape[2]
-    # the batch last, so every reduction below runs over outer axes; each
-    # fv is written before it is read
-    E, fv, vf = work
-    shape = user_res.shape + (M, B)
-    fv = fv[:math.prod(shape)].reshape(shape)
-    vf = vf[:fv.size].reshape(shape)
-    vf[...] = 0.0
-    fv_edges, vf_edges = fv.reshape(-1, M, B), vf.reshape(-1, M, B)
-
-    # a resource no user occupies sends no message
-    nodes = []
-    for n in np.flatnonzero(res_deg):
-        edges = res_edges[n, :res_deg[n]]
-        users = edges // K
-        size = M ** len(users) * B
-        out = E[:size].reshape((M,) * len(users) + (B,))
-        E = E[size:]
-        distance = partial(_distance, y[:, n], H[:, n, users], cb[users, n], n0)
-        nodes.append((edges, _FunctionNode(distance(slice(None), out), distance)))
-
-    for _ in range(iters):
-        for edges, node in nodes:
-            fv_edges[edges] = node.messages(vf_edges[edges])
-        np.subtract(fv.sum(axis=1, keepdims=True), fv, out=vf)
-        vf -= _logsumexp(vf, axis=2)
-
-    tot = fv.sum(axis=1)  # (J, M, B)
-    tot -= _logsumexp(tot, axis=1)
-    return np.exp(tot, out=tot).transpose(2, 0, 1)
-
-
-def _logsumexp(x, axis):
-    """log sum exp(x) over ``axis``, an axis before the last, one slice at
-    a time: numpy sums over such an axis by adding its slices in order, so
-    this is bitwise that sum, with no temporary the size of x."""
+def _logsumexp(x, axis, buf):
+    """log sum exp(x) over ``axis``, with exp(x - max) written to the flat
+    scratch ``buf`` (at least x.size doubles) laid out with ``axis`` first.
+    So the sum adds whole slices in axis order whatever x's shape: along a
+    contiguous axis, as at one row, ``np.sum`` would pair its adds up."""
     mx = np.max(x, axis=axis, keepdims=True)
-    total = np.zeros(mx.shape)
-    e = np.empty(mx.shape)
-    for k in range(x.shape[axis]):
-        piece = x[(slice(None),) * axis + (slice(k, k + 1),)]
-        total += np.exp(np.subtract(piece, mx, out=e), out=e)
-    return mx + np.log(total)
+    rest = x.shape[:axis] + x.shape[axis + 1:]
+    e = np.moveaxis(buf[:x.size].reshape((x.shape[axis],) + rest), 0, axis)
+    np.exp(np.subtract(x, mx, out=e), out=e)
+    return mx + np.log(e.sum(axis=axis, keepdims=True))
 
 
 #: Smallest normal double; a slice sum below it has lost precision.

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -135,6 +136,67 @@ class TestOptimize:
                   "--seed", "0", "--out", str(tmp_path / "x.json")])
         assert rc == 3
         assert "chain 1: subproblem unbounded" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _die():
+    os._exit(7)
+
+
+def _raise_unpicklable():
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    raise Local("x")
+
+
+class TestBrokenRestarts:
+    """Exit codes of an optimize whose restart chain 1 breaks, on two CPUs
+    whatever the machine has, so that chain 1 runs in a forked child."""
+
+    ARGV = ["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--max-iters", "3",
+            "--seed", "0"]
+
+    @pytest.fixture()
+    def break_chain_1(self, monkeypatch):
+        """Two usable CPUs; break_chain_1(fail) makes chain 1 call fail() first."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real, caller = cccp.run_chain, os.getpid()
+
+        def patch(fail):
+            def run_chain(config, idx):
+                if idx == 1:
+                    assert os.getpid() != caller, "chain 1 ran in the caller"
+                    fail()
+                return real(config, idx)
+
+            monkeypatch.setattr(cccp, "run_chain", run_chain)
+
+        return patch
+
+    @pytest.mark.parametrize("fail, message", [
+        (_die, r"restart process \d+ exited with code 7, sending no chains"),
+        (_raise_unpicklable, r"chain 1 raised .*Local\('x'\)"),
+    ], ids=["dies", "unpicklable"])
+    def test_a_broken_restart_process_exits_1(self, break_chain_1, tmp_path, capsys,
+                                              fail, message):
+        # a ChildProcessError is an OSError, which alone would read as exit 2
+        break_chain_1(fail)
+        assert run(self.ARGV + ["--out", str(tmp_path / "x.json")]) == cli.EXIT_PROCESS == 1
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_chain_that_raises_is_not_exit_3(self, break_chain_1, tmp_path, capsys):
+        # exit 3 means only that every restart failed; a chain's exception is
+        # a bug, which leaves main with its traceback (exit 1)
+        def fail():
+            raise RuntimeError("a bug in chain 1")
+
+        break_chain_1(fail)
+        with pytest.raises(RuntimeError, match="^a bug in chain 1$") as exc:
+            run(self.ARGV + ["--out", str(tmp_path / "x.json")])
+        assert not isinstance(exc.value, cccp.RestartsFailed)
+        assert capsys.readouterr().err == ""
         assert list(tmp_path.iterdir()) == []
 
 

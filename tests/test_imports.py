@@ -18,7 +18,11 @@ Every top-level function and class under src/mdconst must also be read
 outside the tests, somewhere under src/ or mdbench/, except the exact set
 ``TEST_ONLY``, so a new test-only helper cannot join the package unnoticed.
 
-Last, the command line must not import ``qforms``, the tests' oracle.
+Last, the command line must stay light: neither importing it nor a
+design run may import ``qforms`` (the tests' oracle), ``concurrent.futures``
+or ``logging`` (which ``sim`` imports only inside its simulators, ~0.7 MB a
+design-only process never needs) or ``multiprocessing`` (``optimize``'s
+restarts fork without it).
 """
 
 import ast
@@ -183,10 +187,14 @@ def test_no_unread_dataclass_fields(path):
 
 
 def test_cli_does_not_import_qforms():
-    # a fresh interpreter: the tests themselves import qforms
+    # a fresh interpreter: the tests themselves import qforms and the rest
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = "import sys, mdconst.cli; print('mdconst.qforms' in sys.modules)"
+    code = ("import sys, mdconst.cli\n"
+            "from mdconst import cccp\n"
+            "cccp.optimize(cccp.CCCPConfig(K=2, M=4, restarts=2, max_iters=3))\n"
+            "heavy = ('mdconst.qforms', 'concurrent.futures', 'multiprocessing', 'logging')\n"
+            "print([m for m in heavy if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

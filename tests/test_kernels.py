@@ -146,6 +146,19 @@ class TestLoopOracles:
         cbs, y, H = _rand_scma(rng)
         _assert_matches_loops(cbs, y, H, 0.5, 8)
 
+    @pytest.mark.parametrize("shape, axis", [((6, 2, 16, 1), 2), ((6, 2, 16, 5), 2),
+                                             ((6, 16, 1), 1)])
+    def test_logsumexp_adds_slices_in_order(self, shape, axis):
+        # bitwise the slice-by-slice sum, also at one row, where np.sum on a
+        # contiguous 16-long axis would pair its adds up
+        x = np.random.default_rng(2).standard_normal(shape)
+        mx = x.max(axis=axis, keepdims=True)
+        total = np.zeros(mx.shape)
+        for k in range(shape[axis]):
+            total += np.exp(np.take(x, [k], axis=axis) - mx)
+        got = kernels._logsumexp(x, axis, np.empty(x.size + 3))
+        assert np.array_equal(got, mx + np.log(total))
+
     def test_mpa_resource_without_users(self):
         # column weights equal, so the indicator is valid; resource 1 is idle
         rng = np.random.default_rng(9)
