@@ -34,34 +34,22 @@ consecutive linearizations have the same rows in the same order. The warm
 start saves about a sixth of the interior-point iterations: seed-0 Table-1
 takes 5,558 with it and 6,579 with every solve cold.
 
-``optimize`` runs the restarts on W = min(restarts, CPUs the process may
-run on) processes: the caller and W - 1 children made by ``os.fork``,
-chain i on rank i mod W. Chain i draws from SeedSequence([seed, i]) and
-reads nothing of another chain, so no result depends on W, and the chains
-come back in chain order. W is 1 while another Python thread is alive.
-From Python 3.12 ``os.fork`` warns (DeprecationWarning) whenever the
-process has a second OS thread, as it does once OpenBLAS has started its
-pool; ``optimize`` ignores that warning at its fork, because OpenBLAS's
-pthread_atfork handler stops the pool first. A chain records its own
-seconds (``chain_s``, ``solve_s``) in the process that ran it.
+``optimize`` runs chain i as item i of ``fanout.imap``. Chain i draws from
+SeedSequence([seed, i]) and reads no other chain, so no result depends on
+the process count; it records its own seconds (``chain_s``, ``solve_s``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-import pickle
-import signal
-import threading
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import constellation as cn
-from . import socp
+from . import fanout, socp
 
 INIT_MARGIN = 1.05  # start MED, as a multiple of the unit threshold
 #: Largest row matrix, P(K+1) rows of 2KM+1 doubles, a config may ask for; a
@@ -310,88 +298,12 @@ def select_best(chains: list[ChainResult]) -> ChainResult:
     return max(ok, key=lambda ch: (round(ch.med, 3), ch.mpd))
 
 
-def _run_share(config: CCCPConfig, rank: int, workers: int):
-    """Chains rank, rank + workers, ... by ``run_chain``, up to the first
-    that raises: (the chains, None or (that chain's index, its exception))."""
-    chains = []
-    for idx in range(rank, config.restarts, workers):
-        try:
-            chains.append(run_chain(config, idx))
-        except Exception as exc:
-            return chains, (idx, exc)
-    return chains, None
-
-
-def _fork_share(config: CCCPConfig, rank: int, workers: int):
-    """Fork a child that runs share ``rank`` and sends it back as one pickle;
-    returns the child's pid and the pipe's read end."""
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # 3.12+ warns of any second OS thread; here only OpenBLAS's pool,
-            # which its pthread_atfork handler stops (see the module docstring)
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid:
-        os.close(w)
-        return pid, open(r, "rb")
-    code = 1
-    try:  # the child never returns into the caller's stack
-        os.close(r)
-        chains, error = _run_share(config, rank, workers)
-        if error:
-            try:
-                pickle.loads(pickle.dumps(error[1]))
-            except Exception:
-                error = (error[0], ChildProcessError(f"chain {error[0]} raised {error[1]!r}"))
-        with open(w, "wb") as fh:
-            pickle.dump((chains, error), fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def optimize(config: CCCPConfig) -> OptimizeResult:
     """Run every restart, on W processes as the module docstring says, and
-    pick the best design.
-
-    If chains raise, the exception of the lowest such chain is raised, as
-    a serial run would; one that does not pickle arrives as a
-    ``ChildProcessError`` with its repr, as does a child that exits without
-    sending its chains. No child outlives the call: on any exception in the
-    caller, each child still running is killed and reaped.
-    """
-    # no affinity call (macOS, Windows): the caller alone
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(config.restarts, cpus) if threading.active_count() == 1 else 1
-    children = {}  # pid -> read end, of each child not yet reaped
-    try:
-        for rank in range(1, workers):
-            pid, fh = _fork_share(config, rank, workers)
-            children[pid] = fh
-        shares = [_run_share(config, 0, workers)]
-        for pid, fh in list(children.items()):
-            data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            fh.close()
-            if status:
-                raise ChildProcessError(f"restart process {pid} exited with code "
-                                        f"{os.waitstatus_to_exitcode(status)}, sending no chains")
-            shares.append(pickle.loads(data))
-    finally:
-        for pid, fh in children.items():
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    errors = [error for _, error in shares if error]
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    chains = sorted((ch for share, _ in shares for ch in share), key=lambda ch: ch.chain_index)
+    pick the best design; of chains that raise, the lowest one's exception
+    is raised, as a serial run would."""
+    # run_chain is looked up per chain, so a wrapped or patched one is called
+    chains = list(fanout.imap(lambda i: run_chain(config, i), config.restarts))
     best_chain = select_best(chains)
     meta = {
         "lambda": config.lam,

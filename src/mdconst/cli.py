@@ -1,8 +1,8 @@
 """Command-line driver: optimize constellations, inspect metrics, build
 SCMA codebooks, and run BER simulations.
 
-Exit codes: 0 success; 1 a restart process of ``optimize`` that died or
-sent back an exception that does not pickle (``error: ...``, one line),
+Exit codes: 0 success; 1 a ``fanout`` process of ``optimize`` or ``simulate``
+that died or sent back what does not pickle (``error: ...``, one line),
 or a bug, any other uncaught exception, which Python reports with its
 traceback; 2 validation error (bad input, an input or output path that
 cannot be read or written, or two of a run's files that are one file);

@@ -24,9 +24,8 @@ F @ W of the features F = [|h|^2, Re g, Im g] (B, 3K) and the weights
 W = [|X|^2; -2 Re X; 2 Im X] (3K, M); no (B, K, M) residual is built.
 Ties go to the lowest index m, as ``np.argmin`` returns the first
 minimum. The product runs in row blocks of at most ``_ML_CELLS`` // (3K M)
-rows, F and g built per block: OpenBLAS runs a product that small on the
-calling thread, where a simulator chunk's whole product started a second
-BLAS thread that competed with the simulator's draw thread for a core.
+rows, F and g built per block, which OpenBLAS runs on the calling thread
+alone; a chunk's whole product started a second, competing BLAS thread.
 
 MPA function-node update (sum-product in the probability domain,
 Kschischang, Frey & Loeliger 2001). For resource n with users
@@ -61,10 +60,11 @@ The fallback rebuilds dist for the rows it takes over.
 The messages of every edge are kept as (J, K, M, B) arrays fv (function
 to variable) and vf; each function node reads and writes its resource's
 ``res_edges`` rows of their (J * K, M, B) views. Rows are independent in
-exact arithmetic, so the kernel runs them in blocks whose E tensors fit
-in ``_BLOCK_BYTES``. The call allocates the E, fv and vf buffers once,
-and one loop over the blocks builds each block's function nodes in them,
-runs its iterations and writes its posteriors. The schedule of a block:
+exact arithmetic, so the kernel runs them in blocks of two or more rows
+whose E tensors fit in ``_BLOCK_BYTES``. The call allocates the E, fv
+and vf buffers once, and one loop over the blocks builds each block's
+function nodes in them, runs its iterations and writes its posteriors.
+The schedule of a block:
 
   - ``iters`` function-node passes, each writing every fv entry from vf
     (all zeros before the first pass);
@@ -109,22 +109,24 @@ def ml_detect_batch(y, h, points):
     B = y.shape[0]
     # re^2 + im^2, not abs()**2, which rounds: abs(1+1j)**2 is 2.0000000000000004
     W = np.concatenate([X.real**2 + X.imag**2, -2.0 * X.real, 2.0 * X.imag])
-    rows = max(1, _ML_CELLS // (3 * K * M))
+    rows = max(2, _ML_CELLS // (3 * K * M))
     # F and g are filled in place, once per block: stacking F's three
     # parts with np.hstack made the kernel ~1.5x slower at M=4
-    F = np.empty((min(rows, B), 3 * K))
-    g = np.empty((min(rows, B), K), dtype=np.complex128)
+    F = np.empty((max(2, min(rows, B)), 3 * K))
+    g = np.empty((len(F), K), dtype=np.complex128)
     out = np.empty(B, dtype=np.int64)
     for start in range(0, B, rows):
-        yb, hb = y[start:start + rows], h[start:start + rows]
-        n = len(yb)
-        f, gb = F[:n], g[:n]
+        n = min(rows, B - start)
+        # one row runs as two: a one-row product takes a BLAS path that rounds otherwise
+        block = slice(start, start + n) if n > 1 else [start, start]
+        yb, hb = y[block], h[block]
+        f, gb = F[:len(yb)], g[:len(yb)]
         f[:, :K] = hb.real**2 + hb.imag**2
         np.conjugate(yb, out=gb)
         gb *= hb
         f[:, K:2 * K] = gb.real
         f[:, 2 * K:] = gb.imag
-        out[start:start + n] = np.argmin(f @ W, axis=1)
+        out[start:start + n] = np.argmin(f @ W, axis=1)[:n]
     return out
 
 
@@ -138,7 +140,7 @@ def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
     Function nodes run in the probability domain, with the log-domain
     fallback of the module docstring; variable nodes run in the log domain.
     Rows run in blocks of at most ``_BLOCK_BYTES`` of E tensors; raises
-    ``ValueError`` when one row's tensors exceed it.
+    ``ValueError`` when two rows' tensors exceed it.
     """
     y = np.asarray(y, dtype=np.complex128)
     H = np.asarray(H, dtype=np.complex128)
@@ -149,19 +151,22 @@ def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
     K = user_res.shape[1]
     # Python ints: M**d wraps around in int64 (16**16 is 0)
     cells = sum(M ** int(d) for d in res_deg)
-    if 8 * cells > _BLOCK_BYTES:
+    if 16 * cells > _BLOCK_BYTES:
         raise ValueError(
-            f"MPA needs {8 * cells} bytes of tensors per received vector, "
-            f"over the {_BLOCK_BYTES}-byte block; lower M or the resource degrees"
+            f"MPA needs {8 * cells} bytes of tensors per received vector, over half "
+            f"the {_BLOCK_BYTES}-byte block of two rows; lower M or the resource degrees"
         )
     block = _BLOCK_BYTES // (8 * cells)
     # every block builds its E tensors and its messages in these buffers:
     # fresh pages for each block's tensors cost ~15% of the kernel at M=16
-    n = min(block, B)
+    n = max(2, min(block, B))
     E, fv_buf, vf_buf = np.empty(n * cells), np.empty(n * J * K * M), np.empty(n * J * K * M)
     post = np.empty((B, J, M))
     for b in range(0, B, block):
-        n = min(block, B - b)
+        stop = min(b + block, B)
+        # one row runs as two: at one row einsum adds _sum_product's sums otherwise
+        yb, Hb = (y[b:stop], H[b:stop]) if stop - b > 1 else (y[[b, b]], H[[b, b]])
+        n = len(yb)
         # the batch last, so every reduction below runs over outer axes
         fv = fv_buf[:J * K * M * n].reshape(J, K, M, n)
         vf = vf_buf[:fv.size].reshape(fv.shape)
@@ -174,7 +179,7 @@ def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
             users = edges // K
             dist = free[:M ** len(users) * n].reshape((M,) * len(users) + (n,))
             free = free[dist.size:]
-            distance = partial(_distance, y[b:b + n, r], H[b:b + n, r, users], cb[users, r], n0)
+            distance = partial(_distance, yb[:, r], Hb[:, r, users], cb[users, r], n0)
             nodes.append((edges, _FunctionNode(distance(slice(None), dist), distance)))
         for it in range(iters):
             if it:  # fv is the scratch: the pass below rewrites all of it
@@ -185,7 +190,7 @@ def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
         # vf is not read again: its k = 0 slice holds the posteriors
         tot = np.sum(fv, axis=1, out=vf[:, 0])  # (J, M, n)
         tot -= _logsumexp(tot, 1, fv_buf)
-        post[b:b + n] = np.exp(tot, out=tot).transpose(2, 0, 1)
+        post[b:stop] = np.exp(tot, out=tot).transpose(2, 0, 1)[:stop - b]
     hard = np.argmax(post, axis=2).astype(np.int64)
     return post, hard
 
@@ -195,12 +200,6 @@ def mpa_detect_batch(y, H, cb, res_edges, res_deg, user_res, n0, iters):
 #: ~1.2x faster than one block at B=200 and ~1.6x at B=2,000; 4 MiB blocks
 #: (32 rows of the default 4x6 graph, 128 KiB each) lost to per-block Python
 #: overhead. At M=4 every chunk the simulator passes fits in one block.
-#: A block of one row can round differently from the same row in a larger
-#: block: with the batch axis of length 1, einsum runs ``_sum_product``'s
-#: contraction over k (``"xkb,kb->xb"``) as its inner loop and adds in
-#: another order (posteriors moved by up to 7.8e-16 at M=16; blocks of two
-#: or more rows kept one block's bits). So SCMA CSV bytes are reproducible
-#: only at a fixed ``_BLOCK_BYTES`` and ``sim.SCMA_CHUNK``.
 _BLOCK_BYTES = 16 << 20
 
 

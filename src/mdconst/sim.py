@@ -6,42 +6,36 @@ is n0 = 1 / (log2(M) * 10^(EbN0_dB/10)). Fading is unit-variance circular
 complex Gaussian, drawn independently per dimension and per transmitted
 vector (fast fading / ideal interleaving), and known at the receiver.
 
-Each SNR point runs on its own RNG substream seeded from (seed, point
-index), so points are independent and the sweep is reproducible.
+Each SNR point p runs in chunks, and chunk c draws its sent symbols, then
+its fading, then its noise from its own RNG substream, SeedSequence([seed,
+p, c]) (L'Ecuyer et al. 2017, "Random numbers for parallel computers").
+A point's counts are those of chunks 0..c*, c* the first chunk at which
+the bit errors reach ``min_bit_errors`` or the vectors ``max_vectors``, so
+every count is a function of (seed, point, chunk size) alone.
 
-One Monte Carlo driver, ``_simulate``, runs both simulators. It owns
-every buffer of a call (the draw scratch, two sets of fading gains and
-noise, and the received vectors y) and adds the noise, once per chunk.
-A simulator is only a channel and a detector: ``transmit(tx, h, y)``
-writes the noiseless received vectors of the sent symbols into y, and
-``detect(y, h, n0)`` returns the detected symbols.
-
-A simulation runs in chunks as a two-stage pipeline. The normal draws
-of chunk i + 1 (fading and noise) run on one worker thread, which lives
-for the call, while the calling thread detects chunk i; the sent symbols
-are drawn, and y built, on the calling thread. Every RNG call is made in
-the order of drawing and detecting one chunk after the other, so every
-draw, decision and CSV byte is that order's. A point that stops on its
-error count has drawn at most one chunk past its stop (~2.5 ms at K=2),
-which changes no result. The detection kernels, which ``mdbench``'s
-tracer wraps, run on the calling thread only, and
-``kernels.ml_detect_batch`` runs its product in row blocks that OpenBLAS
-keeps on that thread, so no BLAS thread competes with the two stages.
+One Monte Carlo driver, ``_simulate``, runs both simulators and owns every
+buffer of a call. A simulator gives ``transmit(tx, h, y)``, which writes
+the noiseless received vectors of the sent symbols into y, and
+``detect(y, h, n0)``. The chunks of a point are the items of one
+``fanout.imap``, each process drawing into its own copy of the buffers,
+and the caller stops the others once c* is known; a traced run
+(``mdbench``) sees only the caller's chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import fanout, kernels
 from .constellation import Constellation, average_power, write_text_atomic
 from .scma import SCMACodebookSet, mpa_detect_batch
 
-#: Vectors simulated per RNG draw; fixed so seeds determine draw order.
+#: Vectors per chunk, each chunk on its own substream: CSV bytes depend on it.
 P2P_CHUNK = 20_000
 #: MPA builds a real (M**d_f, rows) tensor per resource, in row blocks of at
 #: most 16 MiB (``kernels._BLOCK_BYTES``), so its memory no longer grows with
@@ -102,20 +96,10 @@ class BERCurve:
         write_text_atomic(path, self.to_csv())
 
 
-def _point_rng(seed: int, point_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, point_index]))
-
-
 def _draw_complex(rng: np.random.Generator, out: np.ndarray, scale: float,
                   scratch: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with scale * (a + 1j * b), a then b drawn as standard normals.
-
-    a and b take the values of ``rng.standard_normal(out.shape)`` and of one
-    more such call, each drawn into ``scratch`` (at least ``out.size``
-    doubles). Each part is one exact product, so ``out`` is bitwise
-    scale * (a + 1j * b), which is (a + 1j * b) / d for scale = 1 / d: numpy
-    divides by a real scalar as a product with its reciprocal.
-    """
+    """Fill ``out`` with scale * (a + 1j * b), a then b drawn as standard
+    normals of ``out``'s shape into ``scratch`` (at least ``out.size`` doubles)."""
     draw = scratch[:out.size].reshape(out.shape)
     for part in (out.real, out.imag):
         np.multiply(rng.standard_normal(out=draw), scale, out=part)
@@ -128,77 +112,55 @@ def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, shap
 
     ``shapes`` is (users, fading, received): a chunk of B vectors sends
     ``rng.integers(0, M, size=(B, *users))`` over gains h (B, *fading), all
-    ones unless ``rayleigh``, and is received as y (B, *received). This
-    loop allocates every buffer of the call: the normal-draw scratch, two
-    sets of gains and noise (the worker draws one while the caller reads
-    the other) and y. It adds the noise itself, once per chunk. A simulator
-    gives two functions, both run on the calling thread:
-    ``transmit(tx, h, y)`` writes the noiseless received vectors of the
-    sent ``tx`` into y, and ``detect(y, h, n0)`` returns the detected
-    symbols at noise variance n0 (0 when noise-free). Labeling is natural:
-    the bit errors of a decision are the popcount of sent XOR detected.
+    ones unless ``rayleigh``, and is received as y (B, *received).
+    ``detect`` gets n0 = 0 when noise-free. Labeling is natural: the bit
+    errors of a decision are the popcount of sent XOR detected.
     """
     if max_vectors < 1 or min_bit_errors < 1:
         raise ValueError("max_vectors and min_bit_errors must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    # imported here: concurrent.futures brings in logging, ~0.7 MB that a
-    # process which only designs never needs
-    from concurrent.futures import ThreadPoolExecutor
-
     nbits = bits_per_symbol(M)
     pop = _popcount_table(nbits)
     users, fading, received = shapes
     rows = min(chunk, max_vectors)
     scratch = np.empty(rows * max(math.prod(fading), math.prod(received)))
-    noise = np.empty((2, rows, *received), dtype=np.complex128)
-    h = (np.empty((2, rows, *fading), dtype=np.complex128) if rayleigh
-         else [np.ones((rows, *fading), dtype=np.complex128)] * 2)
+    noise = np.empty((rows, *received), dtype=np.complex128)
+    h = (np.empty if rayleigh else np.ones)((rows, *fading), dtype=np.complex128)
     y = np.empty((rows, *received), dtype=np.complex128)
 
-    def draw(rng, B, n0, s):
-        """The worker's normal draws of a B-vector chunk into buffer set s."""
+    def bit_errors(point, n0, c):
+        """The bit errors of chunk c of the point, drawn and detected."""
+        rng = np.random.default_rng(np.random.SeedSequence([seed, point, c]))
+        B = min(chunk, max_vectors - c * chunk)
+        tx = rng.integers(0, M, size=(B, *users))
         if rayleigh:
-            _draw_complex(rng, h[s][:B], 1 / math.sqrt(2), scratch)
+            _draw_complex(rng, h[:B], 1 / math.sqrt(2), scratch)
+        transmit(tx, h[:B], y[:B])
         if n0:
-            _draw_complex(rng, noise[s][:B], math.sqrt(n0 / 2), scratch)
-        return h[s][:B], noise[s][:B]
+            y[:B] += _draw_complex(rng, noise[:B], math.sqrt(n0 / 2), scratch)
+        return int(pop[np.bitwise_xor(tx, detect(y[:B], h[:B], n0))].sum())
 
     pts = []
-    s = 0  # the buffer set of the latest draw
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for pi, ebn0 in enumerate(snr.ebn0_db_list):
-            n0 = 0.0 if noise_free else snr.noise_variance(M, ebn0)
-            rng = _point_rng(seed, pi)
-            errors = bits = vectors = 0
-            B = rows
-            tx = rng.integers(0, M, size=(B, *users))
-            ahead = worker.submit(draw, rng, B, n0, s)
-            while True:
-                hb, nb = ahead.result()
-                vectors += B
-                if vectors < max_vectors:  # the next chunk may be needed
-                    B = min(chunk, max_vectors - vectors)
-                    s ^= 1
-                    tx_next = rng.integers(0, M, size=(B, *users))
-                    ahead = worker.submit(draw, rng, B, n0, s)
-                yb = y[:len(tx)]
-                transmit(tx, hb, yb)
-                if n0:
-                    yb += nb
-                errors += int(pop[np.bitwise_xor(tx, detect(yb, hb, n0))].sum())
-                bits += tx.size * nbits
-                if vectors >= max_vectors or errors >= min_bit_errors:
-                    break
-                tx = tx_next
-            pts.append({
-                "ebn0_db": ebn0,
-                "errors": errors,
-                "bits": bits,
-                "ber": errors / bits,
-                "vectors": vectors,
-                "seed": seed,
-            })
+    for pi, ebn0 in enumerate(snr.ebn0_db_list):
+        n0 = 0.0 if noise_free else snr.noise_variance(M, ebn0)
+        errors = vectors = 0
+        chunks = fanout.imap(functools.partial(bit_errors, pi, n0), -(-max_vectors // chunk))
+        for e in chunks:
+            errors += e
+            vectors = min(vectors + chunk, max_vectors)
+            if errors >= min_bit_errors:
+                chunks.close()  # stops the point's other processes
+                break
+        bits = vectors * math.prod(users) * nbits
+        pts.append({
+            "ebn0_db": ebn0,
+            "errors": errors,
+            "bits": bits,
+            "ber": errors / bits,
+            "vectors": vectors,
+            "seed": seed,
+        })
     return BERCurve(points=pts)
 
 

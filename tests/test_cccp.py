@@ -421,7 +421,7 @@ class TestRestartProcesses:
             raise Local(f"chain {idx}")
 
         self.failing_chain(monkeypatch, {1}, fail)
-        with pytest.raises(ChildProcessError, match=r"chain 1 raised .*Local\('chain 1'\)"):
+        with pytest.raises(ChildProcessError, match=r"item 1 raised .*Local\('chain 1'\)"):
             cccp.optimize(small_config(restarts=2, max_iters=3))
 
     def test_a_child_that_dies_is_reported(self, forks, monkeypatch):

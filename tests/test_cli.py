@@ -175,8 +175,8 @@ class TestBrokenRestarts:
         return patch
 
     @pytest.mark.parametrize("fail, message", [
-        (_die, r"restart process \d+ exited with code 7, sending no chains"),
-        (_raise_unpicklable, r"chain 1 raised .*Local\('x'\)"),
+        (_die, r"fan-out process \d+ exited with code 7 before sending item 1"),
+        (_raise_unpicklable, r"item 1 raised .*Local\('x'\), which does not pickle"),
     ], ids=["dies", "unpicklable"])
     def test_a_broken_restart_process_exits_1(self, break_chain_1, tmp_path, capsys,
                                               fail, message):

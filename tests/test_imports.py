@@ -19,10 +19,10 @@ outside the tests, somewhere under src/ or mdbench/, except the exact set
 ``TEST_ONLY``, so a new test-only helper cannot join the package unnoticed.
 
 Last, the command line must stay light: neither importing it nor a
-design run may import ``qforms`` (the tests' oracle), ``concurrent.futures``
-or ``logging`` (which ``sim`` imports only inside its simulators, ~0.7 MB a
-design-only process never needs) or ``multiprocessing`` (``optimize``'s
-restarts fork without it).
+design run nor a simulation may import ``qforms`` (the tests' oracle),
+``concurrent.futures`` or ``logging`` (~0.7 MB together) or
+``multiprocessing`` (``fanout`` forks without it), and none of them may
+leave a thread running.
 """
 
 import ast
@@ -190,11 +190,15 @@ def test_cli_does_not_import_qforms():
     # a fresh interpreter: the tests themselves import qforms and the rest
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = ("import sys, mdconst.cli\n"
-            "from mdconst import cccp\n"
-            "cccp.optimize(cccp.CCCPConfig(K=2, M=4, restarts=2, max_iters=3))\n"
+    code = ("import sys, threading, mdconst.cli\n"
+            "from mdconst import cccp, scma, sim\n"
+            "C = cccp.optimize(cccp.CCCPConfig(K=2, M=4, restarts=2, max_iters=3)).best\n"
+            "snr = sim.SNRSpec((10.0,))\n"
+            "sim.simulate_p2p(C, 'rayleigh_iid', snr, 0, max_vectors=40_000)\n"
+            "cbs = scma.build_codebooks(scma.default_indicator(), C)\n"
+            "sim.simulate_scma_uplink(cbs, snr, 0, max_vectors=4_000)\n"
             "heavy = ('mdconst.qforms', 'concurrent.futures', 'multiprocessing', 'logging')\n"
-            "print([m for m in heavy if m in sys.modules])")
+            "print([m for m in heavy if m in sys.modules], threading.active_count())")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 1"

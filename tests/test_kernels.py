@@ -378,6 +378,46 @@ class TestMPAMemory:
             )
 
 
+class TestBlockSizes:
+    """A row's posteriors and ML decisions are bitwise the same in row blocks
+    of 1 to N rows, the kernels' own blocks or one call per block: a one-row
+    block runs as two copies of its row."""
+
+    N = 7
+
+    @pytest.mark.parametrize("name", ["c24", "qpsk2"])
+    def test_mpa_posteriors(self, name, monkeypatch):
+        base = _ml_constellation(name)
+        n0 = 1.0 / (math.log2(base.M) * 10.0)  # 10 dB
+        cbs, y, H, _ = _sent_scma(np.random.default_rng(21), base, B=self.N, n0=n0)
+        F = cbs.indicator
+        args = (cbs.codebooks, F.res_edges, F.res_deg, F.user_res, n0, 4)
+        post, hard = kernels.mpa_detect_batch(y, H, *args)
+        for i in range(self.N):
+            p1, h1 = kernels.mpa_detect_batch(y[i:i + 1], H[i:i + 1], *args)
+            assert np.array_equal(p1[0], post[i]) and np.array_equal(h1[0], hard[i])
+        cells = sum(cbs.M ** int(d) for d in F.res_deg)
+        for rows in range(2, self.N):
+            monkeypatch.setattr(kernels, "_BLOCK_BYTES", rows * 8 * cells)
+            p2, h2 = kernels.mpa_detect_batch(y, H, *args)
+            assert np.array_equal(p2, post) and np.array_equal(h2, hard)
+
+    def test_ml_decisions(self, monkeypatch):
+        # each y sits halfway between two points, so the decision turns on
+        # the last bits of the distances
+        rng = np.random.default_rng(22)
+        K, M, B = 2, 16, 400
+        pts = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
+        h = (rng.standard_normal((B, K)) + 1j * rng.standard_normal((B, K))) / math.sqrt(2)
+        y = h * (pts[:, rng.integers(0, M, B)] + pts[:, rng.integers(0, M, B)]).T / 2
+        want = kernels.ml_detect_batch(y, h, pts)
+        got = [kernels.ml_detect_batch(y[i:i + 1], h[i:i + 1], pts)[0] for i in range(B)]
+        assert np.array_equal(got, want)
+        for rows in range(2, self.N + 1):  # 400 rows leave one in blocks of 3 and 7
+            monkeypatch.setattr(kernels, "_ML_CELLS", rows * 3 * K * M)
+            assert np.array_equal(kernels.ml_detect_batch(y, h, pts), want)
+
+
 class TestDispatch:
     def test_public_wrappers_run(self):
         rng = np.random.default_rng(3)

@@ -1,14 +1,13 @@
 import math
 import os
 import pathlib
-import subprocess
-import sys
-import threading
+import time
 
 import numpy as np
 import pytest
 
-from mdconst import cli, kernels, scma, sim
+import oracles
+from mdconst import cli, fanout, kernels, scma, sim
 from mdconst import constellation as cn
 
 
@@ -123,7 +122,7 @@ class TestP2P:
     def test_rayleigh_fading_statistics(self, qpsk2):
         # per-dimension fading must be independent: correlation of |h_k|^2
         # across dimensions should vanish; mean power 1 per coefficient
-        rng = sim._point_rng(0, 0)
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 0]))
         n = 100_000
         h = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2)
         g = np.abs(h) ** 2
@@ -205,30 +204,31 @@ def _golden_run(case, seed):
                             min_bit_errors=400, max_vectors=45_000)
 
 
-#: CSV rows of drawing and detecting one chunk after the other, recorded
-#: before the draws moved to a worker thread. The sweeps stop points on
-#: their error count after one chunk, with the next one drawn, and run
-#: partial last chunks; the M=4 SCMA sweep runs three chunks at 10 dB. The
-#: M=16 SCMA rows, one partial chunk per point, were recorded later from
-#: the pipelined simulator, itself byte-identical to the serial order.
+#: CSV rows of the chunk streams: chunk c of point p draws from
+#: SeedSequence([seed, p, c]), and a point counts chunks 0..c*. The sweeps
+#: stop points on their error count partway through their chunks and run
+#: partial last chunks; the M=4 SCMA sweep runs three chunks at 10 dB and
+#: the M=16 one a partial chunk per point. Rows of points that stop after
+#: their first chunk are those of the earlier per-point streams, since
+#: SeedSequence([seed, p, 0]) and SeedSequence([seed, p]) pool the same words.
 GOLDEN = {
     ("p2p-awgn-m4", 0): ("0,3168,40000,7.9200000000e-02,20000,0",
-                         "6,224,90000,2.4888888889e-03,45000,0",
+                         "6,232,90000,2.5777777778e-03,45000,0",
                          "12,0,90000,0.0000000000e+00,45000,0"),
     ("p2p-awgn-m4", 1000): ("0,3186,40000,7.9650000000e-02,20000,1000",
-                            "6,218,90000,2.4222222222e-03,45000,1000",
+                            "6,231,90000,2.5666666667e-03,45000,1000",
                             "12,0,90000,0.0000000000e+00,45000,1000"),
     ("p2p-rayleigh-m4", 0): ("0,4668,40000,1.1670000000e-01,20000,0",
                              "6,932,40000,2.3300000000e-02,20000,0",
-                             "12,241,90000,2.6777777778e-03,45000,0"),
+                             "12,227,90000,2.5222222222e-03,45000,0"),
     ("p2p-rayleigh-m4", 1000): ("0,4617,40000,1.1542500000e-01,20000,1000",
                                 "6,943,40000,2.3575000000e-02,20000,1000",
-                                "12,191,90000,2.1222222222e-03,45000,1000"),
+                                "12,175,90000,1.9444444444e-03,45000,1000"),
     ("p2p-awgn-m16", 0): ("0,6235,80000,7.7937500000e-02,20000,0",
-                          "6,440,180000,2.4444444444e-03,45000,0",
+                          "6,431,180000,2.3944444444e-03,45000,0",
                           "12,0,180000,0.0000000000e+00,45000,0"),
     ("p2p-awgn-m16", 1000): ("0,6248,80000,7.8100000000e-02,20000,1000",
-                             "6,408,180000,2.2666666667e-03,45000,1000",
+                             "6,416,160000,2.6000000000e-03,40000,1000",
                              "12,0,180000,0.0000000000e+00,45000,1000"),
     ("p2p-rayleigh-m16", 0): ("0,11848,80000,1.4810000000e-01,20000,0",
                               "6,4179,80000,5.2237500000e-02,20000,0",
@@ -239,9 +239,9 @@ GOLDEN = {
     ("p2p-rayleigh-m16-noise-free", 0): ("0,0,100000,0.0000000000e+00,25000,0",),
     ("p2p-rayleigh-m16-noise-free", 1000): ("0,0,100000,0.0000000000e+00,25000,1000",),
     ("scma-m4", 0): ("4,2500,24000,1.0416666667e-01,2000,0",
-                     "10,592,49200,1.2032520325e-02,4100,0"),
+                     "10,562,49200,1.1422764228e-02,4100,0"),
     ("scma-m4", 1000): ("4,2440,24000,1.0166666667e-01,2000,1000",
-                        "10,608,49200,1.2357723577e-02,4100,1000"),
+                        "10,595,49200,1.2093495935e-02,4100,1000"),
     ("scma-m16", 0): ("4,1654,7200,2.2972222222e-01,300,0",
                       "10,975,7200,1.3541666667e-01,300,0"),
     ("scma-m16", 1000): ("4,1711,7200,2.3763888889e-01,300,1000",
@@ -251,87 +251,186 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case, seed", GOLDEN, ids=[f"{c}-seed{s}" for c, s in GOLDEN])
 def test_csv_bytes_of_the_serial_draw_order(case, seed):
-    # any change to the draws, their order or the detectors' inputs moves
-    # some of these counts
+    # the chunk streams' rows, whichever process ran a chunk: any change to
+    # the draws, their order or the detectors' inputs moves some of these counts
     want = "ebn0_db,errors,bits,ber,vectors,seed\n" + "".join(
         row + "\n" for row in GOLDEN[case, seed])
     assert _golden_run(case, seed).to_csv() == want
 
 
-class TestDrawAhead:
-    """The draw worker lives for one call and takes no failure with it."""
+@pytest.fixture()
+def cpus(monkeypatch):
+    """cpus(W) reports W usable CPUs; the list of the caller's os.fork calls."""
+    real_fork, forks = os.fork, []
 
-    @pytest.fixture()
-    def threads(self):
-        before = threading.active_count()
-        yield
-        assert threading.active_count() == before
+    def counted():
+        forks.append(os.getpid())
+        return real_fork()
 
-    def test_detection_error_reaches_caller(self, monkeypatch, threads):
-        calls = []
-        ml = kernels.ml_detect_batch
+    monkeypatch.setattr(os, "fork", counted)
 
-        def failing(*args):
-            calls.append(threading.current_thread())
-            if len(calls) == 3:
-                raise FloatingPointError("third chunk")
+    def set_cpus(W):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(W)))
+        return forks
+
+    return set_cpus
+
+
+@pytest.mark.parametrize("W", [1, 2, 3])
+def test_csv_bytes_do_not_depend_on_the_process_count(cpus, W):
+    # the sweeps stop points on their error count partway through their
+    # chunks, after chunk 0 (p2p-rayleigh-m4, scma-m4) and after chunk 1
+    # (p2p-awgn-m16 at 6 dB), and end points on a partial chunk
+    forks = cpus(W)
+    for case, seed in (("p2p-rayleigh-m4", 0), ("p2p-awgn-m16", 1000), ("scma-m4", 0)):
+        want = "".join(row + "\n" for row in GOLDEN[case, seed])
+        assert _golden_run(case, seed).to_csv().split("\n", 1)[1] == want
+    assert bool(forks) == (W > 1)
+
+
+def test_golden_p2p_points_within_analytic_bounds():
+    # an independent check of the chunk streams: each simulated point with
+    # >= 200 bit errors lies between the lower and union bounds on the ML
+    # BER, widened by 4 standard errors; a vector's bit errors come together,
+    # so the variance over bits is at most log2(M) times the binomial one
+    z, checked = 4.0, set()
+    for (case, seed), rows in GOLDEN.items():
+        if not case.startswith("p2p") or case.endswith("noise-free"):
+            continue
+        C = cn.cartesian_qpsk(2) if "m16" in case else _base24()
+        nbits = sim.bits_per_symbol(C.M)
+        channel = "awgn" if "awgn" in case else "rayleigh_iid"
+        for row in rows:
+            ebn0, errors, bits = (float(v) for v in row.split(",")[:3])
+            if errors < 200:
+                continue
+            lower, union = oracles.p2p_ber_bounds(
+                C.points, sim.SNRSpec((ebn0,)).noise_variance(C.M, ebn0), channel)
+            ber = errors / bits
+            half = z * math.sqrt(nbits * ber / bits)
+            assert lower - half <= ber <= union + half, (case, seed, row, lower, union)
+            checked.add((channel, C.M))
+    assert checked == {(ch, M) for ch in ("awgn", "rayleigh_iid") for M in (4, 16)}
+
+
+def test_analytic_bounds_oracle():
+    # K=1 QPSK over AWGN: the exact BER Q(sqrt(2 Eb/N0)) lies between the
+    # bounds; the stored (2,4) design over Rayleigh fading at 10 dB
+    ebn0 = 10 ** 0.4
+    lower, union = oracles.p2p_ber_bounds(cn.cartesian_qpsk(1).points, 1 / (2 * ebn0), "awgn")
+    assert lower < 0.5 * math.erfc(math.sqrt(ebn0)) < union
+    C = cn.Constellation.load(str(pathlib.Path(__file__).parents[1] / "mdbench" / "fixtures"
+                                  / "c24_seed0.json"))
+    bounds = oracles.p2p_ber_bounds(C.points, 1 / (2 * 10.0), "rayleigh_iid")
+    assert bounds == pytest.approx((1.985e-3, 7.941e-3), rel=1e-3)
+
+
+class TestFanOut:
+    """simulate's chunks on two CPUs whatever the machine has: chunk c runs
+    on rank c mod 2, a failure in either process reaches the caller, and no
+    child outlives its point."""
+
+    @staticmethod
+    def failing_detection(monkeypatch, fail):
+        """Patch the ML kernel to call fail(rank, n) before its n-th call in a
+        process, rank 0 the caller: chunk 2(n - 1) + rank at W = 2."""
+        ml, caller, calls = kernels.ml_detect_batch, os.getpid(), []
+
+        def detect(*args):
+            calls.append(os.getpid())
+            fail(int(os.getpid() != caller), calls.count(os.getpid()))
             return ml(*args)
 
-        monkeypatch.setattr(kernels, "ml_detect_batch", failing)
-        with pytest.raises(FloatingPointError, match="third chunk"):
-            sim.simulate_p2p(_base24(), "rayleigh_iid", sim.SNRSpec((0.0,)), seed=0,
-                             min_bit_errors=10**9, max_vectors=100_000)
-        assert calls == [threading.main_thread()] * 3
+        monkeypatch.setattr(kernels, "ml_detect_batch", detect)
 
-    def test_draw_error_reaches_caller(self, monkeypatch, threads):
-        class FailingRNG:
-            """Draws as the point's generator does until its 6th normal fill."""
+    @staticmethod
+    def run(max_vectors=100_000, min_bit_errors=10**9):
+        return sim.simulate_p2p(_base24(), "rayleigh_iid", sim.SNRSpec((0.0,)), seed=0,
+                                min_bit_errors=min_bit_errors, max_vectors=max_vectors)
 
-            def __init__(self, rng):
-                self.rng, self.fills = rng, 0
+    def test_detection_error_reaches_caller(self, cpus, monkeypatch):
+        def fail(rank, n):
+            if (rank, n) == (1, 2):
+                raise FloatingPointError(f"chunk 3 in process {os.getpid()}")
 
-            def integers(self, *args, **kwargs):
-                return self.rng.integers(*args, **kwargs)
+        forks = cpus(2)
+        self.failing_detection(monkeypatch, fail)
+        with pytest.raises(FloatingPointError, match=r"chunk 3 in process \d+") as exc:
+            self.run()
+        assert forks and str(os.getpid()) not in str(exc.value)  # raised in the child
 
-            def standard_normal(self, out):
-                self.fills += 1
-                if self.fills == 6:
-                    raise MemoryError("sixth fill")
-                return self.rng.standard_normal(out=out)
+    @pytest.mark.parametrize("bad, first", [({(1, 2), (0, 3)}, 3), ({(0, 2), (1, 2)}, 2)])
+    def test_the_lowest_raising_chunk_wins(self, cpus, monkeypatch, bad, first):
+        # chunks 3 and 4, then chunks 2 and 3: the serial run's exception,
+        # whichever process raised first
+        def fail(rank, n):
+            if (rank, n) in bad:
+                raise ValueError(f"chunk {2 * (n - 1) + rank}")
 
-        point_rng = sim._point_rng
-        monkeypatch.setattr(sim, "_point_rng", lambda seed, i: FailingRNG(point_rng(seed, i)))
-        with pytest.raises(MemoryError, match="sixth fill"):
-            sim.simulate_p2p(_base24(), "rayleigh_iid", sim.SNRSpec((0.0,)), seed=0,
-                             min_bit_errors=10**9, max_vectors=100_000)
+        cpus(2)
+        self.failing_detection(monkeypatch, fail)
+        with pytest.raises(ValueError, match=f"^chunk {first}$"):
+            self.run()
 
-    def test_import_starts_no_thread(self):
-        env = dict(os.environ)
-        src = str(pathlib.Path(__file__).parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import threading, mdconst.sim; print(threading.active_count())"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == "1"
+    def test_a_child_that_dies_is_reported(self, cpus, monkeypatch):
+        def die(rank, n):
+            if rank:
+                os._exit(7)
 
-    def test_cli_failure_keeps_exit_code(self, monkeypatch, tmp_path, capsys, threads):
-        # the second chunk's detection fails while the third is drawn
-        calls = []
-        ml = kernels.ml_detect_batch
+        cpus(2)
+        self.failing_detection(monkeypatch, die)
+        with pytest.raises(ChildProcessError, match="exited with code 7 before sending item 1"):
+            self.run()
 
-        def failing(*args):
-            calls.append(1)
-            if len(calls) == 2:
-                raise ValueError("second chunk")
-            return ml(*args)
+    def test_a_stopped_point_kills_its_children(self, cpus, monkeypatch):
+        # the caller's chunk 0 reaches the error count; the child, stalled on
+        # chunk 1 for a minute, is killed and reaped at once
+        def stall(rank, n):
+            if rank:
+                time.sleep(60)
 
+        forks = cpus(2)
+        self.failing_detection(monkeypatch, stall)
+        t0 = time.perf_counter()
+        point = self.run(min_bit_errors=1).points[0]
+        assert forks and time.perf_counter() - t0 < 30
+        assert point["vectors"] == sim.P2P_CHUNK and point["errors"] > 0
+
+    def test_a_result_that_does_not_pickle_arrives_as_its_repr(self, cpus):
+        cpus(2)
+        with pytest.raises(ChildProcessError, match=r"item 1 returned <function .*pickle"):
+            list(fanout.imap(lambda i: lambda: i, 2))
+
+    def test_the_caller_runs_its_items_while_a_child_works(self, cpus, tmp_path):
+        # the child's item 1 waits for what the caller's item 4 writes: a
+        # caller that waited on item 1 before running item 4 would time out
+        flag = tmp_path / "item4"
+
+        def item(i):
+            if i == 4:
+                flag.touch()
+            deadline = time.monotonic() + 20
+            while i == 1 and not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            return i, flag.exists()
+
+        cpus(2)
+        assert list(fanout.imap(item, 6))[1] == (1, True)
+
+    def test_cli_failure_keeps_exit_code(self, cpus, monkeypatch, tmp_path, capsys):
+        # a ValueError in the child's chunk is an input error: exit 2, no output
+        def fail(rank, n):
+            if rank:
+                raise ValueError("chunk 1")
+
+        cpus(2)
+        self.failing_detection(monkeypatch, fail)
         base = tmp_path / "base.json"
         _base24().save(str(base))
         out = tmp_path / "ber.csv"
-        monkeypatch.setattr(kernels, "ml_detect_batch", failing)
         rc = cli.main(["simulate", "--constellation", str(base), "--ebn0", "0",
                        "--seed", "0", "--min-errors", "1000000000",
                        "--max-vectors", "100000", "--out", str(out)])
         assert rc == 2
-        assert "second chunk" in capsys.readouterr().err
+        assert "chunk 1" in capsys.readouterr().err
         assert not out.exists()
