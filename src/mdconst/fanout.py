@@ -45,7 +45,11 @@ def imap(fn, items: int):
                 ok, value = done.pop(i)
             else:
                 pid, r = children[rank]
-                while ahead < items and not select.select([r], [], [], 0)[0]:
+                # poll, not select, which rejects an fd above 1023; a pipe
+                # whose child exited reports POLLHUP, and then EOF below
+                waiting = select.poll()
+                waiting.register(r, select.POLLIN)
+                while ahead < items and not waiting.poll(0):
                     ahead = _run(fn, ahead, workers, done)
                 try:
                     ok, value = pickle.loads(_read(r, int.from_bytes(_read(r, 8), "little")))

@@ -205,12 +205,11 @@ _BLOCK_BYTES = 16 << 20
 
 def _logsumexp(x, axis, buf):
     """log sum exp(x) over ``axis``, with exp(x - max) written to the flat
-    scratch ``buf`` (at least x.size doubles) laid out with ``axis`` first.
-    So the sum adds whole slices in axis order whatever x's shape: along a
-    contiguous axis, as at one row, ``np.sum`` would pair its adds up."""
+    scratch ``buf`` (at least x.size doubles). The kernel's x has two or
+    more rows on its last, contiguous axis, so the sum adds whole slices in
+    axis order; along a contiguous axis ``np.sum`` would pair its adds up."""
     mx = np.max(x, axis=axis, keepdims=True)
-    rest = x.shape[:axis] + x.shape[axis + 1:]
-    e = np.moveaxis(buf[:x.size].reshape((x.shape[axis],) + rest), 0, axis)
+    e = buf[:x.size].reshape(x.shape)
     np.exp(np.subtract(x, mx, out=e), out=e)
     return mx + np.log(e.sum(axis=axis, keepdims=True))
 

@@ -7,8 +7,13 @@ complex Gaussian, drawn independently per dimension and per transmitted
 vector (fast fading / ideal interleaving), and known at the receiver.
 
 Each SNR point p runs in chunks, and chunk c draws its sent symbols, then
-its fading, then its noise from its own RNG substream, SeedSequence([seed,
-p, c]) (L'Ecuyer et al. 2017, "Random numbers for parallel computers").
+its fading, then its noise from its own RNG substream, SeedSequence(seed,
+spawn_key=(p, c)) (L'Ecuyer et al. 2017, "Random numbers for parallel
+computers"). numpy mixes a spawn key in after the seed's zero-padded
+entropy pool, so no chunk shares its stream with a CCCP restart chain,
+which draws from SeedSequence([seed, i]). Each complex Gaussian buffer is
+filled through its float64 view: a coefficient's real and imaginary parts
+are two consecutive draws.
 A point's counts are those of chunks 0..c*, c* the first chunk at which
 the bit errors reach ``min_bit_errors`` or the vectors ``max_vectors``, so
 every count is a function of (seed, point, chunk size) alone.
@@ -96,13 +101,11 @@ class BERCurve:
         write_text_atomic(path, self.to_csv())
 
 
-def _draw_complex(rng: np.random.Generator, out: np.ndarray, scale: float,
-                  scratch: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with scale * (a + 1j * b), a then b drawn as standard
-    normals of ``out``'s shape into ``scratch`` (at least ``out.size`` doubles)."""
-    draw = scratch[:out.size].reshape(out.shape)
-    for part in (out.real, out.imag):
-        np.multiply(rng.standard_normal(out=draw), scale, out=part)
+def _draw_complex(rng: np.random.Generator, out: np.ndarray, scale: float) -> np.ndarray:
+    """Fill the contiguous ``out`` with scale * (a + 1j * b), each a and b
+    two consecutive standard normals, drawn in place through its float64 view."""
+    parts = rng.standard_normal(out=out.view(np.float64))
+    parts *= scale
     return out
 
 
@@ -124,21 +127,20 @@ def _simulate(snr, M, seed, min_bit_errors, max_vectors, noise_free, chunk, shap
     pop = _popcount_table(nbits)
     users, fading, received = shapes
     rows = min(chunk, max_vectors)
-    scratch = np.empty(rows * max(math.prod(fading), math.prod(received)))
     noise = np.empty((rows, *received), dtype=np.complex128)
     h = (np.empty if rayleigh else np.ones)((rows, *fading), dtype=np.complex128)
     y = np.empty((rows, *received), dtype=np.complex128)
 
     def bit_errors(point, n0, c):
         """The bit errors of chunk c of the point, drawn and detected."""
-        rng = np.random.default_rng(np.random.SeedSequence([seed, point, c]))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(point, c)))
         B = min(chunk, max_vectors - c * chunk)
         tx = rng.integers(0, M, size=(B, *users))
         if rayleigh:
-            _draw_complex(rng, h[:B], 1 / math.sqrt(2), scratch)
+            _draw_complex(rng, h[:B], 1 / math.sqrt(2))
         transmit(tx, h[:B], y[:B])
         if n0:
-            y[:B] += _draw_complex(rng, noise[:B], math.sqrt(n0 / 2), scratch)
+            y[:B] += _draw_complex(rng, noise[:B], math.sqrt(n0 / 2))
         return int(pop[np.bitwise_xor(tx, detect(y[:B], h[:B], n0))].sum())
 
     pts = []

@@ -211,6 +211,28 @@ class TestMetrics:
         assert rep["metrics"]["med"] == pytest.approx(1.0)
         assert rep["metrics"]["average_power"] == pytest.approx(1.0)
 
+    def test_non_unit_power_reports_both(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        cn.Constellation(points=2.0 * cn.cartesian_qpsk(2).points).save(str(path))
+        jout = tmp_path / "m.json"
+        assert run(["metrics", str(path), "--json", str(jout)]) == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("warning: average power is 4.000000, not 1")
+        assert "average_power [raw]: 4.000000" in out
+        assert "average_power [normalized]: 1.000000" in out
+        rep = json.loads(jout.read_text())
+        assert sorted(rep) == ["normalized", "raw"]
+        assert rep["normalized"]["med"] == pytest.approx(rep["raw"]["med"] / 2)
+
+    def test_top_level_not_an_object_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        out = tmp_path / "m.json"
+        assert run(["metrics", str(bad), "--json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "expected a JSON object, got list" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exit_2(self):
         assert run(["metrics", "/nonexistent/c.json"]) == 2
 
@@ -467,6 +489,23 @@ class TestSCMABuild:
         man = json.loads((tmp_path / "cb.json.manifest.json").read_text())
         assert str(ops_file) in man["inputs"]
 
+    @pytest.mark.parametrize("phases, message", [
+        ([0.0, 1.0], "phases must be"),
+        ([[0.0, 1.0, 2.0]] * 6, "operator set shape"),
+    ])
+    def test_operators_of_wrong_shape_exit_2(self, base_file, tmp_path, capsys,
+                                             phases, message):
+        # one dimension; then (J, 3) phases for the 4x6 graph's K = 2
+        ops = tmp_path / "ops.json"
+        ops.write_text(json.dumps({"phases": phases}))
+        out = tmp_path / "cb.json"
+        rc = run(["scma-build", "--base", base_file, "--operators", str(ops),
+                  "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_indicator_without_users_exit_2(self, base_file, tmp_path, capsys):
         ind = tmp_path / "ind.json"
         ind.write_text(json.dumps({"N": 2, "J": 0, "rows": [[], []]}))
@@ -542,6 +581,10 @@ class TestSimulate:
         ["--ebn0=3100"],
         # n0 above 1e300, where the detectors' squared distances overflow
         ["--ebn0=-3001"],
+        # a sweep of two fields, or whose step is not positive
+        ["--ebn0", "0:5"],
+        ["--ebn0", "0:0:5"],
+        ["--ebn0", "5:-1:0"],
     ])
     def test_degenerate_inputs_exit_2(self, base_file, tmp_path, capsys, extra):
         # each ran to a traceback or wrote an empty or meaningless CSV
@@ -584,6 +627,16 @@ class TestSimulate:
                       "--out", str(out)])
         assert rc == 0
         assert out.read_text().splitlines()[1].startswith("-3000,")
+
+    def test_codebook_over_awgn_exit_2(self, codebook_file, tmp_path, capsys):
+        # the channel defaults to awgn, which the SCMA uplink does not model
+        out = tmp_path / "scma.csv"
+        rc = run(["simulate", "--codebook", codebook_file, "--ebn0", "0",
+                  "--seed", "2", "--max-vectors", "100", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "rayleigh_iid only" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_null_indicator_entry_exit_2(self, codebook_file, tmp_path, capsys):
         with open(codebook_file) as fh:

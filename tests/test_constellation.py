@@ -72,6 +72,13 @@ class TestMetrics:
         with pytest.raises(ValueError, match="degenerate"):
             cn.mpd(C)
 
+    def test_empty_or_all_zero_rejected(self):
+        # no dimensions; and no power to scale to 1
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            cn.Constellation(points=np.empty((0, 4)))
+        with pytest.raises(ValueError, match="all-zero"):
+            cn.normalize(cn.Constellation(points=np.zeros((2, 4))))
+
     def test_partial_dimension_product(self):
         # vectors equal in dim 0, gap 2 in dim 1: product over admissible dims
         pts = np.array([[1.0, 1.0], [1.0, 3.0]], dtype=complex)

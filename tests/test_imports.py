@@ -18,6 +18,10 @@ Every top-level function and class under src/mdconst must also be read
 outside the tests, somewhere under src/ or mdbench/, except the exact set
 ``TEST_ONLY``, so a new test-only helper cannot join the package unnoticed.
 
+Every file under src/ and tests/ must also parse as the oldest Python
+that ``pyproject.toml`` declares, so that syntax newer than it fails here
+too, on whichever Python the suite runs.
+
 Last, the command line must stay light: neither importing it nor a
 design run nor a simulation may import ``qforms`` (the tests' oracle),
 ``concurrent.futures`` or ``logging`` (~0.7 MB together) or
@@ -29,6 +33,7 @@ import ast
 import functools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -202,3 +207,25 @@ def test_cli_does_not_import_qforms():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[] 1"
+
+
+def python_floor() -> tuple[int, int]:
+    """(major, minor) of ``requires-python = ">=X.Y"`` in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_floor_parse_rejects_newer_syntax():
+    # except* came in 3.11
+    assert python_floor() >= (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+SOURCES = [p for d in ("src", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=python_floor())

@@ -146,11 +146,12 @@ class TestLoopOracles:
         cbs, y, H = _rand_scma(rng)
         _assert_matches_loops(cbs, y, H, 0.5, 8)
 
-    @pytest.mark.parametrize("shape, axis", [((6, 2, 16, 1), 2), ((6, 2, 16, 5), 2),
-                                             ((6, 16, 1), 1)])
+    @pytest.mark.parametrize("shape, axis", [((6, 2, 16, 2), 2), ((6, 2, 16, 5), 2),
+                                             ((6, 16, 2), 1)])
     def test_logsumexp_adds_slices_in_order(self, shape, axis):
-        # bitwise the slice-by-slice sum, also at one row, where np.sum on a
-        # contiguous 16-long axis would pair its adds up
+        # bitwise the slice-by-slice sum at the kernel's two rows and more;
+        # it runs a one-row block as two rows, since np.sum on a contiguous
+        # 16-long axis would pair its adds up
         x = np.random.default_rng(2).standard_normal(shape)
         mx = x.max(axis=axis, keepdims=True)
         total = np.zeros(mx.shape)

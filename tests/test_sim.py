@@ -1,13 +1,14 @@
 import math
 import os
 import pathlib
+import resource
 import time
 
 import numpy as np
 import pytest
 
 import oracles
-from mdconst import cli, fanout, kernels, scma, sim
+from mdconst import cccp, cli, fanout, kernels, scma, sim
 from mdconst import constellation as cn
 
 
@@ -119,16 +120,38 @@ class TestP2P:
             sim.simulate_p2p(C, "awgn", sim.SNRSpec((0.0,)), seed=0,
                              max_vectors=100, noise_free=True)
 
-    def test_rayleigh_fading_statistics(self, qpsk2):
-        # per-dimension fading must be independent: correlation of |h_k|^2
-        # across dimensions should vanish; mean power 1 per coefficient
-        rng = np.random.default_rng(np.random.SeedSequence([0, 0, 0]))
+    def test_rayleigh_fading_statistics(self):
+        # the fading of chunk 0 of point 0, drawn as the simulator draws it:
+        # mean power 1 per coefficient, and no correlation between the
+        # dimensions' powers or between a coefficient's consecutively drawn
+        # real and imaginary parts
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0, 0)))
         n = 100_000
-        h = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2)
+        h = sim._draw_complex(rng, np.empty((n, 2), dtype=complex), 1 / np.sqrt(2))
         g = np.abs(h) ** 2
         assert g.mean() == pytest.approx(1.0, abs=0.02)
-        corr = np.corrcoef(g[:, 0], g[:, 1])[0, 1]
-        assert abs(corr) < 0.01
+        assert abs(np.corrcoef(g[:, 0], g[:, 1])[0, 1]) < 0.01
+        assert abs(np.corrcoef(h.real.ravel(), h.imag.ravel())[0, 1]) < 0.01
+
+    def test_no_chunk_replays_a_restart_chain(self, cpus, monkeypatch):
+        # a design and a simulation at one seed draw from distinct streams;
+        # numpy pads a short entropy list with zero words, so a chunk stream
+        # SeedSequence([seed, p, 0]) would be restart chain p's SeedSequence([seed, p])
+        cpus(1)
+        states, default_rng = [], np.random.default_rng
+
+        def recording(seq=None):
+            if isinstance(seq, np.random.SeedSequence):
+                states.append(tuple(seq.generate_state(4)))
+            return default_rng(seq)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        cccp.optimize(cccp.CCCPConfig(K=2, M=4, restarts=3, max_iters=2, seed=5))
+        assert len(states) == 3
+        sim.simulate_p2p(_base24(), "awgn", sim.SNRSpec((0.0, 3.0, 6.0)), seed=5,
+                         min_bit_errors=10**9, max_vectors=2 * sim.P2P_CHUNK + 1)
+        assert len(states) == 3 + 3 * 3
+        assert len(set(states)) == len(states)
 
 
 @pytest.fixture(scope="module")
@@ -205,47 +228,46 @@ def _golden_run(case, seed):
 
 
 #: CSV rows of the chunk streams: chunk c of point p draws from
-#: SeedSequence([seed, p, c]), and a point counts chunks 0..c*. The sweeps
-#: stop points on their error count partway through their chunks and run
-#: partial last chunks; the M=4 SCMA sweep runs three chunks at 10 dB and
-#: the M=16 one a partial chunk per point. Rows of points that stop after
-#: their first chunk are those of the earlier per-point streams, since
-#: SeedSequence([seed, p, 0]) and SeedSequence([seed, p]) pool the same words.
+#: SeedSequence(seed, spawn_key=(p, c)), each complex Gaussian as consecutive
+#: (real, imaginary) pairs, and a point counts chunks 0..c*. The sweeps stop
+#: points on their error count partway through their chunks and run partial
+#: last chunks; the M=4 SCMA sweep runs three chunks at 10 dB and the M=16
+#: one a partial chunk per point.
 GOLDEN = {
-    ("p2p-awgn-m4", 0): ("0,3168,40000,7.9200000000e-02,20000,0",
-                         "6,232,90000,2.5777777778e-03,45000,0",
+    ("p2p-awgn-m4", 0): ("0,3135,40000,7.8375000000e-02,20000,0",
+                         "6,194,90000,2.1555555556e-03,45000,0",
                          "12,0,90000,0.0000000000e+00,45000,0"),
-    ("p2p-awgn-m4", 1000): ("0,3186,40000,7.9650000000e-02,20000,1000",
-                            "6,231,90000,2.5666666667e-03,45000,1000",
+    ("p2p-awgn-m4", 1000): ("0,3138,40000,7.8450000000e-02,20000,1000",
+                            "6,225,90000,2.5000000000e-03,45000,1000",
                             "12,0,90000,0.0000000000e+00,45000,1000"),
-    ("p2p-rayleigh-m4", 0): ("0,4668,40000,1.1670000000e-01,20000,0",
-                             "6,932,40000,2.3300000000e-02,20000,0",
-                             "12,227,90000,2.5222222222e-03,45000,0"),
-    ("p2p-rayleigh-m4", 1000): ("0,4617,40000,1.1542500000e-01,20000,1000",
-                                "6,943,40000,2.3575000000e-02,20000,1000",
-                                "12,175,90000,1.9444444444e-03,45000,1000"),
-    ("p2p-awgn-m16", 0): ("0,6235,80000,7.7937500000e-02,20000,0",
-                          "6,431,180000,2.3944444444e-03,45000,0",
+    ("p2p-rayleigh-m4", 0): ("0,4643,40000,1.1607500000e-01,20000,0",
+                             "6,979,40000,2.4475000000e-02,20000,0",
+                             "12,219,90000,2.4333333333e-03,45000,0"),
+    ("p2p-rayleigh-m4", 1000): ("0,4771,40000,1.1927500000e-01,20000,1000",
+                                "6,978,40000,2.4450000000e-02,20000,1000",
+                                "12,235,90000,2.6111111111e-03,45000,1000"),
+    ("p2p-awgn-m16", 0): ("0,6380,80000,7.9750000000e-02,20000,0",
+                          "6,407,160000,2.5437500000e-03,40000,0",
                           "12,0,180000,0.0000000000e+00,45000,0"),
-    ("p2p-awgn-m16", 1000): ("0,6248,80000,7.8100000000e-02,20000,1000",
-                             "6,416,160000,2.6000000000e-03,40000,1000",
+    ("p2p-awgn-m16", 1000): ("0,6317,80000,7.8962500000e-02,20000,1000",
+                             "6,405,160000,2.5312500000e-03,40000,1000",
                              "12,0,180000,0.0000000000e+00,45000,1000"),
-    ("p2p-rayleigh-m16", 0): ("0,11848,80000,1.4810000000e-01,20000,0",
-                              "6,4179,80000,5.2237500000e-02,20000,0",
-                              "12,1234,80000,1.5425000000e-02,20000,0"),
-    ("p2p-rayleigh-m16", 1000): ("0,11729,80000,1.4661250000e-01,20000,1000",
-                                 "6,4179,80000,5.2237500000e-02,20000,1000",
-                                 "12,1165,80000,1.4562500000e-02,20000,1000"),
+    ("p2p-rayleigh-m16", 0): ("0,11692,80000,1.4615000000e-01,20000,0",
+                              "6,4233,80000,5.2912500000e-02,20000,0",
+                              "12,1202,80000,1.5025000000e-02,20000,0"),
+    ("p2p-rayleigh-m16", 1000): ("0,11736,80000,1.4670000000e-01,20000,1000",
+                                 "6,4187,80000,5.2337500000e-02,20000,1000",
+                                 "12,1242,80000,1.5525000000e-02,20000,1000"),
     ("p2p-rayleigh-m16-noise-free", 0): ("0,0,100000,0.0000000000e+00,25000,0",),
     ("p2p-rayleigh-m16-noise-free", 1000): ("0,0,100000,0.0000000000e+00,25000,1000",),
-    ("scma-m4", 0): ("4,2500,24000,1.0416666667e-01,2000,0",
-                     "10,562,49200,1.1422764228e-02,4100,0"),
-    ("scma-m4", 1000): ("4,2440,24000,1.0166666667e-01,2000,1000",
-                        "10,595,49200,1.2093495935e-02,4100,1000"),
-    ("scma-m16", 0): ("4,1654,7200,2.2972222222e-01,300,0",
-                      "10,975,7200,1.3541666667e-01,300,0"),
-    ("scma-m16", 1000): ("4,1711,7200,2.3763888889e-01,300,1000",
-                         "10,899,7200,1.2486111111e-01,300,1000"),
+    ("scma-m4", 0): ("4,2473,24000,1.0304166667e-01,2000,0",
+                     "10,668,49200,1.3577235772e-02,4100,0"),
+    ("scma-m4", 1000): ("4,2402,24000,1.0008333333e-01,2000,1000",
+                        "10,606,49200,1.2317073171e-02,4100,1000"),
+    ("scma-m16", 0): ("4,1629,7200,2.2625000000e-01,300,0",
+                      "10,917,7200,1.2736111111e-01,300,0"),
+    ("scma-m16", 1000): ("4,1677,7200,2.3291666667e-01,300,1000",
+                         "10,878,7200,1.2194444444e-01,300,1000"),
 }
 
 
@@ -416,6 +438,33 @@ class TestFanOut:
 
         cpus(2)
         assert list(fanout.imap(item, 6))[1] == (1, True)
+
+    @pytest.mark.parametrize("die", [False, True])
+    def test_pipes_past_fd_1023(self, cpus, die):
+        # select.select rejects an fd above 1023 with a ValueError, which the
+        # CLI would take for bad input; a child that exits first is reported
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+            pytest.skip("needs about 1,200 open files")
+
+        def item(i):
+            if die and i % 2:
+                os._exit(7)
+            return i * i
+
+        fds = []
+        try:
+            while len(fds) < 1100:
+                fds.append(os.open(os.devnull, os.O_RDONLY))
+            assert fds[-1] > 1023
+            cpus(2)
+            if die:
+                with pytest.raises(ChildProcessError, match="code 7 before sending item 1"):
+                    list(fanout.imap(item, 5))
+            else:
+                assert list(fanout.imap(item, 5)) == [0, 1, 4, 9, 16]
+        finally:
+            for fd in fds:
+                os.close(fd)
 
     def test_cli_failure_keeps_exit_code(self, cpus, monkeypatch, tmp_path, capsys):
         # a ValueError in the child's chunk is an input error: exit 2, no output
