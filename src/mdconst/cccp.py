@@ -34,9 +34,10 @@ consecutive linearizations have the same rows in the same order. The warm
 start saves about a sixth of the interior-point iterations: seed-0 Table-1
 takes 5,558 with it and 6,579 with every solve cold.
 
-``optimize`` runs chain i as item i of ``fanout.imap``. Chain i draws from
-SeedSequence([seed, i]) and reads no other chain, so no result depends on
-the process count; it records its own seconds (``chain_s``, ``solve_s``).
+``optimize`` runs chain i as item i of ``fanout.imap``, in whichever
+process claims it first. Chain i draws from SeedSequence([seed, i]) and
+reads no other chain, so no result depends on the process count or on the
+process that ran it; it records its own seconds (``chain_s``, ``solve_s``).
 """
 
 from __future__ import annotations

@@ -1,24 +1,23 @@
 """Indexed work items on every CPU the process may use, by forked processes.
 
-``imap(fn, items)`` yields fn(0), ..., fn(items - 1) in item order. The
-items run on W = min(items, CPUs the process may run on) processes, the
-caller and W - 1 children made by ``os.fork``, item i on rank i mod W; W
-is 1 while another Python thread is alive, whose locks a fork would copy.
-Each process runs its items in order, up to the first that raises, so
-the caller raises the lowest raising item's exception, as a serial run
-would. A child sends each outcome back over its pipe as a length-prefixed
-pickle, which waits there until the caller takes it (a child more than a
-pipe buffer, 64 KiB on Linux, ahead blocks). The caller runs its next item
-when its turn comes and while a child's result it needs has not arrived.
-A result or exception that does not pickle arrives as a
-``ChildProcessError`` with its repr, as does a child that exits before
-sending its items. On any exception, and when the caller closes the
-generator early, every child still running is killed and reaped.
+``imap(fn, items)`` yields fn(0), ..., fn(items - 1) in item order. The items
+run on W = min(items, CPUs the process may run on) processes, the caller and
+W - 1 children made by ``os.fork``; W is 1 while another Python thread is
+alive, whose locks a fork would copy. The caller runs item 0; a free process
+claims the next item with one 8-byte read from a pipe of the indices 1, 2, ...,
+which the caller writes in atomic PIPE_BUF pieces as it waits. A child
+sends each (index, outcome) back over its own pipe. While the item to yield
+next is missing, the caller reads any ready child pipe, or else runs a claim
+itself. Claims go in increasing order, so each item below a raising one has an
+owner that finishes it, and the caller raises the lowest raising item's
+exception, as a serial run would. A result or exception that does not pickle
+is a ``ChildProcessError`` with its repr, as is a child that exits, naming the
+item the caller waited for. On any exception, and when the caller closes the
+generator early, every child is killed and reaped.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import select
@@ -31,52 +30,68 @@ def imap(fn, items: int):
     """Yield fn(i) for i in range(items), in order; see the module docstring."""
     # no affinity call (macOS, Windows): the caller alone
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(items, cpus) if threading.active_count() == 1 else 1
-    children = {}  # rank -> (pid, read end) of each child not yet reaped
-    done, ahead = {}, 0  # the caller's outcomes not yet taken, its next item
+    if min(items, cpus) < 2 or threading.active_count() > 1:
+        yield from map(fn, range(items))
+        return
+    unsent = memoryview(b"".join(i.to_bytes(8, "little") for i in range(1, items)))
+    children, ready = {}, select.poll()  # read end -> pid of each child not yet reaped
+    claims = os.pipe2(os.O_NONBLOCK)  # no process ever blocks on it
     try:
-        for rank in range(1, workers):
-            children[rank] = _fork(fn, items, rank, workers)
+        unsent = _top_up(claims[1], unsent)
+        for _ in range(1, min(items, cpus)):
+            r, children[r] = _fork(fn, claims)
+            ready.register(r, select.POLLIN)  # not select, which rejects an fd > 1023
+        done = {0: _run(fn, 0)}  # outcomes not yet yielded
         for i in range(items):
-            rank = i % workers
-            if not rank:
-                if i == ahead:
-                    ahead = _run(fn, i, workers, done)
-                ok, value = done.pop(i)
-            else:
-                pid, r = children[rank]
-                # poll, not select, which rejects an fd above 1023; a pipe
-                # whose child exited reports POLLHUP, and then EOF below
-                waiting = select.poll()
-                waiting.register(r, select.POLLIN)
-                while ahead < items and not waiting.poll(0):
-                    ahead = _run(fn, ahead, workers, done)
-                try:
-                    ok, value = pickle.loads(_read(r, int.from_bytes(_read(r, 8), "little")))
-                except EOFError:
-                    del children[rank]
-                    os.close(r)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    raise ChildProcessError(f"fan-out process {pid} exited with code {code} "
-                                            f"before sending item {i}") from None
+            while i not in done:
+                unsent = _top_up(claims[1], unsent)
+                if not (events := ready.poll(0)):
+                    if (j := _claim(claims[0])) is not None:
+                        done[j] = _run(fn, j)
+                        continue
+                    events = ready.poll()
+                for r, _ in events:  # a child that exits reports POLLHUP, then EOF
+                    try:
+                        j, done[j] = pickle.loads(_read(r, int.from_bytes(_read(r, 8), "little")))
+                    except EOFError:
+                        os.close(r)
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid := children.pop(r), 0)[1])
+                        raise ChildProcessError(f"fan-out process {pid} exited with code {code} "
+                                                f"before sending item {i}") from None
+            ok, value = done.pop(i)
             if not ok:
                 raise value
             yield value
     finally:
-        for pid, r in children.values():
-            os.close(r)
+        for fd in (*claims, *children):
+            os.close(fd)
+        for pid in children.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _run(fn, i: int, step: int, done: dict):
-    """Put (True, fn(i)) or (False, its exception) in ``done``; the next item or inf."""
+def _run(fn, i: int):
+    """(True, fn(i)), or (False, its exception)."""
     try:
-        done[i] = (True, fn(i))
-        return i + step
+        return True, fn(i)
     except Exception as exc:
-        done[i] = (False, exc)
-        return math.inf
+        return False, exc
+
+
+def _top_up(fd: int, unsent: memoryview) -> memoryview:
+    """Write the next PIPE_BUF of ``unsent`` to ``fd`` if it fits; what is left."""
+    try:
+        return unsent[os.write(fd, unsent[:select.PIPE_BUF]):]
+    except BlockingIOError:
+        return unsent
+
+
+def _claim(fd: int):
+    """The next index in the claims pipe ``fd``, None if it is empty; EOFError at its end."""
+    try:
+        return int.from_bytes(_read(fd, 8), "little")
+    except BlockingIOError:
+        return None
 
 
 def _read(fd: int, n: int) -> bytes:
@@ -90,9 +105,8 @@ def _read(fd: int, n: int) -> bytes:
     return data
 
 
-def _fork(fn, items: int, rank: int, workers: int):
-    """Fork a child that runs items rank, rank + workers, ... as the module
-    docstring says; returns the child's pid and the pipe's read end."""
+def _fork(fn, claims: tuple):
+    """Fork a child that runs the items it claims; its pipe's read end and pid."""
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -106,26 +120,26 @@ def _fork(fn, items: int, rank: int, workers: int):
         raise
     if pid:
         os.close(w)
-        return pid, r
-    code = 1
-    try:  # the child never returns into the caller's stack
+        return r, pid
+    try:  # the child never returns into the caller's stack; it ends at the claims' end
         os.close(r)
+        os.close(claims[1])  # the caller's close then ends the claims
+        idle = select.poll()
+        idle.register(claims[0], select.POLLIN)
         with open(w, "wb") as fh:
-            i, done = rank, {}
-            while i < items:
-                j, i = i, _run(fn, i, workers, done)
-                ok, value = out = done.pop(j)
+            while idle.poll():  # until a claim is in, or the claims end
+                if (i := _claim(claims[0])) is None:
+                    continue  # another process took it
+                ok, value = out = _run(fn, i)
                 try:
-                    data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+                    data = pickle.dumps((i, out), pickle.HIGHEST_PROTOCOL)
                     if not ok:  # an exception may not rebuild from its args
                         pickle.loads(data)
                 except Exception:
                     what = "returned" if ok else "raised"
-                    data = pickle.dumps((False, ChildProcessError(
-                        f"item {j} {what} {value!r}, which does not pickle")))
-                    i = items
+                    data = pickle.dumps((i, (False, ChildProcessError(
+                        f"item {i} {what} {value!r}, which does not pickle"))))
                 fh.write(len(data).to_bytes(8, "little") + data)
                 fh.flush()
-        code = 0
     finally:
-        os._exit(code)
+        os._exit(1)

@@ -22,9 +22,9 @@ One Monte Carlo driver, ``_simulate``, runs both simulators and owns every
 buffer of a call. A simulator gives ``transmit(tx, h, y)``, which writes
 the noiseless received vectors of the sent symbols into y, and
 ``detect(y, h, n0)``. The chunks of a point are the items of one
-``fanout.imap``, each process drawing into its own copy of the buffers,
-and the caller stops the others once c* is known; a traced run
-(``mdbench``) sees only the caller's chunks.
+``fanout.imap``: a process claims the next chunk when it is free and draws
+into its own copy of the buffers, and the caller stops the others once c*
+is known; a traced run (``mdbench``) sees only the chunks the caller ran.
 """
 
 from __future__ import annotations

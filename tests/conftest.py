@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,14 @@ def oracle_objective(spec: socp.SubproblemSpec, iters: int = 4000) -> float:
         x = x - gtil / (n + 1)
         P = (n * n / (n * n - 1.0)) * (P - (2.0 / (n + 1)) * np.outer(gtil, gtil))
     return best
+
+
+def wait_for(*paths, seconds: float = 20.0) -> None:
+    """Wait until one of the files ``paths`` exists, at most ``seconds``: how
+    a test orders work in forked processes, which share no memory."""
+    deadline = time.monotonic() + seconds
+    while not any(p.exists() for p in paths) and time.monotonic() < deadline:
+        time.sleep(0.001)
 
 
 @pytest.fixture(autouse=True)

@@ -336,7 +336,16 @@ def test_criterion_8_ber_properties(best24, ber_curves):
 
     opt = ber_curves["opt24_30db"].points[0]
     ref = ber_curves["qpsk_30db"].points[0]
-    ok_b = opt["ber"] < ref["ber"] and opt["vectors"] >= 10**6
+    # each 30 dB point also lies within the lower and union bounds on the ML
+    # BER, widened by 4 standard errors, as test_sim checks the golden rows
+    bounds = []
+    for C, pt in ((best24, opt), (cn.cartesian_qpsk(2), ref)):
+        lower, union = oracles.p2p_ber_bounds(
+            C.points, sim.SNRSpec((30.0,)).noise_variance(C.M, 30.0), "rayleigh_iid")
+        half = 4.0 * math.sqrt(sim.bits_per_symbol(C.M) * pt["ber"] / pt["bits"])
+        bounds.append((lower - half <= pt["ber"] <= union + half, lower, union))
+    ok_b = (opt["ber"] < ref["ber"] and opt["vectors"] >= 10**6
+            and all(within for within, _, _ in bounds))
 
     nf_p2p = sim.simulate_p2p(best24, "rayleigh_iid", sim.SNRSpec((0.0,)),
                               seed=5, max_vectors=20_000, noise_free=True)
@@ -348,7 +357,9 @@ def test_criterion_8_ber_properties(best24, ber_curves):
     _report("8", ok_a and ok_b and ok_c,
             f"(a) curves monotone within 2σ: {ok_a} {'; '.join(why_a)}"
             f"(b) 30 dB Rayleigh BER optimized {opt['ber']:.3e} vs Cartesian "
-            f"QPSK {ref['ber']:.3e} over {opt['vectors']} vectors/point; "
+            f"QPSK {ref['ber']:.3e} over {opt['vectors']} vectors/point, within "
+            f"bounds [{bounds[0][1]:.3e}, {bounds[0][2]:.3e}] and "
+            f"[{bounds[1][1]:.3e}, {bounds[1][2]:.3e}] ± 4σ: {bounds[0][0] and bounds[1][0]}; "
             f"(c) noise-free BER p2p={nf_p2p.points[0]['ber']} "
             f"scma={nf_scma.points[0]['ber']}")
 

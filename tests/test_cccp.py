@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import pair_forms
+from conftest import pair_forms, wait_for
 from mdconst import cccp, qforms, socp
 from mdconst import constellation as cn
 
@@ -382,6 +382,23 @@ class TestRestartProcesses:
 
         monkeypatch.setattr(cccp, "run_chain", run_chain)
 
+    @staticmethod
+    def failing_child(monkeypatch, tmp_path, fail):
+        """Patch run_chain to call fail(index) as a child starts a chain. The
+        caller's chains first wait, at most 20 s, until a child has started
+        one, so at two CPUs the child's first chain is chain 1."""
+        real, caller, started = cccp.run_chain, os.getpid(), tmp_path / "started"
+
+        def run_chain(config, idx):
+            if os.getpid() == caller:
+                wait_for(started)
+            else:
+                started.touch()
+                fail(idx)
+            return real(config, idx)
+
+        monkeypatch.setattr(cccp, "run_chain", run_chain)
+
     def test_chains_equal_the_serial_run(self, forks):
         cfg = cccp.CCCPConfig(K=2, M=4, restarts=4)
         got = cccp.optimize(cfg).chains
@@ -393,19 +410,19 @@ class TestRestartProcesses:
             assert np.array_equal(a.design.points, b.design.points)
             assert 0 < a.solve_s <= a.chain_s
 
-    def test_a_child_chains_exception_reaches_the_caller(self, forks, monkeypatch):
+    def test_a_child_chains_exception_reaches_the_caller(self, forks, monkeypatch, tmp_path):
         def fail(idx):
             raise RuntimeError(f"chain {idx} broke in process {os.getpid()}")
 
-        self.failing_chain(monkeypatch, {1}, fail)
+        self.failing_child(monkeypatch, tmp_path, fail)
         with pytest.raises(RuntimeError, match=r"chain 1 broke in process \d+") as exc:
             cccp.optimize(small_config(restarts=4, max_iters=3))
         assert forks and str(os.getpid()) not in str(exc.value)  # raised in the child
 
     @pytest.mark.parametrize("bad, first", [({1, 2}, 1), ({2, 3}, 2)])
     def test_the_lowest_raising_chain_wins(self, forks, monkeypatch, bad, first):
-        # chain i runs at rank i mod 2: the serial run's exception, whichever
-        # process raised first
+        # the serial run's exception, whichever process claimed and raised
+        # which chain first
         def fail(idx):
             raise RuntimeError(f"chain {idx}")
 
@@ -413,25 +430,26 @@ class TestRestartProcesses:
         with pytest.raises(RuntimeError, match=f"^chain {first}$"):
             cccp.optimize(small_config(restarts=4, max_iters=3))
 
-    def test_an_exception_that_does_not_pickle_arrives_as_its_repr(self, forks, monkeypatch):
+    def test_an_exception_that_does_not_pickle_arrives_as_its_repr(self, forks, monkeypatch,
+                                                                   tmp_path):
         class Local(Exception):
             pass
 
         def fail(idx):
             raise Local(f"chain {idx}")
 
-        self.failing_chain(monkeypatch, {1}, fail)
+        self.failing_child(monkeypatch, tmp_path, fail)
         with pytest.raises(ChildProcessError, match=r"item 1 raised .*Local\('chain 1'\)"):
             cccp.optimize(small_config(restarts=2, max_iters=3))
 
-    def test_a_child_that_dies_is_reported(self, forks, monkeypatch):
+    def test_a_child_that_dies_is_reported(self, forks, monkeypatch, tmp_path):
         caller = os.getpid()
 
         def die(idx):
             assert os.getpid() != caller, "chain 1 ran in the caller"
             os._exit(7)
 
-        self.failing_chain(monkeypatch, {1}, die)
+        self.failing_child(monkeypatch, tmp_path, die)
         with pytest.raises(ChildProcessError, match="exited with code 7"):
             cccp.optimize(small_config(restarts=2, max_iters=3))
 

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import wait_for
 from mdconst import cccp, cli, scma
 from mdconst import constellation as cn
 
@@ -152,22 +153,27 @@ def _raise_unpicklable():
 
 class TestBrokenRestarts:
     """Exit codes of an optimize whose restart chain 1 breaks, on two CPUs
-    whatever the machine has, so that chain 1 runs in a forked child."""
+    whatever the machine has. The caller's chain 0 waits until the child has
+    claimed chain 1, so that chain 1 runs in the forked child."""
 
     ARGV = ["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--max-iters", "3",
             "--seed", "0"]
 
     @pytest.fixture()
-    def break_chain_1(self, monkeypatch):
+    def break_chain_1(self, monkeypatch, tmp_path_factory):
         """Two usable CPUs; break_chain_1(fail) makes chain 1 call fail() first."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real, caller = cccp.run_chain, os.getpid()
+        claimed = tmp_path_factory.mktemp("sync") / "claimed"  # not in tmp_path, kept empty
 
         def patch(fail):
             def run_chain(config, idx):
                 if idx == 1:
+                    claimed.touch()
                     assert os.getpid() != caller, "chain 1 ran in the caller"
                     fail()
+                elif os.getpid() == caller:
+                    wait_for(claimed)
                 return real(config, idx)
 
             monkeypatch.setattr(cccp, "run_chain", run_chain)
