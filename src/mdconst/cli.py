@@ -9,8 +9,9 @@ cannot be read or written, or two of a run's files that are one file);
 3 every ``optimize`` restart failed (``cccp.RestartsFailed``), its only
 cause. Every
 output file gets a sibling <name>.manifest.json recording the command,
-resolved configuration, seed, input/output digests and wall clock, so
-runs can be reproduced exactly.
+resolved configuration, seed, the SHA-256 of each input file and of the
+bytes written to each output, and wall clock, so runs can be reproduced
+exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 
 from . import __version__, cccp, scma, sim
 from . import constellation as cn
-from .constellation import write_json_atomic, write_text_atomic
+from .constellation import json_text, write_text_atomic
 
 EXIT_OK = 0
 EXIT_PROCESS = 1
@@ -62,36 +63,33 @@ def _check_distinct(args):
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
+    """SHA-256 of an input file's bytes."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            h.update(block)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_outputs(args, writes, extra, t0):
-    """Write each output by its (path, write) pair, then the manifest
-    beside the first: the command, its arguments with ``extra``, the seed
-    and the digests of the run's inputs and outputs. If a write fails, the
-    outputs already written are removed, so a run that exits 2 leaves no
-    partial output set."""
-    outputs = []
+def _write_outputs(args, outputs, extra, t0):
+    """Write each (path, text) output, then the manifest beside the first:
+    the command, its arguments with ``extra``, the seed, the SHA-256 of
+    each input file and of the bytes written to each output. If a write
+    fails, the outputs already written are removed, so a run that exits 2
+    leaves no partial output set."""
+    digests = {}
     try:
-        for path, write in writes:
-            write(path)
-            outputs.append(path)
+        for path, text in outputs:
+            digests[path] = hashlib.sha256(write_text_atomic(path, text)).hexdigest()
         manifest = {
             "command": args.command,
             "config": {k: v for k, v in vars(args).items() if k != "func"} | extra,
             "seed": getattr(args, "seed", None),
             "version": __version__,
             "inputs": {p: _sha256(p) for _, p in _given(args, INPUT_ARGS)},
-            "outputs": {p: _sha256(p) for p in outputs},
+            "outputs": digests,
             "wall_clock_s": round(time.time() - t0, 3),
         }
-        write_json_atomic(outputs[0] + ".manifest.json", manifest)
+        write_text_atomic(outputs[0][0] + ".manifest.json", json_text(manifest))
     except BaseException:
-        for path in outputs:
+        for path in digests:
             with contextlib.suppress(OSError):
                 os.unlink(path)
         raise
@@ -117,7 +115,7 @@ def _parse_ebn0(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-# -- subcommands: each returns its (path, write) pairs, its manifest extras
+# -- subcommands: each returns its (path, text) outputs, its manifest extras
 # and its stdout lines, and main writes, records and prints them -----------
 
 
@@ -132,15 +130,15 @@ def cmd_optimize(args):
     # reruns write the same bytes
     dropped = ("failure", "chain_s", "solve_s")
     d["meta"]["restarts"] = [{k: v for k, v in s.items() if k not in dropped} for s in restarts]
-    writes = [(args.out, lambda p: write_json_atomic(p, d))]
+    outputs = [(args.out, json_text(d))]
     if args.trace:
         rows = ["q,energy,objective,eta,step_norm\n"] + [
             f"{q},{rec['energy']:.17g},{rec['objective']:.17g},"
             f"{rec['eta']:.17g},{rec['step_norm']:.17g}\n"
             for q, rec in enumerate(result.trace, 1)
         ]
-        writes.append((args.trace, lambda p: write_text_atomic(p, "".join(rows))))
-    return writes, {"config": cfg.__dict__, "restarts": restarts}, [
+        outputs.append((args.trace, "".join(rows)))
+    return outputs, {"config": cfg.__dict__, "restarts": restarts}, [
         f"K={cfg.K} M={cfg.M}: med={best.meta['med']:.4f} mpd={best.meta['mpd']:.4f} "
         f"(chain {best.meta['chain_index']}, {best.meta['iterations_used']} iters)"
     ]
@@ -169,8 +167,7 @@ def cmd_metrics(args):
         report[label or "metrics"] = entry
         tag = f" [{label}]" if label else ""
         lines += [f"{key}{tag}: {entry[key]:{fmt}}" for key, fmt in printed]
-    writes = [(args.json, lambda p: write_json_atomic(p, report))] if args.json else []
-    return writes, {}, lines
+    return [(args.json, json_text(report))] if args.json else [], {}, lines
 
 
 def cmd_scma_build(args):
@@ -182,7 +179,7 @@ def cmd_scma_build(args):
     base = cn.Constellation.load(args.base)
     ops = scma.OperatorSet.load(args.operators) if args.operators else None
     cbs = scma.build_codebooks(F, base, ops)
-    return [(args.out, cbs.save)], {}, [
+    return [(args.out, json_text(cbs.to_json_dict()))], {}, [
         f"built {cbs.J} codebooks on {cbs.N} resources (M={cbs.M}), "
         f"overloading {scma.overloading_factor(F):.2f}"
     ]
@@ -203,7 +200,7 @@ def cmd_simulate(args):
         if args.channel != "rayleigh_iid":
             raise ValueError("SCMA uplink simulation supports rayleigh_iid only")
         curve = sim.simulate_scma_uplink(cbs, mpa_iters=args.mpa_iters, **shared)
-    return [(args.out, curve.save_csv)], {}, [
+    return [(args.out, curve.to_csv())], {}, [
         f"Eb/N0 {p['ebn0_db']:g} dB: ber={p['ber']:.3e} ({p['errors']} errors)"
         for p in curve.points
     ]
@@ -258,9 +255,9 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         _check_distinct(args)
-        writes, extra, lines = args.func(args)
-        if writes:
-            _write_outputs(args, writes, extra, t0)
+        outputs, extra, lines = args.func(args)
+        if outputs:
+            _write_outputs(args, outputs, extra, t0)
     except cccp.RestartsFailed as exc:
         print(f"optimization failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,32 +72,32 @@ def require_keys(d, *keys) -> None:
         raise ValueError(f"JSON object is missing key(s): {', '.join(missing)}")
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write text via a temp file in the same directory + rename, so a
-    reader never sees a partial file; the temp file goes on any error, and
-    an ``OSError`` is raised again naming ``path``, not the temp file.
-    The file gets mode 0666 less the umask, as open() would give it."""
-    d = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    tmp = None
+def json_text(data) -> str:
+    """``data`` as the text of a JSON file: indent 1, floats in Python's
+    shortest round-trip repr, NaN and inf as null, a final newline."""
+    return json.dumps(_nonfinite_to_null(data), indent=1) + "\n"
+
+
+def write_text_atomic(path: str, text: str) -> bytes:
+    """Write ``text`` to a new temp file beside ``path``, then rename it
+    onto ``path``, so a reader never sees a partial file; return the bytes
+    written. The temp file is created with mode 0666, less the umask as
+    open() would apply it, and is removed on any error; an ``OSError`` is
+    raised again naming ``path``, not the temp file."""
+    data = text.encode()
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def write_json_atomic(path: str, data: dict) -> None:
-    """Write JSON atomically; floats keep Python's shortest round-trip repr,
-    NaN and inf become null."""
-    write_text_atomic(path, json.dumps(_nonfinite_to_null(data), indent=1) + "\n")
+    return data
 
 
 class JsonFile:
@@ -106,7 +105,7 @@ class JsonFile:
     ``to_json_dict`` and ``from_json_dict``."""
 
     def save(self, path: str) -> None:
-        write_json_atomic(path, self.to_json_dict())
+        write_text_atomic(path, json_text(self.to_json_dict()))
 
     @classmethod
     def load(cls, path: str):

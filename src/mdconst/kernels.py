@@ -55,7 +55,10 @@ used; later, small incoming a_q can drive a whole slice below the double
 range. Such rows run the exact log-domain update instead
 (``_function_node``): base = dist + sum_p vf_p, each edge's tensor
 shifted by that edge's own slice maxima, so every message stays finite.
-The fallback rebuilds dist for the rows it takes over.
+The fallback rebuilds dist for the rows it takes over. Either path's
+rows can then be a single row of a larger block; a one-row subset runs as
+two copies of its row, as a one-row block does (below), since numpy adds
+a one-row batch's sums in another order.
 
 The messages of every edge are kept as (J, K, M, B) arrays fv (function
 to variable) and vf; each function node reads and writes its resource's
@@ -277,18 +280,19 @@ class _FunctionNode:
         """
         out = np.empty(vf.shape)
         if self.prob.size:
-            s = _sum_product(self.E, np.exp(np.take(vf, self.prob, axis=-1)))
+            a = _twice(np.exp(np.take(vf, self.prob, axis=-1)))
+            s = _sum_product(_twice(self.E), a)[..., :self.prob.size]
             ok = (s >= _TINY).all(axis=(0, 1))
             if not ok.all():
                 self._reroute(~ok)
                 s = np.compress(ok, s, axis=-1)
             out[..., self.prob] = np.log(s) + self.rowmax
         if self.log.size:
-            v = np.take(vf, self.log, axis=-1)
+            v = _twice(np.take(vf, self.log, axis=-1))
             w = v[0]
             for p in range(1, self.deg):
                 w = w[..., None, :] + v[p]
-            out[..., self.log] = _function_node(self.dist + w) - v
+            out[..., self.log] = (_function_node(_twice(self.dist) + w) - v)[..., :self.log.size]
         return out
 
     def _reroute(self, bad):
@@ -301,6 +305,12 @@ class _FunctionNode:
         # does not, and einsum needs that for speed
         self.E = np.compress(~bad, self.E, axis=-1)
         self.rowmax = self.rowmax[~bad]
+
+
+def _twice(a):
+    """``a``, or its one row twice: numpy adds a one-row batch's sums
+    otherwise, so a row's messages would depend on the rows beside it."""
+    return a if a.shape[-1] != 1 else np.repeat(a, 2, axis=-1)
 
 
 def _sum_product(E, a):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fanout, kernels
-from .constellation import Constellation, average_power, write_text_atomic
+from .constellation import Constellation, average_power
 from .scma import SCMACodebookSet, mpa_detect_batch
 
 #: Vectors per chunk, each chunk on its own substream: CSV bytes depend on it.
@@ -96,9 +96,6 @@ class BERCurve:
                 f"{p['ber']:.10e},{p['vectors']},{p['seed']}"
             )
         return "\n".join(lines) + "\n"
-
-    def save_csv(self, path: str) -> None:
-        write_text_atomic(path, self.to_csv())
 
 
 def _draw_complex(rng: np.random.Generator, out: np.ndarray, scale: float) -> np.ndarray:

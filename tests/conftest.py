@@ -150,6 +150,16 @@ def wait_for(*paths, seconds: float = 20.0) -> None:
         time.sleep(0.001)
 
 
+@pytest.fixture()
+def umask_forbidden(monkeypatch):
+    """Make ``os.umask`` raise. It sets the umask of every thread in the
+    process, so the program leaves applying the umask to the kernel."""
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", umask)
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process unreaped, running or not."""

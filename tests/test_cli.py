@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -79,6 +80,12 @@ class TestOptimize:
         assert run(argv(str(a))) == 0
         assert run(argv(str(b))) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_run_leaves_the_umask_alone(self, tmp_path, umask_forbidden):
+        out, trace = str(tmp_path / "c.json"), str(tmp_path / "t.csv")
+        assert run(OPTIMIZE_TINY + ["--out", out, "--trace", trace]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.json", "c.json.manifest.json", "t.csv"]
 
     def test_invalid_args_exit_2(self, tmp_path):
         rc = run(["optimize", "--K", "0", "--M", "4", "--seed", "0",
@@ -360,8 +367,10 @@ def test_every_output_has_manifest(run_dir, argv, seed, reads, writes):
     assert set(_tree(run_dir)) == set(before) | set(writes) | {manifest}
     man = json.loads((run_dir / manifest).read_text())
     assert (man["command"], man["seed"]) == (argv[0], seed)
-    assert list(man["inputs"]) == reads
-    assert list(man["outputs"]) == writes
+    # each digest is that of the file's bytes, in the order the arguments name them
+    sha = lambda p: hashlib.sha256((run_dir / p).read_bytes()).hexdigest()
+    assert list(man["inputs"].items()) == [(p, sha(p)) for p in reads]
+    assert list(man["outputs"].items()) == [(p, sha(p)) for p in writes]
 
 
 def test_metrics_without_json_writes_nothing(run_dir, capsys):

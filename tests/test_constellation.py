@@ -223,7 +223,7 @@ class TestSerialization:
 
     def test_atomic_write_no_partial_file(self, tmp_path):
         target = tmp_path / "out.json"
-        cn.write_json_atomic(str(target), {"x": 1.0 / 3.0})
+        cn.write_text_atomic(str(target), cn.json_text({"x": 1.0 / 3.0}))
         with open(target) as fh:
             d = json.load(fh)
         assert d["x"] == 1.0 / 3.0
@@ -239,19 +239,26 @@ class TestSerialization:
 
     def test_nonfinite_floats_become_null(self, tmp_path):
         target = tmp_path / "out.json"
-        cn.write_json_atomic(str(target), {"x": math.nan, "y": math.inf})
+        cn.write_text_atomic(str(target), cn.json_text({"x": math.nan, "y": math.inf}))
         with open(target) as fh:
             d = json.load(fh)
         assert d["x"] is None and d["y"] is None
 
     def test_output_mode_honours_umask(self, tmp_path):
-        target = tmp_path / "out.json"
-        old = os.umask(0o022)
-        try:
-            cn.write_json_atomic(str(target), {"x": 1})
-        finally:
-            os.umask(old)
-        assert target.stat().st_mode & 0o777 == 0o644
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            target = tmp_path / f"out{umask:o}.json"
+            old = os.umask(umask)
+            try:
+                cn.write_text_atomic(str(target), cn.json_text({"x": 1}))
+            finally:
+                os.umask(old)
+            assert target.stat().st_mode & 0o777 == mode, oct(umask)
+
+    def test_write_leaves_the_umask_alone(self, tmp_path, umask_forbidden):
+        target = tmp_path / "out.csv"
+        assert cn.write_text_atomic(str(target), "a,b\n") == b"a,b\n"
+        assert target.read_bytes() == b"a,b\n"
+        assert list(tmp_path.iterdir()) == [target]
 
     @pytest.mark.parametrize("bad", ["1", "0.5", True, False])
     def test_string_or_bool_point_rejected(self, bad):

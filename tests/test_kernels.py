@@ -386,10 +386,14 @@ class TestBlockSizes:
 
     N = 7
 
-    @pytest.mark.parametrize("name", ["c24", "qpsk2"])
-    def test_mpa_posteriors(self, name, monkeypatch):
+    # at 20 dB some QPSK^2 rows leave the probability path, so a function
+    # node's rows on either path can be one row in a block of two or three
+    @pytest.mark.parametrize("name, ebn0_db", [("c24", 10), ("qpsk2", 10), ("c24", 20),
+                                               ("qpsk2", 20)],
+                             ids=["c24", "qpsk2", "c24-20dB", "qpsk2-20dB"])
+    def test_mpa_posteriors(self, name, ebn0_db, monkeypatch):
         base = _ml_constellation(name)
-        n0 = 1.0 / (math.log2(base.M) * 10.0)  # 10 dB
+        n0 = 1.0 / (math.log2(base.M) * 10.0 ** (ebn0_db / 10))
         cbs, y, H, _ = _sent_scma(np.random.default_rng(21), base, B=self.N, n0=n0)
         F = cbs.indicator
         args = (cbs.codebooks, F.res_edges, F.res_deg, F.user_res, n0, 4)

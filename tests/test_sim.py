@@ -200,7 +200,7 @@ class TestCSV:
             max_vectors=1_000, noise_free=True,
         )
         path = tmp_path / "ber.csv"
-        curve.save_csv(str(path))
+        cn.write_text_atomic(str(path), curve.to_csv())
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "ebn0_db,errors,bits,ber,vectors,seed"
         assert len(lines) == 3
