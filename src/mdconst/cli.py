@@ -2,15 +2,14 @@
 SCMA codebooks, and run BER simulations.
 
 Exit codes: 0 success; 1 a ``fanout`` process of ``optimize`` or ``simulate``
-that died or sent back what does not pickle (``error: ...``, one line),
-or a bug, any other uncaught exception, which Python reports with its
-traceback; 2 validation error (bad input, an input or output path that
+that could not start, died or sent back what does not pickle (``error: ...``,
+one line), or a bug, any other uncaught exception, which Python reports with
+its traceback; 2 validation error (bad input, an input or output path that
 cannot be read or written, or two of a run's files that are one file);
 3 every ``optimize`` restart failed (``cccp.RestartsFailed``), its only
-cause. Every
-output file gets a sibling <name>.manifest.json recording the command,
-resolved configuration, seed, the SHA-256 of each input file and of the
-bytes written to each output, and wall clock, so runs can be reproduced
+cause. Every output file gets a sibling <name>.manifest.json recording the
+command, resolved configuration, seed, the SHA-256 of each input file and of
+the bytes written to each output, and wall clock, so runs can be reproduced
 exactly.
 """
 

@@ -4,16 +4,21 @@
 run on W = min(items, CPUs the process may run on) processes, the caller and
 W - 1 children made by ``os.fork``; W is 1 while another Python thread is
 alive, whose locks a fork would copy. The caller runs item 0; a free process
-claims the next item with one 8-byte read from a pipe of the indices 1, 2, ...,
-which the caller writes in atomic PIPE_BUF pieces as it waits. A child
-sends each (index, outcome) back over its own pipe. While the item to yield
-next is missing, the caller reads any ready child pipe, or else runs a claim
-itself. Claims go in increasing order, so each item below a raising one has an
-owner that finishes it, and the caller raises the lowest raising item's
-exception, as a serial run would. A result or exception that does not pickle
-is a ``ChildProcessError`` with its repr, as is a child that exits, naming the
-item the caller waited for. On any exception, and when the caller closes the
-generator early, every child is killed and reaped.
+claims the next item with one 8-byte read from a pipe of the indices 1, 2, ....
+The caller writes the claims as items finish: with k outcomes in, yielded or
+held, it has written the indices below k + PIPE_BUF/8. Every claimed item but
+item 0 is running or in, so the pipe never holds more than PIPE_BUF bytes,
+whatever the item count, and each write is one atomic write that finds room;
+a child idles only if some PIPE_BUF/8 items finish while the caller runs one
+of its own. A child sends each (index, outcome) back over its own pipe. While
+the item to yield next is missing, the caller reads any ready child pipe, or
+else runs a claim itself. Claims go in increasing order, so each item below a
+raising one has an owner that finishes it, and the caller raises the lowest
+raising item's exception, as a serial run would. A result or exception that
+does not pickle is a ``ChildProcessError`` with its repr, as is a child that
+exits, naming the item the caller waited for, and an ``OSError`` from a pipe
+or a fork, naming the fan-out. On any exception, and when the caller closes
+the generator early, every child is killed and reaped.
 """
 
 from __future__ import annotations
@@ -33,18 +38,18 @@ def imap(fn, items: int):
     if min(items, cpus) < 2 or threading.active_count() > 1:
         yield from map(fn, range(items))
         return
-    unsent = memoryview(b"".join(i.to_bytes(8, "little") for i in range(1, items)))
     children, ready = {}, select.poll()  # read end -> pid of each child not yet reaped
-    claims = os.pipe2(os.O_NONBLOCK)  # no process ever blocks on it
+    claims = _start(os.pipe2, os.O_NONBLOCK)  # no process ever blocks on it
     try:
-        unsent = _top_up(claims[1], unsent)
+        sent = _send(claims[1], 1, min(items, 1 + select.PIPE_BUF // 8))  # next claim to write
         for _ in range(1, min(items, cpus)):
             r, children[r] = _fork(fn, claims)
             ready.register(r, select.POLLIN)  # not select, which rejects an fd > 1023
         done = {0: _run(fn, 0)}  # outcomes not yet yielded
         for i in range(items):
             while i not in done:
-                unsent = _top_up(claims[1], unsent)
+                # i + len(done) outcomes are in; the claims stay under PIPE_BUF
+                sent = _send(claims[1], sent, min(items, i + len(done) + select.PIPE_BUF // 8))
                 if not (events := ready.poll(0)):
                     if (j := _claim(claims[0])) is not None:
                         done[j] = _run(fn, j)
@@ -78,12 +83,11 @@ def _run(fn, i: int):
         return False, exc
 
 
-def _top_up(fd: int, unsent: memoryview) -> memoryview:
-    """Write the next PIPE_BUF of ``unsent`` to ``fd`` if it fits; what is left."""
-    try:
-        return unsent[os.write(fd, unsent[:select.PIPE_BUF]):]
-    except BlockingIOError:
-        return unsent
+def _send(fd: int, sent: int, top: int) -> int:
+    """Write the claims sent, ..., top - 1 to the pipe ``fd`` in one write; top."""
+    if sent < top:
+        os.write(fd, b"".join(j.to_bytes(8, "little") for j in range(sent, top)))
+    return top
 
 
 def _claim(fd: int):
@@ -105,15 +109,23 @@ def _read(fd: int, n: int) -> bytes:
     return data
 
 
+def _start(call, *args):
+    """call(*args), an OSError from it re-raised as a ChildProcessError."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        raise ChildProcessError(f"fan-out could not start a process: {exc}") from exc
+
+
 def _fork(fn, claims: tuple):
     """Fork a child that runs the items it claims; its pipe's read end and pid."""
-    r, w = os.pipe()
+    r, w = _start(os.pipe)
     try:
         with warnings.catch_warnings():
             # from 3.12 a fork warns of any second OS thread: here OpenBLAS's
             # pool, which its pthread_atfork handler stops before the fork
             warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+            pid = _start(os.fork)
     except BaseException:
         os.close(r)
         os.close(w)

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -197,6 +198,20 @@ class TestBrokenRestarts:
         break_chain_1(fail)
         assert run(self.ARGV + ["--out", str(tmp_path / "x.json")]) == cli.EXIT_PROCESS == 1
         assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_fork_that_fails_exits_1(self, monkeypatch, tmp_path, capsys):
+        # os.fork's BlockingIOError is an OSError, which alone would read as
+        # exit 2, a validation error, and would not name the fan-out
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run(self.ARGV + ["--out", str(tmp_path / "x.json")]) == cli.EXIT_PROCESS
+        assert capsys.readouterr().err == (f"error: fan-out could not start a process: "
+                                           f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_a_chain_that_raises_is_not_exit_3(self, break_chain_1, tmp_path, capsys):

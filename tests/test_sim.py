@@ -3,6 +3,7 @@ import os
 import pathlib
 import resource
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -524,9 +525,24 @@ class TestFanOut:
 
     def test_more_claims_than_a_pipe_holds(self, cpus):
         # 19,999 claims of 8 bytes, 160 kB, where a pipe holds 64 KiB: the
-        # caller tops the pipe up as it waits
+        # caller writes the next claims as outcomes come in, so the pipe
+        # refills some 40 times
         cpus(2)
         assert list(fanout.imap(lambda i: i, 20_000)) == list(range(20_000))
+
+    def test_claims_are_not_built_up_front(self, cpus):
+        # a million items, of which the caller yields one: it writes no more
+        # than a pipe buffer of claims, not 8 MB of indices before item 0
+        cpus(2)
+        tracemalloc.start()
+        try:
+            results = fanout.imap(lambda i: i, 10**6)
+            assert next(results) == 0
+            results.close()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("die", [False, True])
     def test_pipes_past_fd_1023(self, cpus, tmp_path, die):
@@ -578,3 +594,19 @@ class TestFanOut:
         assert rc == 2
         assert "chunk 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_vector_cap_no_point_reaches_costs_nothing(self, cpus, tmp_path):
+        # a 0 dB Rayleigh point stops at chunk 0 whatever its cap; a cap of
+        # 5 million chunks must not cost their claims up front
+        cpus(2)
+        const = tmp_path / "qpsk2.json"
+        cn.cartesian_qpsk(2).save(str(const))
+        csv = {}
+        for cap in ("1000000", "100000000000"):
+            out = tmp_path / f"ber{cap}.csv"
+            assert cli.main(["simulate", "--constellation", str(const), "--ebn0", "0",
+                             "--channel", "rayleigh_iid", "--seed", "0",
+                             "--max-vectors", cap, "--out", str(out)]) == 0
+            csv[cap] = out.read_text()
+        assert csv["100000000000"] == csv["1000000"]
+        assert csv["1000000"].split("\n")[1].split(",")[4] == str(sim.P2P_CHUNK)
