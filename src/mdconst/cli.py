@@ -107,6 +107,8 @@ def _parse_ebn0(text: str) -> list[float]:
             raise ValueError("sweep step must be > 0")
         # count before building: 0:1e-12:1 would ask for 10^12 points
         span = (stop - start) / step + 1e-9
+        if span < 0:
+            raise ValueError(f"sweep {text!r} has no points: stop is below start")
         if not span < MAX_EBN0_POINTS:  # inf too, where floor raises
             raise ValueError(f"sweep {text!r} has {span + 1:.4g} points, "
                              f"more than {MAX_EBN0_POINTS}")

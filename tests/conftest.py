@@ -143,11 +143,32 @@ def oracle_objective(spec: socp.SubproblemSpec, iters: int = 4000) -> float:
 
 
 def wait_for(*paths, seconds: float = 20.0) -> None:
-    """Wait until one of the files ``paths`` exists, at most ``seconds``: how
-    a test orders work in forked processes, which share no memory."""
+    """Wait until one of the files ``paths`` exists: how a test orders work
+    in forked processes, which share no memory. An AssertionError naming
+    the files after ``seconds``; in a child it is the item's exception."""
     deadline = time.monotonic() + seconds
-    while not any(p.exists() for p in paths) and time.monotonic() < deadline:
+    while not any(p.exists() for p in paths):
+        if time.monotonic() > deadline:
+            raise AssertionError(f"waited {seconds:g} s for {' or '.join(map(str, paths))}")
         time.sleep(0.001)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """cpus(W) reports W usable CPUs; the list of the caller's os.fork calls."""
+    real_fork, forks = os.fork, []
+
+    def counted():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+
+    def set_cpus(W):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(W)))
+        return forks
+
+    return set_cpus
 
 
 @pytest.fixture()

@@ -48,11 +48,11 @@ def test_wrapped_layers_count_calls():
     assert got["kernels.mpa_combos_per_vec"] == 10 * 4 * 4**3 == 2560
 
 
-def test_one_detection_call_per_chunk_on_the_calling_thread(monkeypatch):
+def test_one_detection_call_per_chunk_on_the_calling_thread(cpus):
     # the tracer sees only the calling process; on one usable CPU every
     # chunk runs there, so every wrapped detection call is counted, once
     # per chunk
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cpus(1)
     C = cccp.optimize(cccp.CCCPConfig(K=2, M=4, restarts=1, max_iters=3)).best
     cbs = scma.build_codebooks(scma.default_indicator(), C)
     snr = sim.SNRSpec((10.0,))

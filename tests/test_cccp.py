@@ -1,14 +1,12 @@
 import dataclasses
 import math
 import os
-import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
 
-from conftest import pair_forms, wait_for
+from conftest import pair_forms
 from mdconst import cccp, qforms, socp
 from mdconst import constellation as cn
 
@@ -354,52 +352,10 @@ class TestOptimize:
 
 
 class TestRestartProcesses:
-    """optimize's split of the chains over the caller and forked children,
-    on two CPUs whatever the machine has."""
+    """optimize's chains on a forked child: a ChainResult survives the pipe."""
 
-    @pytest.fixture()
-    def forks(self, monkeypatch):
-        """Two usable CPUs; the list of the caller's os.fork calls."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        real_fork, calls = os.fork, []
-
-        def counted():
-            calls.append(os.getpid())
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        return calls
-
-    @staticmethod
-    def failing_chain(monkeypatch, bad, fail):
-        """Patch run_chain to call fail(index) for each chain in bad."""
-        real = cccp.run_chain
-
-        def run_chain(config, idx):
-            if idx in bad:
-                fail(idx)
-            return real(config, idx)
-
-        monkeypatch.setattr(cccp, "run_chain", run_chain)
-
-    @staticmethod
-    def failing_child(monkeypatch, tmp_path, fail):
-        """Patch run_chain to call fail(index) as a child starts a chain. The
-        caller's chains first wait, at most 20 s, until a child has started
-        one, so at two CPUs the child's first chain is chain 1."""
-        real, caller, started = cccp.run_chain, os.getpid(), tmp_path / "started"
-
-        def run_chain(config, idx):
-            if os.getpid() == caller:
-                wait_for(started)
-            else:
-                started.touch()
-                fail(idx)
-            return real(config, idx)
-
-        monkeypatch.setattr(cccp, "run_chain", run_chain)
-
-    def test_chains_equal_the_serial_run(self, forks):
+    def test_chains_equal_the_serial_run(self, cpus):
+        forks = cpus(2)
         cfg = cccp.CCCPConfig(K=2, M=4, restarts=4)
         got = cccp.optimize(cfg).chains
         want = [cccp.run_chain(cfg, i) for i in range(4)]
@@ -409,110 +365,3 @@ class TestRestartProcesses:
                 b.chain_index, b.status, b.iterations, b.ipm_iters, b.trace)
             assert np.array_equal(a.design.points, b.design.points)
             assert 0 < a.solve_s <= a.chain_s
-
-    def test_a_child_chains_exception_reaches_the_caller(self, forks, monkeypatch, tmp_path):
-        def fail(idx):
-            raise RuntimeError(f"chain {idx} broke in process {os.getpid()}")
-
-        self.failing_child(monkeypatch, tmp_path, fail)
-        with pytest.raises(RuntimeError, match=r"chain 1 broke in process \d+") as exc:
-            cccp.optimize(small_config(restarts=4, max_iters=3))
-        assert forks and str(os.getpid()) not in str(exc.value)  # raised in the child
-
-    @pytest.mark.parametrize("bad, first", [({1, 2}, 1), ({2, 3}, 2)])
-    def test_the_lowest_raising_chain_wins(self, forks, monkeypatch, bad, first):
-        # the serial run's exception, whichever process claimed and raised
-        # which chain first
-        def fail(idx):
-            raise RuntimeError(f"chain {idx}")
-
-        self.failing_chain(monkeypatch, bad, fail)
-        with pytest.raises(RuntimeError, match=f"^chain {first}$"):
-            cccp.optimize(small_config(restarts=4, max_iters=3))
-
-    def test_an_exception_that_does_not_pickle_arrives_as_its_repr(self, forks, monkeypatch,
-                                                                   tmp_path):
-        class Local(Exception):
-            pass
-
-        def fail(idx):
-            raise Local(f"chain {idx}")
-
-        self.failing_child(monkeypatch, tmp_path, fail)
-        with pytest.raises(ChildProcessError, match=r"item 1 raised .*Local\('chain 1'\)"):
-            cccp.optimize(small_config(restarts=2, max_iters=3))
-
-    def test_a_child_that_dies_is_reported(self, forks, monkeypatch, tmp_path):
-        caller = os.getpid()
-
-        def die(idx):
-            assert os.getpid() != caller, "chain 1 ran in the caller"
-            os._exit(7)
-
-        self.failing_child(monkeypatch, tmp_path, die)
-        with pytest.raises(ChildProcessError, match="exited with code 7"):
-            cccp.optimize(small_config(restarts=2, max_iters=3))
-
-    def test_interrupted_caller_kills_its_children(self, forks, monkeypatch):
-        # chain 1 would keep its child busy for a minute; the caller's chain 0
-        # is interrupted, and optimize kills and reaps the child at once
-        def stall_or_interrupt(idx):
-            if idx == 0:
-                raise KeyboardInterrupt
-            time.sleep(60)
-
-        self.failing_chain(monkeypatch, {0, 1}, stall_or_interrupt)
-        t0 = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            cccp.optimize(small_config(restarts=2, max_iters=3))
-        assert forks and time.perf_counter() - t0 < 30
-
-    def test_a_fork_that_warns_as_from_python_3_12(self, forks, monkeypatch):
-        # from 3.12 os.fork warns in the caller when OpenBLAS's threads are
-        # alive; under filterwarnings = error that must not end the run
-        counted = os.fork
-
-        def warning_fork():
-            pid = counted()
-            if pid:
-                warnings.warn("This process is multi-threaded, use of fork() may "
-                              "lead to deadlocks in the child.", DeprecationWarning)
-            return pid
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        cfg = small_config(restarts=2, max_iters=3)
-        assert cccp.optimize(cfg).all_restarts[1]["ipm_iters"] == cccp.run_chain(cfg, 1).ipm_iters
-        assert forks
-
-    @pytest.fixture()
-    def no_fork(self, monkeypatch):
-        """Two usable CPUs and an os.fork that fails."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-        def fork():
-            raise BlockingIOError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-
-    def test_a_failed_fork_closes_its_pipe(self, no_fork):
-        fds = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(ChildProcessError):
-            cccp.optimize(small_config(restarts=2, max_iters=3))
-        assert len(os.listdir("/proc/self/fd")) == fds
-
-    def test_one_restart_runs_in_the_caller(self, no_fork):
-        assert cccp.optimize(small_config(max_iters=3)).chains[0].status != "failed"
-
-    def test_another_live_thread_keeps_every_chain_in_the_caller(self, no_fork):
-        # a fork could copy a lock the other thread holds into the child
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            cfg = small_config(restarts=2, max_iters=3)
-            got = cccp.optimize(cfg).chains
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
-        assert [ch.trace for ch in got] == [cccp.run_chain(cfg, i).trace for i in range(2)]

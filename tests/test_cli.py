@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import wait_for
 from mdconst import cccp, cli, scma
 from mdconst import constellation as cn
 
@@ -148,62 +147,35 @@ class TestOptimize:
         assert list(tmp_path.iterdir()) == []
 
 
-def _die():
-    os._exit(7)
-
-
-def _raise_unpicklable():
-    class Local(Exception):  # a local class does not pickle
-        pass
-
-    raise Local("x")
-
-
 class TestBrokenRestarts:
-    """Exit codes of an optimize whose restart chain 1 breaks, on two CPUs
-    whatever the machine has. The caller's chain 0 waits until the child has
-    claimed chain 1, so that chain 1 runs in the forked child."""
+    """Exit codes of an optimize whose restart process breaks, and of one
+    whose chain has a bug."""
 
     ARGV = ["optimize", "--K", "2", "--M", "4", "--restarts", "2", "--max-iters", "3",
             "--seed", "0"]
 
-    @pytest.fixture()
-    def break_chain_1(self, monkeypatch, tmp_path_factory):
-        """Two usable CPUs; break_chain_1(fail) makes chain 1 call fail() first."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        real, caller = cccp.run_chain, os.getpid()
-        claimed = tmp_path_factory.mktemp("sync") / "claimed"  # not in tmp_path, kept empty
+    def test_a_restart_process_that_dies_exits_1(self, cpus, monkeypatch, tmp_path, capsys):
+        # a ChildProcessError is an OSError, which alone would read as exit
+        # 2; the child exits at once, before the fork returns in the caller
+        cpus(2)
+        fork = os.fork
 
-        def patch(fail):
-            def run_chain(config, idx):
-                if idx == 1:
-                    claimed.touch()
-                    assert os.getpid() != caller, "chain 1 ran in the caller"
-                    fail()
-                elif os.getpid() == caller:
-                    wait_for(claimed)
-                return real(config, idx)
+        def dying_fork():
+            if (pid := fork()) == 0:
+                os._exit(7)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # left for the fan-out to reap
+            return pid
 
-            monkeypatch.setattr(cccp, "run_chain", run_chain)
-
-        return patch
-
-    @pytest.mark.parametrize("fail, message", [
-        (_die, r"fan-out process \d+ exited with code 7 before sending item 1"),
-        (_raise_unpicklable, r"item 1 raised .*Local\('x'\), which does not pickle"),
-    ], ids=["dies", "unpicklable"])
-    def test_a_broken_restart_process_exits_1(self, break_chain_1, tmp_path, capsys,
-                                              fail, message):
-        # a ChildProcessError is an OSError, which alone would read as exit 2
-        break_chain_1(fail)
+        monkeypatch.setattr(os, "fork", dying_fork)
         assert run(self.ARGV + ["--out", str(tmp_path / "x.json")]) == cli.EXIT_PROCESS == 1
-        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert re.fullmatch(r"error: fan-out process \d+ exited with code 7 before sending "
+                            r"item 1\n", capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_fork_that_fails_exits_1(self, monkeypatch, tmp_path, capsys):
+    def test_a_fork_that_fails_exits_1(self, cpus, monkeypatch, tmp_path, capsys):
         # os.fork's BlockingIOError is an OSError, which alone would read as
         # exit 2, a validation error, and would not name the fan-out
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cpus(2)
 
         def fork():
             raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -214,13 +186,13 @@ class TestBrokenRestarts:
                                            f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_a_chain_that_raises_is_not_exit_3(self, break_chain_1, tmp_path, capsys):
+    def test_a_chain_that_raises_is_not_exit_3(self, monkeypatch, tmp_path, capsys):
         # exit 3 means only that every restart failed; a chain's exception is
         # a bug, which leaves main with its traceback (exit 1)
-        def fail():
+        def optimize(config):
             raise RuntimeError("a bug in chain 1")
 
-        break_chain_1(fail)
+        monkeypatch.setattr(cccp, "optimize", optimize)
         with pytest.raises(RuntimeError, match="^a bug in chain 1$") as exc:
             run(self.ARGV + ["--out", str(tmp_path / "x.json")])
         assert not isinstance(exc.value, cccp.RestartsFailed)
@@ -622,7 +594,10 @@ class TestSimulate:
         rc = run(["simulate", "--constellation", base_file, "--seed", "0",
                   "--out", str(out)] + extra)
         assert rc == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if extra == ["--ebn0", "10:1:0"]:
+            assert err == "error: sweep '10:1:0' has no points: stop is below start\n"
         assert not out.exists()
 
     @pytest.fixture()

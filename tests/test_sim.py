@@ -1,16 +1,11 @@
 import math
-import os
 import pathlib
-import resource
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import wait_for
-from mdconst import cccp, cli, fanout, kernels, scma, sim
+from mdconst import cccp, cli, kernels, scma, sim
 from mdconst import constellation as cn
 
 
@@ -282,24 +277,6 @@ def test_csv_bytes_of_the_serial_draw_order(case, seed):
     assert _golden_run(case, seed).to_csv() == want
 
 
-@pytest.fixture()
-def cpus(monkeypatch):
-    """cpus(W) reports W usable CPUs; the list of the caller's os.fork calls."""
-    real_fork, forks = os.fork, []
-
-    def counted():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-
-    def set_cpus(W):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(W)))
-        return forks
-
-    return set_cpus
-
-
 @pytest.mark.parametrize("W", [1, 2, 3])
 def test_csv_bytes_do_not_depend_on_the_process_count(cpus, W):
     # the sweeps stop points on their error count partway through their
@@ -349,264 +326,18 @@ def test_analytic_bounds_oracle():
     assert bounds == pytest.approx((1.985e-3, 7.941e-3), rel=1e-3)
 
 
-class TestFanOut:
-    """simulate's chunks, and fanout.imap's items, on two CPUs whatever the
-    machine has: the caller runs item 0 and the processes claim the rest, a
-    failure in either process reaches the caller, and no child outlives its
-    point."""
-
-    @staticmethod
-    def lockstep_detection(monkeypatch, tmp_path, fail):
-        """Patch the ML kernel to call fail(c) as it starts chunk c, in the
-        process that claimed it, and then wait (at most 20 s) until chunk
-        c + 1 starts, unless c is the last chunk or a chunk has raised or
-        touched tmp_path / "stop". A process busy with chunk c cannot claim
-        c + 1, so at W = 2 the caller runs the even chunks and the child the
-        odd ones until a chunk stops the lockstep; fail picks its process by
-        os.getpid()."""
-        imap, ml, chunk, stop = fanout.imap, kernels.ml_detect_batch, [], tmp_path / "stop"
-
-        def tagged(fn, items):
-            def run(c):
-                chunk[:] = c, items
-                return fn(c)
-            return imap(run, items)
-
-        def detect(*args):
-            c, items = chunk
-            (tmp_path / f"chunk{c}").touch()
-            try:
-                fail(c)
-            except BaseException:
-                stop.touch()
-                raise
-            if c + 1 < items:
-                wait_for(tmp_path / f"chunk{c + 1}", stop)
-            return ml(*args)
-
-        monkeypatch.setattr(fanout, "imap", tagged)
-        monkeypatch.setattr(kernels, "ml_detect_batch", detect)
-
-    @staticmethod
-    def run(max_vectors=100_000, min_bit_errors=10**9):
-        return sim.simulate_p2p(_base24(), "rayleigh_iid", sim.SNRSpec((0.0,)), seed=0,
-                                min_bit_errors=min_bit_errors, max_vectors=max_vectors)
-
-    def test_detection_error_reaches_caller(self, cpus, monkeypatch, tmp_path):
-        caller = os.getpid()
-
-        def fail(c):
-            if os.getpid() != caller and c == 3:
-                raise FloatingPointError(f"chunk 3 in process {os.getpid()}")
-
-        forks = cpus(2)
-        self.lockstep_detection(monkeypatch, tmp_path, fail)
-        with pytest.raises(FloatingPointError, match=r"chunk 3 in process \d+") as exc:
-            self.run()
-        assert forks and str(os.getpid()) not in str(exc.value)  # raised in the child
-
-    @pytest.mark.parametrize("bad, first", [({(True, 3), (False, 4)}, 3),
-                                            ({(False, 2), (True, 3)}, 2)])
-    def test_the_lowest_raising_chunk_wins(self, cpus, monkeypatch, tmp_path, bad, first):
-        # (in the child, chunk): the child's chunk 3 and the caller's chunk 4,
-        # then the caller's chunk 2 and the child's chunk 3: the serial run's
-        # exception, whichever process raised first
-        caller = os.getpid()
-
-        def fail(c):
-            if (os.getpid() != caller, c) in bad:
-                raise ValueError(f"chunk {c}")
-
-        cpus(2)
-        self.lockstep_detection(monkeypatch, tmp_path, fail)
-        with pytest.raises(ValueError, match=f"^chunk {first}$"):
-            self.run()
-
-    def test_a_child_that_dies_is_reported(self, cpus, monkeypatch, tmp_path):
-        # the child dies on its first chunk, 1, while the caller runs chunk 0
-        caller = os.getpid()
-
-        def die(c):
-            if os.getpid() != caller:
-                (tmp_path / "stop").touch()
-                os._exit(7)
-
-        cpus(2)
-        self.lockstep_detection(monkeypatch, tmp_path, die)
-        with pytest.raises(ChildProcessError, match="exited with code 7 before sending item 1"):
-            self.run()
-
-    def test_a_stopped_point_kills_its_children(self, cpus, monkeypatch, tmp_path):
-        # the caller's chunk 0 reaches the error count; the child, stalled on
-        # chunk 1 for a minute, is killed and reaped at once
-        caller = os.getpid()
-
-        def stall(c):
-            if os.getpid() != caller and c >= 1:
-                time.sleep(60)
-
-        forks = cpus(2)
-        self.lockstep_detection(monkeypatch, tmp_path, stall)
-        t0 = time.perf_counter()
-        point = self.run(min_bit_errors=1).points[0]
-        assert forks and time.perf_counter() - t0 < 30
-        assert point["vectors"] == sim.P2P_CHUNK and point["errors"] > 0
-
-    def test_a_result_that_does_not_pickle_arrives_as_its_repr(self, cpus, tmp_path):
-        # the caller's item 0 waits until the child has claimed item 1
-        caller, claimed = os.getpid(), tmp_path / "claimed"
-
-        def item(i):
-            if os.getpid() == caller:
-                wait_for(claimed)
-                return i
-            claimed.touch()
-            return lambda: i
-
-        cpus(2)
-        with pytest.raises(ChildProcessError, match=r"item 1 returned <function .*pickle"):
-            list(fanout.imap(item, 2))
-
-    def test_the_caller_runs_its_items_while_a_child_works(self, cpus, tmp_path):
-        # the child's item 1 waits for what item 4 writes, and the caller's
-        # item 0 until the child has claimed item 1: a caller that waited on
-        # item 1 before claiming item 4 itself would time out
-        flag, claimed = tmp_path / "item4", tmp_path / "claimed"
-
-        def item(i):
-            if i == 1:
-                claimed.touch()
-            if i == 0:
-                wait_for(claimed)
-            if i == 4:
-                flag.touch()
-            deadline = time.monotonic() + 20
-            while i == 1 and not flag.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            return i, flag.exists()
-
-        cpus(2)
-        assert list(fanout.imap(item, 6))[1] == (1, True)
-
-    def test_a_higher_item_that_fails_first_does_not_preempt_a_lower_one(self, cpus, tmp_path):
-        # three processes: the caller's item 0 waits until the children have
-        # claimed items 1 and 2; item 2 raises at once and item 1 a moment
-        # later, so item 2's exception reaches the caller first
-        raised = tmp_path / "raised"
-
-        def item(i):
-            if i == 0:
-                wait_for(tmp_path / "claimed1")
-                wait_for(tmp_path / "claimed2")
-            elif i == 1:
-                (tmp_path / "claimed1").touch()
-                wait_for(raised)
-                time.sleep(0.2)
-                raise ValueError("item 1")
-            elif i == 2:
-                (tmp_path / "claimed2").touch()
-                raised.touch()
-                raise ValueError("item 2")
-            return i
-
-        cpus(3)
-        with pytest.raises(ValueError, match="^item 1$"):
-            list(fanout.imap(item, 4))
-        assert raised.exists()
-
-    def test_results_past_a_pipe_buffer(self, cpus):
-        # 1 MiB results, 16 pipe buffers each, on three processes: the caller
-        # reads whichever child's pipe is ready, so neither child stalls
-        cpus(3)
-        got = list(fanout.imap(lambda i: bytes([i]) * 2**20, 7))
-        assert [(len(v), v[0], v[-1]) for v in got] == [(2**20, i, i) for i in range(7)]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)  # no child left, reaped or not
-
-    def test_more_claims_than_a_pipe_holds(self, cpus):
-        # 19,999 claims of 8 bytes, 160 kB, where a pipe holds 64 KiB: the
-        # caller writes the next claims as outcomes come in, so the pipe
-        # refills some 40 times
-        cpus(2)
-        assert list(fanout.imap(lambda i: i, 20_000)) == list(range(20_000))
-
-    def test_claims_are_not_built_up_front(self, cpus):
-        # a million items, of which the caller yields one: it writes no more
-        # than a pipe buffer of claims, not 8 MB of indices before item 0
-        cpus(2)
-        tracemalloc.start()
-        try:
-            results = fanout.imap(lambda i: i, 10**6)
-            assert next(results) == 0
-            results.close()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    @pytest.mark.parametrize("die", [False, True])
-    def test_pipes_past_fd_1023(self, cpus, tmp_path, die):
-        # select.select rejects an fd above 1023 with a ValueError, which the
-        # CLI would take for bad input; a child that exits first is reported
-        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
-            pytest.skip("needs about 1,200 open files")
-        caller, died = os.getpid(), tmp_path / "died"
-
-        def item(i):
-            if die and os.getpid() != caller:  # on its first claim, item 1
-                died.touch()
-                os._exit(7)
-            if die:
-                wait_for(died)
-            return i * i
-
-        fds = []
-        try:
-            while len(fds) < 1100:
-                fds.append(os.open(os.devnull, os.O_RDONLY))
-            assert fds[-1] > 1023
-            cpus(2)
-            if die:
-                with pytest.raises(ChildProcessError, match="code 7 before sending item 1"):
-                    list(fanout.imap(item, 5))
-            else:
-                assert list(fanout.imap(item, 5)) == [0, 1, 4, 9, 16]
-        finally:
-            for fd in fds:
-                os.close(fd)
-
-    def test_cli_failure_keeps_exit_code(self, cpus, monkeypatch, tmp_path, capsys):
-        # a ValueError in the child's chunk, 1, is an input error: exit 2, no output
-        caller = os.getpid()
-
-        def fail(c):
-            if os.getpid() != caller:
-                raise ValueError(f"chunk {c}")
-
-        cpus(2)
-        self.lockstep_detection(monkeypatch, tmp_path, fail)
-        base = tmp_path / "base.json"
-        _base24().save(str(base))
-        out = tmp_path / "ber.csv"
-        rc = cli.main(["simulate", "--constellation", str(base), "--ebn0", "0",
-                       "--seed", "0", "--min-errors", "1000000000",
-                       "--max-vectors", "100000", "--out", str(out)])
-        assert rc == 2
-        assert "chunk 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_a_vector_cap_no_point_reaches_costs_nothing(self, cpus, tmp_path):
-        # a 0 dB Rayleigh point stops at chunk 0 whatever its cap; a cap of
-        # 5 million chunks must not cost their claims up front
-        cpus(2)
-        const = tmp_path / "qpsk2.json"
-        cn.cartesian_qpsk(2).save(str(const))
-        csv = {}
-        for cap in ("1000000", "100000000000"):
-            out = tmp_path / f"ber{cap}.csv"
-            assert cli.main(["simulate", "--constellation", str(const), "--ebn0", "0",
-                             "--channel", "rayleigh_iid", "--seed", "0",
-                             "--max-vectors", cap, "--out", str(out)]) == 0
-            csv[cap] = out.read_text()
-        assert csv["100000000000"] == csv["1000000"]
-        assert csv["1000000"].split("\n")[1].split(",")[4] == str(sim.P2P_CHUNK)
+def test_a_vector_cap_no_point_reaches_costs_nothing(cpus, tmp_path):
+    # a 0 dB Rayleigh point stops at chunk 0 whatever its cap; a cap of
+    # 5 million chunks must not cost their claims up front
+    cpus(2)
+    const = tmp_path / "qpsk2.json"
+    cn.cartesian_qpsk(2).save(str(const))
+    csv = {}
+    for cap in ("1000000", "100000000000"):
+        out = tmp_path / f"ber{cap}.csv"
+        assert cli.main(["simulate", "--constellation", str(const), "--ebn0", "0",
+                         "--channel", "rayleigh_iid", "--seed", "0",
+                         "--max-vectors", cap, "--out", str(out)]) == 0
+        csv[cap] = out.read_text()
+    assert csv["100000000000"] == csv["1000000"]
+    assert csv["1000000"].split("\n")[1].split(",")[4] == str(sim.P2P_CHUNK)
